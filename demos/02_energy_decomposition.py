@@ -15,8 +15,8 @@ the transposed shape and reflecting each eigenvalue across 2(n-1).
 from pathlib import Path
 
 from permaframe import build_cache, read_ballot_file, tally
-from permaframe.frame import analyze, graph_fourier, sign_flip
-from permaframe.spectral import key_to_value, reflected_key
+from permaframe.frame import analyze_with_conjugates, conjugate_energy_rows, graph_fourier
+from permaframe.spectral import key_to_value
 
 HERE = Path(__file__).parent
 
@@ -24,14 +24,10 @@ cache = build_cache(4, "h")
 signal = tally(read_ballot_file(HERE / "data" / "city_council.votes"))
 energy = signal.norm2()
 
-table = analyze(cache, signal)
+# the direct table, and the sign-flipped one that completes the two transpose
+# shapes
+table, flipped = analyze_with_conjugates(cache, signal)
 per_shape = {g: e for g, e in table.shape_energies().items()}
-
-# complete the two transpose shapes via the sign trick
-flipped = analyze(
-    cache, sign_flip(signal),
-    shapes=[g for g in cache.shapes if g.transpose() not in set(cache.shapes)],
-)
 for g, e in flipped.shape_energies().items():
     per_shape[g.transpose()] = e
 
@@ -43,9 +39,7 @@ print(f"  {'total':>8}: {sum(per_shape.values()):12.1f}")
 
 # joint (shape, eigenvalue) rows, the data behind a stacked bar chart
 print("\nper shape-eigenvalue pair:")
-rows = list(table.energy_rows())
-for g, key, e in flipped.energy_rows():
-    rows.append((g.transpose(), reflected_key(4, key), e))
+rows = table.energy_rows() + conjugate_energy_rows(flipped)
 rows.sort(key=lambda r: (r[1], tuple(-p for p in r[0].parts)))
 for g, key, e in rows:
     if e > 1e-6:

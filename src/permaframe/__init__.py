@@ -41,7 +41,9 @@ from .frame import (
     EnergyTable,
     Signal,
     analyze,
+    analyze_with_conjugates,
     atom,
+    conjugate_energy_rows,
     conjugate_shape_energy,
     energy_table,
     graph_fourier,

@@ -2,14 +2,10 @@
 
 Setup is data-independent and split into three phases: graph plus lifting-map
 construction, eigensolves in a dominance-compatible order, and swap paths to
-every reduced lifting.  The resulting cache drives the analysis and synthesis
-operators in one of two execution modes:
-
-* ``cached``   - one composed length-n! index map is materialized per reduced
-  lifting (fast, memory-heavy);
-* ``streamed`` - only the per-swap maps are kept and the data is re-permuted
-  along a depth-first traversal of the search tree, undoing swaps on
-  backtrack.
+every reduced lifting.  The analysis and synthesis operators get each reduced
+lifting's composed length-n! index map from one depth-first walk of the swap
+tree (``FrameCache.iter_lifting_maps``), which keeps only the per-swap maps
+and the current composed map, and undoes a swap on backtrack.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with flat little-endian 64-bit array files (magic
@@ -19,7 +15,6 @@ header ``PFARRAY1``) for the eigenvectors, the column map, and the swap lists.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -40,7 +35,7 @@ from .combinatorics import (
     dominates,
     reduced_representatives,
 )
-from .errors import CacheFormatError, ResourceLimitError, ValidationError
+from .errors import CacheFormatError, ValidationError
 from .schreier import (
     SchreierGraph,
     adjacent_swap_maps,
@@ -57,14 +52,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "permaframe-setup-cache"
 MANIFEST_VERSION = 1
 
-DEFAULT_MEMORY_BUDGET = 8 * 1024**3  # bytes of composed index maps in cached mode
-MEMORY_BUDGET_ENV = "PERMAFRAME_MEMORY_BUDGET_BYTES"
 FULL_H_MAX_N = 10  # larger n requires an explicit top-k shape count
-
-
-def memory_budget() -> int:
-    raw = os.environ.get(MEMORY_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_MEMORY_BUDGET
 
 
 def _is_hook(shape: IntegerPartition) -> bool:
@@ -123,8 +111,8 @@ class BuildReport:
 
 
 class FrameCache:
-    """A set of shape bundles for one n plus the runtime artifacts (per-swap
-    index maps, composed per-lifting maps) that the transform needs."""
+    """A set of shape bundles for one n plus the per-lifting index maps that
+    the transform walks."""
 
     def __init__(
         self,
@@ -133,7 +121,6 @@ class FrameCache:
         *,
         shape_source: str = "custom",
         top_k: int | None = None,
-        mode_default: str = "auto",
         hook_fastpath: bool = False,
         report: BuildReport | None = None,
     ) -> None:
@@ -144,10 +131,8 @@ class FrameCache:
         )
         self.shape_source = shape_source
         self.top_k = top_k
-        self.mode_default = mode_default
         self.hook_fastpath = hook_fastpath
         self.report = report or BuildReport()
-        self._perm_store: dict[IntegerPartition, list[np.ndarray]] = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -167,71 +152,23 @@ class FrameCache:
         have = set(self.shapes)
         return all(s in have for s in h_shapes(self.n))
 
-    @property
-    def covers_all_shapes(self) -> bool:
-        have = set(self.shapes)
-        return all(s in have for s in partitions_of(self.n))
-
     def atom_count(self, shapes: Sequence[IntegerPartition] | None = None) -> int:
         return sum(
             self.bundles[s].d * self.bundles[s].z for s in (shapes or self.shapes)
         )
-
-    # -- execution modes ---------------------------------------------------
-
-    def cached_mode_bytes(self, shapes: Sequence[IntegerPartition] | None = None) -> int:
-        z_total = sum(self.bundles[s].z for s in (shapes or self.shapes))
-        return z_total * factorial(self.n) * 8
-
-    def resolve_mode(
-        self,
-        mode: str | None,
-        shapes: Sequence[IntegerPartition] | None = None,
-    ) -> str:
-        mode = mode or self.mode_default
-        needed = self.cached_mode_bytes(shapes)
-        budget = memory_budget()
-        if mode == "cached":
-            if needed > budget:
-                raise ResourceLimitError(
-                    f"cached mode needs {needed / 1024**3:.1f} GiB of index maps, "
-                    f"over the {budget / 1024**3:.1f} GiB budget; use streamed "
-                    f"mode or raise {MEMORY_BUDGET_ENV}"
-                )
-            return "cached"
-        if mode == "streamed":
-            return "streamed"
-        if mode in (None, "auto"):
-            return "cached" if needed <= budget else "streamed"
-        raise ValidationError(f"unknown mode {mode!r}")
 
     # -- lifting index maps ------------------------------------------------
 
     def swap_maps(self) -> np.ndarray:
         return adjacent_swap_maps(self.n)
 
-    def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:
-        """Composed index map per reduced lifting (cached mode), stored in the
-        traversal order so both modes perform identical arithmetic."""
-        if shape not in self._perm_store:
-            self._perm_store[shape] = list(self._iter_streamed(shape))
-        return self._perm_store[shape]
-
-    def perm_vector(self, shape: IntegerPartition, t: int) -> np.ndarray:
-        for idx, vec in self.perm_vectors(shape):
-            if idx == t:
-                return vec
-        raise ValidationError(f"no lifting index {t} for shape {shape.parts}")
-
-    def drop_perm_vectors(self) -> None:
-        self._perm_store.clear()
-
-    def _iter_streamed(
+    def iter_lifting_maps(
         self, shape: IntegerPartition
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Depth-first traversal of the search tree, yielding the composed map
-        at every reduced lifting; one O(n!) pass per tree edge, swaps undone on
-        backtrack."""
+        """(reduced lifting index, composed index map) pairs in depth-first
+        order over the swap tree; every lifting appears exactly once.  Each
+        tree edge costs one O(n!) gather down and one to undo it on backtrack;
+        each yielded map is a fresh array."""
         bundle = self.bundle(shape)
         maps = self.swap_maps()
         z = bundle.z
@@ -253,16 +190,11 @@ class FrameCache:
             yield child, vec
             stack.append((child, iter(children[child])))
 
-    def iter_lifting_maps(
-        self, shape: IntegerPartition, mode: str
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(reduced lifting index, composed index map) pairs in the traversal
-        order; every lifting appears exactly once and both modes produce the
-        same sequence, so downstream floating-point results are bit-identical."""
-        if mode == "cached":
-            yield from self.perm_vectors(shape)
-        else:
-            yield from self._iter_streamed(shape)
+    def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:
+        """Every (lifting index, composed index map) pair of one shape.  Kept
+        because the benchmark's tracer (``perfbench/trace_cli.py``) binds it;
+        the transform itself streams ``iter_lifting_maps``."""
+        return list(self.iter_lifting_maps(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +233,6 @@ def build_cache(
     *,
     top_k: int | None = None,
     hook_fastpath: bool = False,
-    mode_default: str = "auto",
     threads: int = 1,
     log: Callable[[str], None] | None = None,
 ) -> FrameCache:
@@ -388,7 +319,6 @@ def build_cache(
         bundles,
         shape_source=source,
         top_k=top_k,
-        mode_default=mode_default,
         hook_fastpath=hook_fastpath,
         report=report,
     )
@@ -498,7 +428,6 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
         "shape_source": cache.shape_source,
         "top_k": cache.top_k,
         "full_h": cache.full_h,
-        "mode_default": cache.mode_default,
         "hook_fastpath": cache.hook_fastpath,
         "shapes": shape_entries,
     }
@@ -574,7 +503,6 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
         bundles,
         shape_source=manifest.get("shape_source", "custom"),
         top_k=manifest.get("top_k"),
-        mode_default=manifest.get("mode_default", "auto"),
         hook_fastpath=manifest.get("hook_fastpath", False),
     )
 

@@ -50,16 +50,19 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ignored_mode_arg(parser: argparse.ArgumentParser) -> None:
+    # analysis has one execution path; the flag stays so old scripts still run
+    parser.add_argument(
+        "--mode", choices=["cached", "streamed", "auto"], default="auto",
+        help="accepted and ignored",
+    )
+
+
 def _add_common_analysis_args(parser: argparse.ArgumentParser) -> None:
     _add_cache_arg(parser)
     parser.add_argument("--ballots", required=True, help="ballot file to tally")
-    parser.add_argument(
-        "--mode",
-        choices=["cached", "streamed", "auto"],
-        default="auto",
-        help="execution mode for the lifting index maps",
-    )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap")
+    _add_ignored_mode_arg(parser)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
 def _detect_n(root: str) -> int:
@@ -129,27 +132,11 @@ def cmd_setup(args) -> int:
         print(f"cache at {base} failed verification; rebuilding:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
-    if args.mode == "cached":
-        from math import factorial
-
-        from .combinatorics import h_shapes, multiplicity_constants
-
-        needed = sum(
-            multiplicity_constants(s).z for s in h_shapes(n, args.shapes)
-        ) * factorial(n) * 8
-        budget = cache_mod.memory_budget()
-        if needed > budget:
-            raise ResourceLimitError(
-                f"cached mode would hold {needed / 1024**3:.1f} GiB of index maps, "
-                f"over the {budget / 1024**3:.1f} GiB budget; use --mode streamed, "
-                f"reduce --shapes, or raise {cache_mod.MEMORY_BUDGET_ENV}"
-            )
     built = cache_mod.build_cache(
         n,
         "h",
         top_k=args.shapes,
         hook_fastpath=args.hook_fastpath,
-        mode_default=args.mode,
         threads=args.threads,
         log=print,
     )
@@ -158,43 +145,30 @@ def cmd_setup(args) -> int:
     return EXIT_OK
 
 
-def _captured_fractions(cache, signal, table, unfiltered: bool):
-    energy = signal.norm2()
-    direct = table.total_energy() / energy if energy > 0 else 1.0
-    completed = None
-    if unfiltered and energy > 0:
-        have = set(cache.shapes)
-        conj_list = [s for s in cache.shapes if s.transpose() not in have]
-        if conj_list:
-            flipped = frame.analyze(cache, frame.sign_flip(signal), shapes=conj_list)
-            completed = (table.total_energy() + flipped.total_energy()) / energy
-        else:
-            completed = direct
-    return direct, completed
-
-
 def cmd_analyze(args) -> int:
     cache = _load_cache(args)
     signal, label = _load_signal(args, cache)
-    shapes = _shape_subset(cache, args.shapes)
-    table = frame.analyze(
-        cache,
-        signal,
-        shapes=shapes,
-        max_eigs=args.max_eigs,
-        mode=None if args.mode == "auto" else args.mode,
-        threads=args.threads,
-        dataset=label,
-    )
+    flipped = None
+    if args.shapes is None and args.max_eigs is None:
+        table, flipped = frame.analyze_with_conjugates(cache, signal, dataset=label)
+    else:
+        table = frame.analyze(
+            cache,
+            signal,
+            shapes=_shape_subset(cache, args.shapes),
+            max_eigs=args.max_eigs,
+            dataset=label,
+        )
     text = table.to_json_text() if args.format == "json" else table.to_csv_text()
     _write_text(args.out, text)
-    unfiltered = args.shapes is None and args.max_eigs is None
-    direct, completed = _captured_fractions(cache, signal, table, unfiltered)
+    energy = signal.norm2()
+    direct = table.total_energy() / energy if energy > 0 else 1.0
     summary = (
-        f"signal energy {signal.norm2():.6f}; "
+        f"signal energy {energy:.6f}; "
         f"captured fraction {direct:.9f} ({table.row_count} coefficients)"
     )
-    if completed is not None:
+    if flipped is not None and energy > 0:
+        completed = (table.total_energy() + flipped.total_energy()) / energy
         summary += f"; with transpose completion {completed:.9f}"
     print(summary)
     return EXIT_OK
@@ -204,27 +178,11 @@ def cmd_energy(args) -> int:
     cache = _load_cache(args)
     signal, _ = _load_signal(args, cache)
     shapes = _shape_subset(cache, args.shapes)
-    mode = None if args.mode == "auto" else args.mode
-    table = frame.analyze(cache, signal, shapes=shapes, mode=mode, threads=args.threads)
-    rows = [(shape, key, energy) for shape, key, energy in table.energy_rows()]
-    include_conjugates = args.conjugates == "on" or (
-        args.conjugates == "auto" and shapes is None
-    )
-    if include_conjugates:
-        have = set(cache.shapes if shapes is None else shapes)
-        conj_list = sorted(
-            (s for s in have if s.transpose() not in have),
-            key=lambda s: s.parts,
-            reverse=True,
-        )
-        if conj_list:
-            flipped = frame.analyze(
-                cache, frame.sign_flip(signal), shapes=conj_list, mode=mode
-            )
-            from .spectral import reflected_key
-
-            for shape, key, energy in flipped.energy_rows():
-                rows.append((shape.transpose(), reflected_key(cache.n, key), energy))
+    if args.conjugates == "on" or (args.conjugates == "auto" and shapes is None):
+        table, flipped = frame.analyze_with_conjugates(cache, signal, shapes=shapes)
+        rows = table.energy_rows() + frame.conjugate_energy_rows(flipped)
+    else:
+        rows = frame.analyze(cache, signal, shapes=shapes).energy_rows()
     rows.sort(key=lambda r: (tuple(-p for p in r[0].parts), r[1]))
     out = ["shape,lambda,energy"]
     for shape, key, energy in rows:
@@ -241,8 +199,6 @@ def cmd_top(args) -> int:
         cache,
         signal,
         shapes=_shape_subset(cache, args.shapes),
-        mode=None if args.mode == "auto" else args.mode,
-        threads=args.threads,
     )
     ranked = sorted(
         enumerate(table.iter_rows()), key=lambda item: (-abs(item[1][1]), item[0])
@@ -279,8 +235,7 @@ def cmd_top(args) -> int:
 def cmd_reconstruct(args) -> int:
     cache = _load_cache(args)
     signal, _ = _load_signal(args, cache)
-    mode = None if args.mode == "auto" else args.mode
-    rec = frame.reconstruct(cache, signal, mode=mode)
+    rec = frame.reconstruct(cache, signal)
     norm = np.linalg.norm(signal.values)
     err = float(np.linalg.norm(rec.values - signal.values) / norm) if norm else 0.0
     print(f"relative reconstruction error {err:.3e}")
@@ -332,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_cache_arg(p)
     p.add_argument("--shapes", type=int, default=None, help="keep only the first K shapes")
-    p.add_argument("--mode", choices=["cached", "streamed", "auto"], default="auto")
+    _add_ignored_mode_arg(p)
     p.add_argument("--hook-fastpath", action="store_true",
                    help="use closed-form eigenvectors for hook shapes")
     p.add_argument("--threads", type=int, default=1)

@@ -3,10 +3,13 @@ energy decompositions, isotypic projections, graph Fourier transform, the
 transpose-shape sign trick, and the projected-indicator baseline.
 
 Analysis never materializes length-n! atoms.  Each coefficient is computed on
-the Schreier graph side: reorder the signal by the lifting's inverse swap
-sequence, accumulate it down through the reading-order lifting map, and take
-inner products with the stored eigenvectors, scaled by the frame constant.
-Atom materialization exists only for tests and small-n inspection.
+the Schreier graph side: reorder the signal by the lifting's composed index
+map, accumulate it down through the reading-order lifting map, and take inner
+products with the stored eigenvectors, scaled by the frame constant.  One
+depth-first walk of the swap tree per shape yields those maps; shapes whose
+transpose is not cached are completed by carrying the sign-flipped signal
+through the same walk (:func:`analyze_with_conjugates`).  Atom
+materialization exists only for tests and small-n inspection.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
     Permutation,
+    check_dense_n,
     enumerate_ordered_set_partitions,
     lex_rank,
     partitions_of,
@@ -71,10 +75,12 @@ class Signal:
 
     @classmethod
     def zeros(cls, n: int) -> "Signal":
+        check_dense_n(n)
         return cls(n, np.zeros(factorial(n)))
 
     @classmethod
     def constant(cls, n: int, value: float = 1.0) -> "Signal":
+        check_dense_n(n)
         return cls(n, np.full(factorial(n), float(value)))
 
     @classmethod
@@ -85,6 +91,7 @@ class Signal:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Signal":
+        check_dense_n(n)
         return cls(n, rng.standard_normal(factorial(n)))
 
 
@@ -278,106 +285,155 @@ def _check_signal(cache: FrameCache, signal: Signal) -> None:
         )
 
 
+def _analyze_blocks(
+    cache: FrameCache,
+    signal: Signal,
+    shape_list: list[IntegerPartition],
+    max_eigs: int | None,
+    flipped_shapes: Sequence[IntegerPartition] = (),
+) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
+    """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
+    ``flipped_shapes`` (a subset), from one tree walk per shape.  Each signal
+    gets its own accumulation and product per lifting, so its coefficients do
+    not depend on whether the other is computed alongside."""
+    values = signal.values
+    flipped_values = sign_flip(signal).values if flipped_shapes else None
+    direct: list[ShapeBlock] = []
+    flipped: list[ShapeBlock] = []
+    for shape in shape_list:
+        bundle = cache.bundle(shape)
+        rows = bundle.spectrum.eigenvector_rows()
+        r_used = len(rows) if max_eigs is None else min(len(rows), max_eigs)
+        vectors = bundle.spectrum.vectors[:, :r_used]
+        jobs = [(values, np.empty((r_used, bundle.z)), direct)]
+        if shape in flipped_shapes:
+            jobs.append((flipped_values, np.empty((r_used, bundle.z)), flipped))
+        for t, vec in cache.iter_lifting_maps(shape):
+            for f, alphas, _out in jobs:
+                g = np.bincount(bundle.col_of, weights=f[vec], minlength=bundle.m)
+                alphas[:, t] = vectors.T @ g
+        lam = np.array([row[0] for row in rows[:r_used]])
+        keys = np.array([row[1] for row in rows[:r_used]], dtype=np.int64)
+        ks = np.array([row[2] for row in rows[:r_used]], dtype=np.int64)
+        for _f, alphas, out in jobs:
+            alphas *= bundle.c_bar
+            out.append(ShapeBlock(shape, bundle.c_bar, lam, keys, ks, alphas))
+    return direct, flipped
+
+
+def _table(
+    n: int, blocks: list[ShapeBlock], dataset: str, max_eigs: int | None = None
+) -> CoefficientTable:
+    provenance = {
+        "dataset": dataset,
+        "shapes": [b.shape.label() for b in blocks],
+        "max_eigs": max_eigs,
+    }
+    return CoefficientTable(n, blocks, provenance)
+
+
 def analyze(
     cache: FrameCache,
     signal: Signal,
     shapes: Sequence[IntegerPartition | Sequence[int]] | None = None,
     max_eigs: int | None = None,
-    mode: str | None = None,
-    threads: int = 1,
     dataset: str = "",
 ) -> CoefficientTable:
     """Analysis coefficients of a signal against the cached frame.
 
     Per shape and reduced lifting, the signal is reordered by the lifting's
-    inverse swap sequence, projected onto the Schreier graph once, and dotted
+    composed index map, projected onto the Schreier graph once, and dotted
     with every requested eigenvector.  ``max_eigs`` keeps only the first
     min(max_eigs, d) eigenvectors per shape (eigenvalues ascending).
     """
     _check_signal(cache, signal)
+    blocks, _ = _analyze_blocks(cache, signal, _resolve_shapes(cache, shapes), max_eigs)
+    return _table(cache.n, blocks, dataset, max_eigs)
+
+
+def analyze_with_conjugates(
+    cache: FrameCache,
+    signal: Signal,
+    shapes: Sequence[IntegerPartition | Sequence[int]] | None = None,
+    dataset: str = "",
+) -> tuple[CoefficientTable, CoefficientTable]:
+    """The transpose-shape sign trick: ``(direct, flipped)``.
+
+    ``direct`` is ``analyze(cache, signal, shapes)``; ``flipped`` is the table
+    of ``sign_flip(signal)`` on those of ``shapes`` whose transpose is not
+    among them.  Tensoring with the sign representation carries shape gamma to
+    its transpose and eigenvalue lambda to 2(n-1) - lambda, so ``flipped``
+    holds the missing transpose shapes' components (see
+    :func:`conjugate_energy_rows`).  Both tables come from one walk per shape
+    and are bit-identical to analyzing each signal on its own.
+    """
+    _check_signal(cache, signal)
     shape_list = _resolve_shapes(cache, shapes)
-    run_mode = cache.resolve_mode(mode, shape_list)
+    have = set(shape_list)
+    conj = [s for s in shape_list if s.transpose() not in have]
+    direct, flipped = _analyze_blocks(cache, signal, shape_list, None, conj)
+    return _table(cache.n, direct, dataset), _table(cache.n, flipped, dataset)
 
-    def analyze_shape(shape: IntegerPartition) -> ShapeBlock:
-        bundle = cache.bundle(shape)
-        spectrum = bundle.spectrum
-        rows = spectrum.eigenvector_rows()
-        r_used = len(rows) if max_eigs is None else min(len(rows), max_eigs)
-        vectors = spectrum.vectors[:, :r_used]
-        alphas = np.empty((r_used, bundle.z))
-        values = signal.values
-        for t, vec in cache.iter_lifting_maps(shape, run_mode):
-            g = np.bincount(bundle.col_of, weights=values[vec], minlength=bundle.m)
-            alphas[:, t] = vectors.T @ g
-        alphas *= bundle.c_bar
-        lam = np.array([row[0] for row in rows[:r_used]])
-        keys = np.array([row[1] for row in rows[:r_used]], dtype=np.int64)
-        ks = np.array([row[2] for row in rows[:r_used]], dtype=np.int64)
-        return ShapeBlock(shape, bundle.c_bar, lam, keys, ks, alphas)
 
-    if threads > 1 and run_mode == "cached":
-        from concurrent.futures import ThreadPoolExecutor
-
-        for shape in shape_list:  # composed maps are built lazily; do it serially
-            cache.perm_vectors(shape)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(analyze_shape, shape_list))
-    else:
-        blocks = [analyze_shape(shape) for shape in shape_list]
-
-    provenance = {
-        "dataset": dataset,
-        "shapes": [s.label() for s in shape_list],
-        "max_eigs": max_eigs,
-        "mode": run_mode,
-    }
-    return CoefficientTable(cache.n, blocks, provenance)
+def conjugate_energy_rows(
+    flipped: CoefficientTable,
+) -> list[tuple[IntegerPartition, int, float]]:
+    """Energy rows of a sign-flipped table read as rows of the transposed
+    shapes: each shape is transposed and each eigenvalue key reflected across
+    2(n-1)."""
+    return [
+        (shape.transpose(), reflected_key(flipped.n, key), e)
+        for shape, key, e in flipped.energy_rows()
+    ]
 
 
 def synthesize(
-    cache: FrameCache, table: CoefficientTable, mode: str | None = None
+    cache: FrameCache,
+    table: CoefficientTable,
+    flipped: CoefficientTable | None = None,
 ) -> Signal:
-    """Linear combination of the atoms weighted by the table.
+    """Linear combination of the atoms weighted by the table, plus the sign
+    flip of the combination weighted by ``flipped`` when given.
 
     With an unfiltered table this reconstructs the analyzed signal exactly
     (tight Parseval frame); a filtered table yields the orthogonal projection
-    onto the selected shape-eigenvalue spaces.  Implemented with one lift and
-    one reordering pass per (lifting), combining all eigenvectors first.
+    onto the selected shape-eigenvalue spaces.  One walk per shape serves
+    both tables; per lifting, all eigenvectors are combined before one lift.
     """
-    if table.n != cache.n:
+    tables = [table] if flipped is None else [table, flipped]
+    if any(tab.n != cache.n for tab in tables):
         raise ValidationError("table and cache built for different n")
-    shape_list = [b.shape for b in table.blocks]
-    run_mode = cache.resolve_mode(mode, shape_list)
-    acc = np.zeros(factorial(cache.n))
-    for block in table.blocks:
-        bundle = cache.bundle(block.shape)
-        vectors = bundle.spectrum.vectors[:, : block.num_rows]
-        stored_keys = [row[1] for row in bundle.spectrum.eigenvector_rows()]
-        if list(block.keys) != stored_keys[: block.num_rows]:
-            raise ValidationError(
-                f"table rows for {block.shape.parts} do not match the cache spectrum"
-            )
-        for t, vec in cache.iter_lifting_maps(block.shape, run_mode):
-            w = vectors @ block.alphas[:, t]
-            acc[vec] += block.c_bar * w[bundle.col_of]
-    return Signal(cache.n, acc)
+    accs = [np.zeros(factorial(cache.n)) for _ in tables]
+    jobs: dict[IntegerPartition, list] = {}
+    for acc, tab in zip(accs, tables):
+        for block in tab.blocks:
+            spectrum = cache.bundle(block.shape).spectrum
+            stored_keys = [row[1] for row in spectrum.eigenvector_rows()]
+            if list(block.keys) != stored_keys[: block.num_rows]:
+                raise ValidationError(
+                    f"table rows for {block.shape.parts} do not match the cache spectrum"
+                )
+            vectors = spectrum.vectors[:, : block.num_rows]
+            jobs.setdefault(block.shape, []).append((acc, vectors, block))
+    for shape, shape_jobs in jobs.items():
+        col_of = cache.bundle(shape).col_of
+        for t, vec in cache.iter_lifting_maps(shape):
+            for acc, vectors, block in shape_jobs:
+                w = block.c_bar * (vectors @ block.alphas[:, t])
+                acc[vec] += w[col_of]
+    if flipped is not None:
+        accs[0] += sign_flip(Signal(cache.n, accs[1])).values
+    return Signal(cache.n, accs[0])
 
 
-def reconstruct(cache: FrameCache, signal: Signal, mode: str | None = None) -> Signal:
+def reconstruct(cache: FrameCache, signal: Signal) -> Signal:
     """Round-trip the signal through the transform.
 
     When the cache holds only the transpose-reduced shape list, the missing
     isotypic components are recovered by analyzing the sign-flipped signal on
     the cached shapes and sign-flipping the synthesis back.
     """
-    _check_signal(cache, signal)
-    rec = synthesize(cache, analyze(cache, signal, mode=mode), mode=mode)
-    have = set(cache.shapes)
-    conj_list = [s for s in cache.shapes if s.transpose() not in have]
-    if conj_list:
-        flipped = analyze(cache, sign_flip(signal), shapes=conj_list, mode=mode)
-        rec.values += sign_flip(synthesize(cache, flipped, mode=mode)).values
-    return rec
+    return synthesize(cache, *analyze_with_conjugates(cache, signal))
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +527,9 @@ def graph_fourier(cache: FrameCache, signal: Signal) -> list[tuple[int, float]]:
                 f"transpose-reduced list to take the graph Fourier transform"
             )
     energies: dict[int, float] = {}
-    table = analyze(cache, signal)
-    for shape, key, e in table.energy_rows():
+    direct, flipped = analyze_with_conjugates(cache, signal)
+    for _shape, key, e in direct.energy_rows() + conjugate_energy_rows(flipped):
         energies[key] = energies.get(key, 0.0) + e
-    conj_list = [s for s in cache.shapes if s.transpose() not in have]
-    if conj_list:
-        flipped_table = analyze(cache, sign_flip(signal), shapes=conj_list)
-        for shape, key, e in flipped_table.energy_rows():
-            rkey = reflected_key(cache.n, key)
-            energies[rkey] = energies.get(rkey, 0.0) + e
     return [(key, float(np.sqrt(e))) for key, e in sorted(energies.items())]
 
 
@@ -499,11 +549,8 @@ def conjugate_shape_energy(
         raise ValidationError(
             f"neither {part.parts} nor its transpose {conj.parts} is cached"
         )
-    table = analyze(cache, sign_flip(signal), shapes=[conj])
-    rows = [
-        (reflected_key(cache.n, key), e) for _shape, key, e in table.energy_rows()
-    ]
-    return sorted(rows)
+    _direct, flipped = analyze_with_conjugates(cache, signal, shapes=[conj])
+    return sorted((key, e) for _shape, key, e in conjugate_energy_rows(flipped))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ The permutahedron itself is the Schreier graph of the all-ones shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -291,16 +291,6 @@ class LiftingPath:
     target_index: int  # position among the reduced representatives
     vertex_index: int  # position in the full canonical enumeration
     swaps: tuple[int, ...]  # each entry i means the transposition (i, i+1)
-    perm_vector: np.ndarray | None = field(default=None, compare=False)
-
-    def with_perm_vector(self) -> "LiftingPath":
-        """Attach the composed length-n! index map realizing the reordering."""
-        if self.perm_vector is not None:
-            return self
-        vec = permutation_vector(self.target.n, self.swaps)
-        return LiftingPath(
-            self.target, self.target_index, self.vertex_index, self.swaps, vec
-        )
 
 
 def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
@@ -424,11 +414,6 @@ def invert_index_map(vec: np.ndarray) -> np.ndarray:
     return inv
 
 
-def reorder(values: np.ndarray, perm_vec: np.ndarray | None) -> np.ndarray:
-    """Apply the left action recorded in an index map to a signal."""
-    return values if perm_vec is None else values[perm_vec]
-
-
 def project(
     col_of: np.ndarray,
     values: np.ndarray,
@@ -439,7 +424,9 @@ def project(
     through the lifting reached by ``perm_vec`` (reading-order when None)."""
     if len(values) != len(col_of):
         raise ValidationError("signal length does not match the column map")
-    return np.bincount(col_of, weights=reorder(values, perm_vec), minlength=m)
+    if perm_vec is not None:
+        values = values[perm_vec]
+    return np.bincount(col_of, weights=values, minlength=m)
 
 
 def lift(

@@ -13,7 +13,8 @@ from permaframe.ballots import (
     tally,
 )
 from permaframe.combinatorics import Permutation, lex_rank
-from permaframe.errors import ValidationError
+from permaframe.errors import ResourceLimitError, ValidationError
+from permaframe.frame import Signal
 
 
 def test_parse_minimal_file():
@@ -113,3 +114,12 @@ def test_load_candidate_names(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ValidationError):
         load_candidate_names(bad)
+
+
+def test_dense_signals_refused_before_allocating():
+    # 13! doubles would be about 50 GB
+    with pytest.raises(ResourceLimitError):
+        Signal.zeros(13)
+    ballots = parse_ballots("n=13\n" + " ".join(map(str, range(1, 14))) + ",1\n")
+    with pytest.raises(ResourceLimitError):
+        tally(ballots)

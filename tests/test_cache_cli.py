@@ -83,18 +83,6 @@ def test_loaded_cache_reconstructs(tmp_path, rng):
     assert np.linalg.norm(rec.values - f.values) < 1e-9 * np.linalg.norm(f.values)
 
 
-def test_mode_resolution_budget(monkeypatch):
-    cache = build_cache(4, "h")
-    monkeypatch.setenv("PERMAFRAME_MEMORY_BUDGET_BYTES", "100")
-    from permaframe.errors import ResourceLimitError
-
-    assert cache.resolve_mode("auto") == "streamed"
-    with pytest.raises(ResourceLimitError):
-        cache.resolve_mode("cached")
-    monkeypatch.delenv("PERMAFRAME_MEMORY_BUDGET_BYTES")
-    assert cache.resolve_mode("auto") == "cached"
-
-
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -266,16 +254,10 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
     )
 
 
-def test_cli_resource_refusals(workdir, capsys, monkeypatch):
+def test_cli_resource_refusals(workdir, capsys):
     assert run_cli("setup", "--n", 11, "--cache", workdir / "c11") == 3
     err = capsys.readouterr().err
     assert "--shapes" in err
-    monkeypatch.setenv("PERMAFRAME_MEMORY_BUDGET_BYTES", "10")
-    assert (
-        run_cli("setup", "--n", 4, "--cache", workdir / "c4b", "--mode", "cached") == 3
-    )
-    err = capsys.readouterr().err
-    assert "budget" in err
 
 
 def test_cli_max_eigs_counts(workdir, capsys):
@@ -299,14 +281,6 @@ def test_hook_fastpath_cache_agrees(rng):
     for (ia, va), (ib, vb) in zip(a.iter_rows(), b.iter_rows()):
         assert ia == ib
         assert va == pytest.approx(vb, abs=1e-9)
-
-
-def test_threaded_analyze_matches_serial(rng):
-    cache = build_cache(5, "h")
-    f = Signal.random(5, rng)
-    serial = analyze(cache, f, mode="cached", threads=1)
-    threaded = analyze(cache, f, mode="cached", threads=4)
-    assert serial.to_csv_text() == threaded.to_csv_text()
 
 
 def test_cli_cache_root_env(workdir, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from permaframe.frame import (
     Signal,
     all_atom_ids,
     analyze,
+    analyze_with_conjugates,
     atom,
     conjugate_shape_energy,
     energy_table,
@@ -176,18 +177,6 @@ def test_analysis_is_linear(cache4_all, rng):
         assert ac == pytest.approx(2.0 * aa - 3.0 * ab, abs=1e-10)
 
 
-def test_cached_and_streamed_agree_exactly(cache5_all, rng):
-    f = Signal.random(5, rng)
-    a = analyze(cache5_all, f, mode="cached")
-    b = analyze(cache5_all, f, mode="streamed")
-    for (_ia, va), (_ib, vb) in zip(a.iter_rows(), b.iter_rows()):
-        assert va == vb  # bit-identical floats
-    assert a.to_csv_text().replace("cached", "x") != ""  # sanity
-    ra = synthesize(cache5_all, a, mode="cached")
-    rb = synthesize(cache5_all, b, mode="streamed")
-    assert np.array_equal(ra.values, rb.values)
-
-
 def test_max_eigs_row_counts(cache5_all, cache6_all):
     # per shape the truncated table holds min(2, d) * z coefficients
     from permaframe.combinatorics import h_shapes
@@ -262,6 +251,27 @@ def test_reconstruct_through_transpose_completion(cache5_h, rng):
     rec = reconstruct(cache5_h, f)
     err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
     assert err < 1e-12
+
+
+def same_blocks(a, b) -> bool:
+    return [x.shape for x in a.blocks] == [y.shape for y in b.blocks] and all(
+        np.array_equal(x.alphas, y.alphas) for x, y in zip(a.blocks, b.blocks)
+    )
+
+
+def test_one_walk_sign_trick_matches_separate_passes(cache5_h, rng):
+    # carrying the flipped signal through the same walk changes no bit
+    from permaframe import build_cache
+
+    for cache in (cache5_h, build_cache(6, "h")):
+        f = Signal.random(cache.n, rng)
+        conj = [s for s in cache.shapes if s.transpose() not in set(cache.shapes)]
+        assert conj
+        direct, flipped = analyze_with_conjugates(cache, f)
+        assert same_blocks(direct, analyze(cache, f))
+        assert same_blocks(flipped, analyze(cache, sign_flip(f), shapes=conj))
+        expected = synthesize(cache, direct).values + sign_flip(synthesize(cache, flipped)).values
+        assert np.array_equal(reconstruct(cache, f).values, expected)
 
 
 # ---------------------------------------------------------------------------

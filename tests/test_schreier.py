@@ -361,11 +361,3 @@ def test_quotient_isomorphism_n5():
         row[cu] += perm_graph.loops[u]
         quotient[cu] = row
     assert np.array_equal(quotient, small.adjacency.toarray())
-
-
-def test_path_perm_vector_attachment():
-    path = minimal_paths(shape(2, 2))[2]
-    assert path.perm_vector is None
-    filled = path.with_perm_vector()
-    assert np.array_equal(filled.perm_vector, permutation_vector(4, path.swaps))
-    assert filled.target == path.target
