@@ -1,15 +1,19 @@
 """Per-shape setup bundles, the in-memory frame cache, and its on-disk form.
 
 Setup is data-independent and split into three phases: graph plus lifting-map
-construction, eigensolves in a dominance-compatible order, and swap paths to
-every reduced lifting.  The analysis and synthesis operators get each reduced
-lifting's composed length-n! index map from one depth-first walk of the swap
-tree (``FrameCache.iter_lifting_maps``), which keeps only the per-swap maps
-and the current composed map, and undoes a swap on backtrack.
+construction, eigensolves in a dominance-compatible order, and the swap tree
+over the reduced liftings.  The analysis and synthesis operators get each
+reduced lifting's column map from one depth-first walk of that tree
+(``FrameCache.iter_lifting_maps``): it starts at the reading-order column map,
+reindexes the current map by the adjacent-swap map of each tree edge on the
+way down, and undoes the step the same way on backtrack (each swap map is an
+involution).
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with flat little-endian 64-bit array files (magic
-header ``PFARRAY1``) for the eigenvectors, the column map, and the swap lists.
+header ``PFARRAY1``) for the eigenvectors, the vertex row words, the
+reading-order column map, and the swap tree.  The loader reads only the files
+it needs, so manifests listing further files still load.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .schreier import (
     bfs_tree_arrays,
     build_characteristic,
     build_schreier,
-    minimal_paths,
 )
 from .spectral import ShapeSpectrum, deflate_and_solve, hook_fastpath_spectrum
 
@@ -65,13 +68,14 @@ class SchreierBundle:
 
     shape: IntegerPartition
     graph: SchreierGraph
-    col_of: np.ndarray  # (n!,) int64, reading-order lifting
-    reduced_vertex: np.ndarray  # (z,) canonical vertex index per reduced lifting
+    col_of: np.ndarray  # (n!,) int64, reading-order lifting, read-only
     bfs_parent: np.ndarray  # (z,) tree parent among reduced liftings, -1 at root
     bfs_swap: np.ndarray  # (z,) adjacent transposition on the tree edge
-    swaps_flat: np.ndarray  # concatenated root-to-lifting swap sequences
-    swap_offsets: np.ndarray  # (z+1,)
     spectrum: ShapeSpectrum
+
+    def __post_init__(self) -> None:
+        # the swap-tree walk yields this array itself for the root lifting
+        self.col_of.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -83,7 +87,7 @@ class SchreierBundle:
 
     @property
     def z(self) -> int:
-        return len(self.reduced_vertex)
+        return len(self.bfs_parent)
 
     @property
     def d(self) -> int:
@@ -96,12 +100,13 @@ class SchreierBundle:
     def reduced(self) -> tuple[OrderedSetPartition, ...]:
         return reduced_representatives(self.shape)
 
-    def path_swaps(self, t: int) -> tuple[int, ...]:
-        lo, hi = self.swap_offsets[t], self.swap_offsets[t + 1]
-        return tuple(int(s) for s in self.swaps_flat[lo:hi])
 
-    def inversions(self) -> np.ndarray:
-        return np.diff(self.swap_offsets)
+def _tree_children(parent: np.ndarray) -> list[list[int]]:
+    """Child lists of the swap tree, in lifting order; the root is 0."""
+    children: list[list[int]] = [[] for _ in range(len(parent))]
+    for t in range(1, len(parent)):
+        children[int(parent[t])].append(t)
+    return children
 
 
 @dataclass
@@ -111,8 +116,8 @@ class BuildReport:
 
 
 class FrameCache:
-    """A set of shape bundles for one n plus the per-lifting index maps that
-    the transform walks."""
+    """A set of shape bundles for one n plus the swap-tree walk that yields
+    every reduced lifting's column map."""
 
     def __init__(
         self,
@@ -157,26 +162,22 @@ class FrameCache:
             self.bundles[s].d * self.bundles[s].z for s in (shapes or self.shapes)
         )
 
-    # -- lifting index maps ------------------------------------------------
-
-    def swap_maps(self) -> np.ndarray:
-        return adjacent_swap_maps(self.n)
+    # -- lifting column maps -----------------------------------------------
 
     def iter_lifting_maps(
         self, shape: IntegerPartition
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """(reduced lifting index, composed index map) pairs in depth-first
-        order over the swap tree; every lifting appears exactly once.  Each
-        tree edge costs one O(n!) gather down and one to undo it on backtrack;
-        each yielded map is a fresh array."""
+        """(t, column map of the t-th reduced lifting) pairs in depth-first
+        order over the swap tree; every lifting appears exactly once, and each
+        map equals ``characteristic_column_map(shape, reduced_representatives
+        (shape)[t])``.  Each tree edge costs one O(n!) gather down and one to
+        undo it on backtrack.  The root's map is the bundle's read-only
+        ``col_of``; every other yielded map is a fresh array."""
         bundle = self.bundle(shape)
-        maps = self.swap_maps()
-        z = bundle.z
-        children: list[list[int]] = [[] for _ in range(z)]
-        for t in range(1, z):
-            children[int(bundle.bfs_parent[t])].append(t)
-        vec = np.arange(factorial(self.n), dtype=np.int64)
-        yield 0, vec
+        maps = adjacent_swap_maps(self.n)
+        children = _tree_children(bundle.bfs_parent)
+        col = bundle.col_of
+        yield 0, col
         stack: list[tuple[int, Iterator[int]]] = [(0, iter(children[0]))]
         while stack:
             node, it = stack[-1]
@@ -184,16 +185,16 @@ class FrameCache:
             if child is None:
                 stack.pop()
                 if stack:
-                    vec = maps[int(bundle.bfs_swap[node]) - 1][vec]
+                    col = col[maps[int(bundle.bfs_swap[node]) - 1]]
                 continue
-            vec = maps[int(bundle.bfs_swap[child]) - 1][vec]
-            yield child, vec
+            col = col[maps[int(bundle.bfs_swap[child]) - 1]]
+            yield child, col
             stack.append((child, iter(children[child])))
 
     def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:
-        """Every (lifting index, composed index map) pair of one shape.  Kept
-        because the benchmark's tracer (``perfbench/trace_cli.py``) binds it;
-        the transform itself streams ``iter_lifting_maps``."""
+        """Every (lifting index, column map) pair of one shape, as a list.
+        Kept because the benchmark's tracer (``perfbench/trace_cli.py``) binds
+        it; the transform itself streams ``iter_lifting_maps``."""
         return list(self.iter_lifting_maps(shape))
 
 
@@ -283,37 +284,16 @@ def build_cache(
 
     t0 = time.perf_counter()
 
-    def build_paths(shape: IntegerPartition):
-        paths = minimal_paths(shape)
-        parent, swap = bfs_tree_arrays(shape)
-        flat = np.array(
-            [s for p in paths for s in p.swaps], dtype=np.int64
-        )
-        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-        for p in paths:
-            offsets[p.target_index + 1] = len(p.swaps)
-        offsets = np.cumsum(offsets)
-        vertex = np.array([p.vertex_index for p in paths], dtype=np.int64)
-        return vertex, parent, swap, flat, offsets
-
-    path_data = dict(zip(shape_list, run_over_shapes(build_paths, shape_list)))
+    trees = dict(zip(shape_list, run_over_shapes(bfs_tree_arrays, shape_list)))
     report.phase_seconds["paths"] = time.perf_counter() - t0
-    emit(f"phase 3 (swap paths): {report.phase_seconds['paths']:.2f}s")
+    emit(f"phase 3 (swap tree): {report.phase_seconds['paths']:.2f}s")
 
-    bundles = {}
-    for shape in shape_list:
-        vertex, parent, swap, flat, offsets = path_data[shape]
-        bundles[shape] = SchreierBundle(
-            shape,
-            graphs[shape],
-            col_maps[shape],
-            vertex,
-            parent,
-            swap,
-            flat,
-            offsets,
-            spectra[shape],
+    bundles = {
+        shape: SchreierBundle(
+            shape, graphs[shape], col_maps[shape], *trees[shape], spectra[shape]
         )
+        for shape in shape_list
+    }
     cache = FrameCache(
         n,
         bundles,
@@ -396,11 +376,8 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
                 "row_words.pfa",
                 np.asarray(bundle.graph.row_words, dtype=np.int64).ravel(),
             ),
-            "reduced_vertex": ("reduced_vertex.pfa", bundle.reduced_vertex),
             "bfs_parent": ("bfs_parent.pfa", bundle.bfs_parent),
             "bfs_swap": ("bfs_swap.pfa", bundle.bfs_swap),
-            "swaps": ("swaps.pfa", bundle.swaps_flat),
-            "swap_offsets": ("swap_offsets.pfa", bundle.swap_offsets),
         }
         inventory = {}
         for key, (name, arr) in files.items():
@@ -452,6 +429,37 @@ def _load_manifest(root: str | Path, n: int) -> tuple[Path, dict]:
     return base, manifest
 
 
+def check_swap_tree(
+    shape: IntegerPartition, parent: np.ndarray, swap: np.ndarray, where
+) -> None:
+    """Raise ``CacheFormatError`` unless (parent, swap) is a tree over all
+    reduced liftings of the shape, rooted at lifting 0, whose every edge is an
+    adjacent swap: exchanging entries swap[t] and swap[t]+1 (1-based) of
+    lifting parent[t]'s row word gives lifting t's.  A corrupt tree would make
+    the walk yield wrong column maps or skip liftings, leaving their
+    coefficients unset."""
+    reps = reduced_representatives(shape)
+    z = len(reps)
+    if len(parent) != z or len(swap) != z or parent[0] != -1:
+        raise CacheFormatError(f"{where}: swap tree is not rooted at lifting 0")
+    for t in range(1, z):
+        p, s = int(parent[t]), int(swap[t])
+        if not (0 <= p < z and 1 <= s < shape.n):
+            raise CacheFormatError(f"{where}: swap tree entry {t} out of range")
+        rw = list(reps[p].row_word)
+        rw[s - 1], rw[s] = rw[s], rw[s - 1]
+        if tuple(rw) != reps[t].row_word:
+            raise CacheFormatError(f"{where}: swap tree edge to lifting {t} is not a swap")
+    children = _tree_children(parent)
+    reached, stack = 1, [0]
+    while stack:
+        kids = children[stack.pop()]
+        reached += len(kids)
+        stack.extend(kids)
+    if reached != z:
+        raise CacheFormatError(f"{where}: swap tree reaches {reached} of {z} liftings")
+
+
 def load_cache(root: str | Path, n: int) -> FrameCache:
     base, manifest = _load_manifest(root, n)
     bundles = {}
@@ -486,17 +494,10 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
         )
         if sum(spectrum.kappas) != d:
             raise CacheFormatError(f"{sdir}: multiplicities do not sum to {d}")
-        swap_offsets = arr("swap_offsets", z + 1)
+        parent, swap = arr("bfs_parent", z), arr("bfs_swap", z)
+        check_swap_tree(shape, parent, swap, sdir)
         bundles[shape] = SchreierBundle(
-            shape,
-            graph,
-            arr("col_of", factorial(n)),
-            arr("reduced_vertex", z),
-            arr("bfs_parent", z),
-            arr("bfs_swap", z),
-            arr("swaps", int(swap_offsets[-1])),
-            swap_offsets,
-            spectrum,
+            shape, graph, arr("col_of", factorial(n)), parent, swap, spectrum
         )
     return FrameCache(
         n,
@@ -522,9 +523,10 @@ def verify_cache(root: str | Path, n: int) -> list[str]:
             problems.append(f"{sdir}: constants disagree with shape {shape.parts}")
         if entry["d"] != hook_dimension(shape):
             problems.append(f"{sdir}: wrong irreducible dimension")
+        arrays = {}
         for key, info in entry["files"].items():
             try:
-                data = read_array(sdir / info["path"], info["count"])
+                data = arrays[key] = read_array(sdir / info["path"], info["count"])
             except CacheFormatError as exc:
                 problems.append(str(exc))
                 continue
@@ -534,4 +536,9 @@ def verify_cache(root: str | Path, n: int) -> list[str]:
                     counts == factorial(n) // entry["m"]
                 ):
                     problems.append(f"{sdir}: column map counts are wrong")
+        if "bfs_parent" in arrays and "bfs_swap" in arrays:
+            try:
+                check_swap_tree(shape, arrays["bfs_parent"], arrays["bfs_swap"], sdir)
+            except CacheFormatError as exc:
+                problems.append(str(exc))
     return problems

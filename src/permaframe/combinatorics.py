@@ -619,20 +619,6 @@ def word_table(n: int) -> np.ndarray:
     return table
 
 
-def rank_words(words: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of permutation words (rows), as int64."""
-    words = np.asarray(words)
-    squeeze = words.ndim == 1
-    if squeeze:
-        words = words[None, :]
-    count, n = words.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    for j in range(n - 1):
-        smaller = (words[:, j + 1 :] < words[:, j : j + 1]).sum(axis=1, dtype=np.int64)
-        ranks += smaller * factorial(n - 1 - j)
-    return ranks[0] if squeeze else ranks
-
-
 @lru_cache(maxsize=4)
 def sign_vector(n: int) -> np.ndarray:
     """Permutation signs indexed by lexicographic rank, as int8 in {-1, +1}."""

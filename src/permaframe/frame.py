@@ -3,13 +3,14 @@ energy decompositions, isotypic projections, graph Fourier transform, the
 transpose-shape sign trick, and the projected-indicator baseline.
 
 Analysis never materializes length-n! atoms.  Each coefficient is computed on
-the Schreier graph side: reorder the signal by the lifting's composed index
-map, accumulate it down through the reading-order lifting map, and take inner
-products with the stored eigenvectors, scaled by the frame constant.  One
-depth-first walk of the swap tree per shape yields those maps; shapes whose
-transpose is not cached are completed by carrying the sign-flipped signal
-through the same walk (:func:`analyze_with_conjugates`).  Atom
-materialization exists only for tests and small-n inspection.
+the Schreier graph side: accumulate the signal onto the graph through the
+lifting's column map, and take inner products with the stored eigenvectors,
+scaled by the frame constant.  Synthesis spreads each lifting's combined
+eigenvector back through the same map.  One depth-first walk of the swap tree
+per shape yields those maps; shapes whose transpose is not cached are
+completed by carrying the sign-flipped signal through the same walk
+(:func:`analyze_with_conjugates`).  Atom materialization exists only for tests
+and small-n inspection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .combinatorics import (
     standard_ordered_set_partitions,
 )
 from .errors import ResourceLimitError, ValidationError
-from .schreier import characteristic_column_map, lift, permutation_vector, project
+from .schreier import characteristic_column_map, project
 from .spectral import key_to_value, reflected_key
 
 MAX_MATERIALIZE_N = 8
@@ -308,9 +309,9 @@ def _analyze_blocks(
         jobs = [(values, np.empty((r_used, bundle.z)), direct)]
         if shape in flipped_shapes:
             jobs.append((flipped_values, np.empty((r_used, bundle.z)), flipped))
-        for t, vec in cache.iter_lifting_maps(shape):
+        for t, col in cache.iter_lifting_maps(shape):
             for f, alphas, _out in jobs:
-                g = np.bincount(bundle.col_of, weights=f[vec], minlength=bundle.m)
+                g = np.bincount(col, weights=f, minlength=bundle.m)
                 alphas[:, t] = vectors.T @ g
         lam = np.array([row[0] for row in rows[:r_used]])
         keys = np.array([row[1] for row in rows[:r_used]], dtype=np.int64)
@@ -341,9 +342,9 @@ def analyze(
 ) -> CoefficientTable:
     """Analysis coefficients of a signal against the cached frame.
 
-    Per shape and reduced lifting, the signal is reordered by the lifting's
-    composed index map, projected onto the Schreier graph once, and dotted
-    with every requested eigenvector.  ``max_eigs`` keeps only the first
+    Per shape and reduced lifting, the signal is projected onto the Schreier
+    graph once through the lifting's column map and dotted with every
+    requested eigenvector.  ``max_eigs`` keeps only the first
     min(max_eigs, d) eigenvectors per shape (eigenvalues ascending).
     """
     _check_signal(cache, signal)
@@ -416,11 +417,10 @@ def synthesize(
             vectors = spectrum.vectors[:, : block.num_rows]
             jobs.setdefault(block.shape, []).append((acc, vectors, block))
     for shape, shape_jobs in jobs.items():
-        col_of = cache.bundle(shape).col_of
-        for t, vec in cache.iter_lifting_maps(shape):
+        for t, col in cache.iter_lifting_maps(shape):
             for acc, vectors, block in shape_jobs:
                 w = block.c_bar * (vectors @ block.alphas[:, t])
-                acc[vec] += w[col_of]
+                acc += w[col]
     if flipped is not None:
         accs[0] += sign_flip(Signal(cache.n, accs[1])).values
     return Signal(cache.n, accs[0])
@@ -455,17 +455,13 @@ def atom(cache: FrameCache, atom_id: AtomId) -> np.ndarray:
             f"no eigenvector with key {atom_id.eigen_key}, k={atom_id.k} "
             f"in shape {atom_id.shape.parts}"
         )
-    reps = bundle.reduced()
-    try:
-        t = reps.index(atom_id.lifting)
-    except ValueError:
+    if atom_id.lifting not in bundle.reduced():
         raise ValidationError(
             f"{atom_id.lifting.label()} is not a reduced lifting of "
             f"{atom_id.shape.parts}"
-        ) from None
-    vec = permutation_vector(cache.n, bundle.path_swaps(t))
+        )
     v = bundle.spectrum.vectors[:, col]
-    return bundle.c_bar * lift(bundle.col_of, v, vec)
+    return bundle.c_bar * v[characteristic_column_map(atom_id.shape, atom_id.lifting)]
 
 
 def all_atom_ids(cache: FrameCache, shape: IntegerPartition) -> list[AtomId]:

@@ -1,8 +1,12 @@
-"""Schreier graphs of the permutahedron, their characteristic (lifting) matrices,
-minimal swap paths to each reduced lifting, and the length-n! index maps that
-reorder signals under the left action of the symmetric group.
+"""Schreier graphs of the permutahedron, their characteristic (lifting) matrices
+in column-map form, minimal swap paths to each reduced lifting, and the
+length-n! index maps of the adjacent transpositions acting on the left.
 
-The permutahedron itself is the Schreier graph of the all-ones shape.
+A lifting's column map sends each permutation rank to the graph vertex it
+falls on.  Acting on a lifting by an adjacent swap reindexes its column map by
+that swap's map, which is how the swap-tree walk in ``cache`` reaches every
+reduced lifting from the reading-order one.  The permutahedron itself is the
+Schreier graph of the all-ones shape.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .combinatorics import (
     enumerate_ordered_set_partitions,
     inversion_count,
     multiplicity_constants,
-    rank_words,
     reading_order_partition,
     reduced_representatives,
     row_word_matrix,
@@ -243,41 +246,6 @@ def build_characteristic(shape: IntegerPartition) -> CharacteristicMatrix:
     return CharacteristicMatrix(shape, pi1, col_of)
 
 
-def characteristic_by_block_recursion(shape: IntegerPartition) -> CharacteristicMatrix:
-    """Reference implementation assembling the reading-order lifting matrix from
-    block sub-matrices over the row that holds the largest element.  Kept as a
-    cross-check for the vectorized path; test scale only."""
-    n = shape.n
-    if n > MAX_MATERIALIZE_N:
-        raise ResourceLimitError(f"block recursion cross-check refused for n={n}")
-
-    def reading_rows(comp: tuple[int, ...]) -> list[int]:
-        rows: list[int] = []
-        for i, size in enumerate(comp):
-            rows.extend([i] * size)
-        return rows
-
-    def column_row_word(word: tuple[int, ...], comp: tuple[int, ...]) -> tuple[int, ...]:
-        if not word:
-            return ()
-        value = word[-1]
-        j = reading_rows(comp)[value]
-        sub_comp = comp[:j] + (comp[j] - 1,) + comp[j + 1 :]
-        sub_word = tuple(v - 1 if v > value else v for v in word[:-1])
-        return column_row_word(sub_word, sub_comp) + (j,)
-
-    words = word_table(n).tolist()
-    lookup = {
-        osp.row_word: i
-        for i, osp in enumerate(enumerate_ordered_set_partitions(shape))
-    }
-    col_of = np.array(
-        [lookup[column_row_word(tuple(w), shape.parts)] for w in words],
-        dtype=np.int64,
-    )
-    return CharacteristicMatrix(shape, reading_order_partition(shape), col_of)
-
-
 # ---------------------------------------------------------------------------
 # minimal paths to the reduced liftings
 
@@ -289,7 +257,6 @@ class LiftingPath:
 
     target: OrderedSetPartition
     target_index: int  # position among the reduced representatives
-    vertex_index: int  # position in the full canonical enumeration
     swaps: tuple[int, ...]  # each entry i means the transposition (i, i+1)
 
 
@@ -331,10 +298,6 @@ def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
     if np.any(dist < 0):
         raise NumericalError(f"reduced representatives not reachable for {shape.parts}")
 
-    full_index = {
-        osp.row_word: i
-        for i, osp in enumerate(enumerate_ordered_set_partitions(shape))
-    }
     paths = []
     for t, rep in enumerate(reps):
         swaps: list[int] = []
@@ -348,9 +311,7 @@ def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
                 f"path to {rep.label()} has length {len(swaps)}, "
                 f"expected {inversion_count(rep)}"
             )
-        paths.append(
-            LiftingPath(rep, t, full_index[rep.row_word], tuple(swaps))
-        )
+        paths.append(LiftingPath(rep, t, tuple(swaps)))
     return tuple(paths)
 
 
@@ -375,69 +336,43 @@ def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
 # index maps for the left action
 
 
+_SWAP_MAP_BLOCK = 1 << 16  # ranks per block, bounding the int64 position table
+
+
 @lru_cache(maxsize=2)
 def adjacent_swap_maps(n: int) -> np.ndarray:
     """Index maps for left multiplication by each adjacent transposition.
 
-    ``maps[i - 1][rank(w)] = rank of w with candidate labels i and i+1 swapped``.
-    Shape (n-1, n!), dtype int64.
+    ``maps[i - 1][rank(w)] = rank of w with candidate labels i and i+1 swapped``
+    (1-based labels).  Shape (n-1, n!), dtype int64; every map is an
+    involution.  The swap changes only the Lehmer digit at the earlier of the
+    two labels' positions p, by +1 when the smaller label comes first and by -1
+    otherwise, so the swapped rank is ``rank +- (n-1-p)!``.
     """
     check_dense_n(n)
     words = word_table(n)
-    maps = np.empty((n - 1, factorial(n)), dtype=np.int64)
-    for i in range(1, n):
-        relabeled = words.copy()
-        lo = words == (i - 1)
-        hi = words == i
-        relabeled[lo] = i
-        relabeled[hi] = i - 1
-        maps[i - 1] = rank_words(relabeled)
+    weight = np.array([factorial(n - 1 - p) for p in range(n)], dtype=np.int64)
+    maps = np.empty((n - 1, len(words)), dtype=np.int64)
+    for lo in range(0, len(words), _SWAP_MAP_BLOCK):
+        pos = np.argsort(words[lo : lo + _SWAP_MAP_BLOCK], axis=1)  # label -> position
+        hi = lo + len(pos)
+        ranks = np.arange(lo, hi, dtype=np.int64)
+        for i in range(1, n):
+            a, b = pos[:, i - 1], pos[:, i]
+            maps[i - 1, lo:hi] = ranks + np.where(a < b, weight[a], -weight[b])
     maps.setflags(write=False)
     return maps
 
 
-def permutation_vector(n: int, swaps: tuple[int, ...]) -> np.ndarray:
-    """Composed index map for the swap sequence: with sigma the product of the
-    swaps (later swaps composing on the left), ``map[rank(b)] = rank(sigma b)``,
-    so reordering a signal f as ``f[map]`` realizes the left action of
-    sigma^{-1}."""
-    maps = adjacent_swap_maps(n)
-    vec = np.arange(factorial(n), dtype=np.int64)
-    for s in swaps:
-        vec = maps[s - 1][vec]
-    return vec
-
-
-def invert_index_map(vec: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(vec)
-    inv[vec] = np.arange(len(vec), dtype=vec.dtype)
-    return inv
-
-
-def project(
-    col_of: np.ndarray,
-    values: np.ndarray,
-    m: int,
-    perm_vec: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reorder-then-accumulate: the signal projected onto the Schreier graph
-    through the lifting reached by ``perm_vec`` (reading-order when None)."""
+def project(col_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Accumulate a signal onto the Schreier graph through the lifting whose
+    column map is ``col_of``."""
     if len(values) != len(col_of):
         raise ValidationError("signal length does not match the column map")
-    if perm_vec is not None:
-        values = values[perm_vec]
     return np.bincount(col_of, weights=values, minlength=m)
 
 
-def lift(
-    col_of: np.ndarray,
-    x: np.ndarray,
-    perm_vec: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reorder-then-scatter: transpose of :func:`project` as a linear map."""
-    spread = np.asarray(x, dtype=np.float64)[col_of]
-    if perm_vec is None:
-        return spread
-    out = np.empty_like(spread)
-    out[perm_vec] = spread
-    return out
+def lift(col_of: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Spread a vertex vector over the rankings: the transpose of
+    :func:`project` as a linear map."""
+    return np.asarray(x, dtype=np.float64)[col_of]

