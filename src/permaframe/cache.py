@@ -14,6 +14,10 @@ subdirectory per shape with flat little-endian 64-bit array files (magic
 header ``PFARRAY1``) for the eigenvectors, the vertex row words, the
 reading-order column map, and the swap tree.  The loader reads only the files
 it needs, so manifests listing further files still load.
+
+``load_cache`` is the one validator, checking the stored arrays against graphs
+built as setup builds them; ``verify_cache`` reports what it rejects, and
+``setup`` rebuilds such a cache.
 """
 
 from __future__ import annotations
@@ -413,22 +417,6 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
     return base
 
 
-def _load_manifest(root: str | Path, n: int) -> tuple[Path, dict]:
-    base = cache_dir(root, n)
-    path = base / MANIFEST_NAME
-    if not path.exists():
-        raise CacheFormatError(f"no cache manifest at {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise CacheFormatError(f"{path}: not a setup cache manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise CacheFormatError(f"{path}: unsupported version {manifest.get('version')}")
-    if manifest.get("n") != n:
-        raise CacheFormatError(f"{path}: manifest is for n={manifest.get('n')}")
-    return base, manifest
-
-
 def check_swap_tree(
     shape: IntegerPartition, parent: np.ndarray, swap: np.ndarray, where
 ) -> None:
@@ -460,85 +448,78 @@ def check_swap_tree(
         raise CacheFormatError(f"{where}: swap tree reaches {reached} of {z} liftings")
 
 
-def load_cache(root: str | Path, n: int) -> FrameCache:
-    base, manifest = _load_manifest(root, n)
-    bundles = {}
-    from .schreier import build_schreier_direct
+def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
+    shape = IntegerPartition(tuple(entry["parts"]))
+    m, z, d = entry["m"], entry["z"], entry["d"]
+    consts = multiplicity_constants(shape)
+    if shape.n != n or (m, z) != (consts.m, consts.z) or d != hook_dimension(shape):
+        raise CacheFormatError(f"{sdir}: manifest constants disagree with {shape.parts}")
 
-    for entry in manifest["shapes"]:
-        shape = IntegerPartition(tuple(entry["parts"]))
-        sdir = base / entry["dir"]
-        m, z, d = entry["m"], entry["z"], entry["d"]
-        consts = multiplicity_constants(shape)
-        if (m, z) != (consts.m, consts.z) or d != hook_dimension(shape):
-            raise CacheFormatError(f"{sdir}: manifest constants disagree with {shape.parts}")
-        fileinfo = entry["files"]
+    def arr(key: str, count: int) -> np.ndarray:
+        info = entry["files"][key]
+        if info["count"] != count:
+            raise CacheFormatError(f"{sdir}: {key} count mismatch")
+        return read_array(sdir / info["path"], count)
 
-        def arr(key: str, count: int) -> np.ndarray:
-            info = fileinfo[key]
-            if info["count"] != count:
-                raise CacheFormatError(f"{sdir}: {key} count mismatch")
-            return read_array(sdir / info["path"], count)
-
-        graph = build_schreier_direct(shape)
-        row_words = arr("row_words", m * shape.n).reshape(m, shape.n)
-        if not np.array_equal(row_words, graph.row_words):
-            raise CacheFormatError(f"{sdir}: stored vertex order differs")
-        vectors = arr("eigvecs", m * d).reshape(m, d)
-        spectrum = ShapeSpectrum(
-            shape,
-            tuple(entry["eigenvalues"]),
-            tuple(entry["eigen_keys"]),
-            tuple(entry["kappas"]),
-            vectors,
-        )
-        if sum(spectrum.kappas) != d:
-            raise CacheFormatError(f"{sdir}: multiplicities do not sum to {d}")
-        parent, swap = arr("bfs_parent", z), arr("bfs_swap", z)
-        check_swap_tree(shape, parent, swap, sdir)
-        bundles[shape] = SchreierBundle(
-            shape, graph, arr("col_of", factorial(n)), parent, swap, spectrum
-        )
-    return FrameCache(
-        n,
-        bundles,
-        shape_source=manifest.get("shape_source", "custom"),
-        top_k=manifest.get("top_k"),
-        hook_fastpath=manifest.get("hook_fastpath", False),
+    graph = build_schreier(shape)
+    row_words = arr("row_words", m * n).reshape(m, n)
+    if not np.array_equal(row_words, graph.row_words):
+        raise CacheFormatError(f"{sdir}: stored vertex order differs")
+    spectrum = ShapeSpectrum(
+        shape,
+        tuple(entry["eigenvalues"]),
+        tuple(entry["eigen_keys"]),
+        tuple(entry["kappas"]),
+        arr("eigvecs", m * d).reshape(m, d),
     )
+    lengths = {len(spectrum.eigenvalues), len(spectrum.keys), len(spectrum.kappas)}
+    if sum(spectrum.kappas) != d or len(lengths) != 1:
+        raise CacheFormatError(f"{sdir}: eigenvalue lists disagree with d={d}")
+    parent, swap = arr("bfs_parent", z), arr("bfs_swap", z)
+    check_swap_tree(shape, parent, swap, sdir)
+    col_of = arr("col_of", factorial(n))
+    # range first: bincount would allocate up to the largest stored value
+    if not (0 <= col_of.min() and col_of.max() < m) or np.any(
+        np.bincount(col_of, minlength=m) != factorial(n) // m
+    ):
+        raise CacheFormatError(f"{sdir}: column map counts are wrong")
+    return SchreierBundle(shape, graph, col_of, parent, swap, spectrum)
+
+
+def load_cache(root: str | Path, n: int) -> FrameCache:
+    """Read one n's cache and check it against freshly built graphs; the only
+    cache validator.  Every malformed cache raises ``CacheFormatError``."""
+    base = cache_dir(root, n)
+    path = base / MANIFEST_NAME
+    if not path.exists():
+        raise CacheFormatError(f"no cache manifest at {path}")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise CacheFormatError(f"{path}: not a setup cache manifest")
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise CacheFormatError(f"{path}: unsupported version {manifest.get('version')}")
+        if manifest.get("n") != n:
+            raise CacheFormatError(f"{path}: manifest is for n={manifest.get('n')}")
+        bundles = [_load_bundle(base / e["dir"], n, e) for e in manifest["shapes"]]
+        return FrameCache(
+            n,
+            {bundle.shape: bundle for bundle in bundles},
+            shape_source=manifest.get("shape_source", "custom"),
+            top_k=manifest.get("top_k"),
+            hook_fastpath=manifest.get("hook_fastpath", False),
+        )
+    except (OSError, KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise CacheFormatError(f"{base}: malformed cache ({detail})") from exc
 
 
 def verify_cache(root: str | Path, n: int) -> list[str]:
-    """Cheap consistency pass over an existing cache; returns found problems."""
-    problems: list[str] = []
+    """The problems ``load_cache`` finds in a cache: empty when it loads, else
+    its one error message."""
     try:
-        base, manifest = _load_manifest(root, n)
+        load_cache(root, n)
     except CacheFormatError as exc:
         return [str(exc)]
-    for entry in manifest["shapes"]:
-        shape = IntegerPartition(tuple(entry["parts"]))
-        sdir = base / entry["dir"]
-        consts = multiplicity_constants(shape)
-        if entry["m"] != consts.m or entry["z"] != consts.z:
-            problems.append(f"{sdir}: constants disagree with shape {shape.parts}")
-        if entry["d"] != hook_dimension(shape):
-            problems.append(f"{sdir}: wrong irreducible dimension")
-        arrays = {}
-        for key, info in entry["files"].items():
-            try:
-                data = arrays[key] = read_array(sdir / info["path"], info["count"])
-            except CacheFormatError as exc:
-                problems.append(str(exc))
-                continue
-            if key == "col_of":
-                counts = np.bincount(data, minlength=entry["m"])
-                if len(counts) != entry["m"] or not np.all(
-                    counts == factorial(n) // entry["m"]
-                ):
-                    problems.append(f"{sdir}: column map counts are wrong")
-        if "bfs_parent" in arrays and "bfs_swap" in arrays:
-            try:
-                check_swap_tree(shape, arrays["bfs_parent"], arrays["bfs_swap"], sdir)
-            except CacheFormatError as exc:
-                problems.append(str(exc))
-    return problems
+    return []

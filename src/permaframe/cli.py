@@ -200,11 +200,12 @@ def cmd_top(args) -> int:
         signal,
         shapes=_shape_subset(cache, args.shapes),
     )
-    ranked = sorted(
-        enumerate(table.iter_rows()), key=lambda item: (-abs(item[1][1]), item[0])
-    )[: args.count]
+    # a stable sort keeps report order among equal magnitudes
+    alphas = np.concatenate([b.alphas.ravel() for b in table.blocks])
+    ranked = np.argsort(-np.abs(alphas), kind="stable")[: args.count]
     out_rows = []
-    for rank, (_order, (atom_id, alpha)) in enumerate(ranked, start=1):
+    for rank, index in enumerate(ranked, start=1):
+        atom_id, alpha = table.row(int(index))
         named = ""
         if names:
             named = "|".join(

@@ -33,6 +33,7 @@ from .combinatorics import (
     enumerate_ordered_set_partitions,
     lex_rank,
     partitions_of,
+    reduced_representatives,
     sign_vector,
     standard_ordered_set_partitions,
 )
@@ -191,8 +192,6 @@ class CoefficientTable:
         raise ValidationError(f"no coefficients for shape {shape.parts}")
 
     def iter_rows(self) -> Iterator[tuple[AtomId, float]]:
-        from .combinatorics import reduced_representatives
-
         for b in self.blocks:
             reps = reduced_representatives(b.shape)
             for r in range(b.num_rows):
@@ -201,6 +200,16 @@ class CoefficientTable:
                         AtomId(b.shape, int(b.keys[r]), int(b.ks[r]), rep),
                         float(b.alphas[r, t]),
                     )
+
+    def row(self, index: int) -> tuple[AtomId, float]:
+        """The ``index``-th row of ``iter_rows``, without building the others."""
+        for b in self.blocks:
+            if index < b.alphas.size:
+                r, t = divmod(index, b.z)
+                rep = reduced_representatives(b.shape)[t]
+                return AtomId(b.shape, int(b.keys[r]), int(b.ks[r]), rep), float(b.alphas[r, t])
+            index -= b.alphas.size
+        raise IndexError("row index past the end of the table")
 
     def filter(
         self,

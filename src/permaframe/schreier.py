@@ -2,6 +2,9 @@
 in column-map form, minimal swap paths to each reduced lifting, and the
 length-n! index maps of the adjacent transpositions acting on the left.
 
+There is one graph builder, ``build_schreier``, which applies the edge rule
+to every vertex at once; setup and the cache loader both call it.
+
 A lifting's column map sends each permutation rank to the graph vertex it
 falls on.  Acting on a lifting by an adjacent swap reindexes its column map by
 that swap's map, which is how the swap-tree walk in ``cache`` reaches every
@@ -74,75 +77,30 @@ class SchreierGraph:
         return enumerate_ordered_set_partitions(self.shape)
 
 
-def _assemble_recursive(comp: tuple[int, ...], n: int):
-    """Vertices, edges, and loop counts for the graph on ordered set partitions
-    whose block sizes form the composition ``comp`` (zeros allowed).
-
-    Works bottom-up over the element n: the graph splits into one subgraph per
-    row that can hold n, with the subgraphs joined by (n-1, n) edges.
-    """
-    if n == 0:
-        return [()], [], [0]
-    verts: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    loops: list[int] = []
-    block_index: list[tuple[int, dict[tuple[int, ...], int], int]] = []
-    for i, size in enumerate(comp):
-        if size == 0:
-            continue
-        sub_comp = comp[:i] + (size - 1,) + comp[i + 1 :]
-        sub_verts, sub_edges, sub_loops = _assemble_recursive(sub_comp, n - 1)
-        offset = len(verts)
-        lookup = {rw: idx for idx, rw in enumerate(sub_verts)}
-        block_index.append((i, lookup, offset))
-        verts.extend(rw + (i,) for rw in sub_verts)
-        edges.extend((offset + u, offset + v) for u, v in sub_edges)
-        # the swap (n-1, n) fixes a vertex exactly when both sit in row i
-        loops.extend(
-            lc + (1 if n >= 2 and rw[n - 2] == i else 0)
-            for lc, rw in zip(sub_loops, sub_verts)
-        )
-    if n >= 2:
-        # cross edges for the swap (n-1, n): exchange the rows of n-1 and n
-        lookup_by_row = {i: (lookup, offset) for i, lookup, offset in block_index}
-        for i, lookup, offset in block_index:
-            for rw, idx in lookup.items():
-                j = rw[n - 2]
-                if j == i or j not in lookup_by_row:
-                    continue
-                partner_sub = rw[: n - 2] + (i,)
-                other_lookup, other_offset = lookup_by_row[j]
-                v = other_offset + other_lookup[partner_sub]
-                u = offset + idx
-                if u < v:
-                    edges.append((u, v))
-    return verts, edges, loops
-
-
 def build_schreier(shape: IntegerPartition) -> SchreierGraph:
-    """Assemble the graph recursively over the row holding the largest element,
-    then reindex the vertices to canonical order."""
+    """The graph from the edge rule: vertices are joined when one adjacent
+    swap of element labels (positions s, s+1 of the row word) maps one to the
+    other, and a swap inside one row is a loop.  Canonical vertex order is
+    lexicographic, so the row words' keys are sorted and each swapped word's
+    vertex is one ``searchsorted`` away."""
     n = shape.n
     m = multiplicity_constants(shape).m
     if m > 2_000_000:
         raise ResourceLimitError(f"shape {shape.parts} has {m} vertices")
-    verts, edges, loops = _assemble_recursive(shape.parts, n)
-    order = sorted(range(m), key=verts.__getitem__)
-    relabel = np.empty(m, dtype=np.int64)
-    relabel[order] = np.arange(m)
-
-    row_words = np.array([verts[i] for i in order], dtype=np.int8)
-    row_words.setflags(write=False)
-    loops_arr = np.asarray(loops, dtype=np.int32)[order]
-    if edges:
-        eu, ev = np.array(edges, dtype=np.int64).T
-        eu, ev = relabel[eu], relabel[ev]
-    else:
-        eu = ev = np.empty(0, dtype=np.int64)
-    rows = np.concatenate([eu, ev, np.arange(m)])
-    cols = np.concatenate([ev, eu, np.arange(m)])
+    row_words = row_word_matrix(shape)  # int8, read-only
+    weights = len(shape) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = row_words.astype(np.int64) @ weights
+    left = row_words[:, :-1].astype(np.int64)
+    right = row_words[:, 1:].astype(np.int64)
+    loops = left == right
+    # swapping positions s, s+1 moves the key by (right - left) * (w[s] - w[s+1])
+    shift = (right - left) * (weights[:-1] - weights[1:])
+    other = np.searchsorted(keys, keys[:, None] + shift)
+    u, s = np.nonzero(~loops)
+    rows = np.concatenate([u, np.arange(m)])
+    cols = np.concatenate([other[u, s], np.arange(m)])
     vals = np.concatenate(
-        [np.ones(2 * len(eu), dtype=np.int32), loops_arr]
+        [np.ones(len(u), dtype=np.int32), loops.sum(axis=1, dtype=np.int32)]
     )
     adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
 
@@ -152,34 +110,8 @@ def build_schreier(shape: IntegerPartition) -> SchreierGraph:
     return SchreierGraph(shape, row_words, adjacency)
 
 
-def build_schreier_direct(shape: IntegerPartition) -> SchreierGraph:
-    """Reference construction straight from the edge rule: vertices are joined
-    when one adjacent swap of element labels maps one to the other."""
-    n = shape.n
-    row_words = np.array(row_word_matrix(shape), dtype=np.int8)
-    m = row_words.shape[0]
-    index = {tuple(rw): i for i, rw in enumerate(row_words.tolist())}
-    rows, cols, vals = [], [], []
-    loops = np.zeros(m, dtype=np.int32)
-    for u, rw in enumerate(row_words.tolist()):
-        for s in range(n - 1):
-            if rw[s] == rw[s + 1]:
-                loops[u] += 1
-                continue
-            other = list(rw)
-            other[s], other[s + 1] = other[s + 1], other[s]
-            v = index[tuple(other)]
-            rows.append(u)
-            cols.append(v)
-            vals.append(1)
-    rows.extend(range(m))
-    cols.extend(range(m))
-    vals.extend(loops.tolist())
-    adjacency = sp.csr_matrix(
-        (np.array(vals, dtype=np.int32), (rows, cols)), shape=(m, m)
-    )
-    row_words.setflags(write=False)
-    return SchreierGraph(shape, row_words, adjacency)
+# the benchmark's tracer (perfbench/trace_cli.py) binds this older name
+build_schreier_direct = build_schreier
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ checked against; test scale only."""
 from math import factorial
 
 import numpy as np
+import scipy.sparse as sp
 
 from permaframe.combinatorics import (
     IntegerPartition,
     enumerate_ordered_set_partitions,
+    multiplicity_constants,
     reading_order_partition,
     word_table,
 )
-from permaframe.errors import ResourceLimitError
-from permaframe.schreier import MAX_MATERIALIZE_N, CharacteristicMatrix
+from permaframe.errors import NumericalError, ResourceLimitError
+from permaframe.schreier import MAX_MATERIALIZE_N, CharacteristicMatrix, SchreierGraph
 
 
 def rank_words(words: np.ndarray) -> np.ndarray:
@@ -80,3 +82,79 @@ def characteristic_by_block_recursion(shape: IntegerPartition) -> Characteristic
         dtype=np.int64,
     )
     return CharacteristicMatrix(shape, reading_order_partition(shape), col_of)
+
+
+def _assemble_recursive(comp: tuple[int, ...], n: int):
+    """Vertices, edges, and loop counts for the graph on ordered set partitions
+    whose block sizes form the composition ``comp`` (zeros allowed).
+
+    Works bottom-up over the element n: the graph splits into one subgraph per
+    row that can hold n, with the subgraphs joined by (n-1, n) edges.
+    """
+    if n == 0:
+        return [()], [], [0]
+    verts: list[tuple[int, ...]] = []
+    edges: list[tuple[int, int]] = []
+    loops: list[int] = []
+    block_index: list[tuple[int, dict[tuple[int, ...], int], int]] = []
+    for i, size in enumerate(comp):
+        if size == 0:
+            continue
+        sub_comp = comp[:i] + (size - 1,) + comp[i + 1 :]
+        sub_verts, sub_edges, sub_loops = _assemble_recursive(sub_comp, n - 1)
+        offset = len(verts)
+        lookup = {rw: idx for idx, rw in enumerate(sub_verts)}
+        block_index.append((i, lookup, offset))
+        verts.extend(rw + (i,) for rw in sub_verts)
+        edges.extend((offset + u, offset + v) for u, v in sub_edges)
+        # the swap (n-1, n) fixes a vertex exactly when both sit in row i
+        loops.extend(
+            lc + (1 if n >= 2 and rw[n - 2] == i else 0)
+            for lc, rw in zip(sub_loops, sub_verts)
+        )
+    if n >= 2:
+        # cross edges for the swap (n-1, n): exchange the rows of n-1 and n
+        lookup_by_row = {i: (lookup, offset) for i, lookup, offset in block_index}
+        for i, lookup, offset in block_index:
+            for rw, idx in lookup.items():
+                j = rw[n - 2]
+                if j == i or j not in lookup_by_row:
+                    continue
+                partner_sub = rw[: n - 2] + (i,)
+                other_lookup, other_offset = lookup_by_row[j]
+                v = other_offset + other_lookup[partner_sub]
+                u = offset + idx
+                if u < v:
+                    edges.append((u, v))
+    return verts, edges, loops
+
+
+def recursive_schreier(shape: IntegerPartition) -> SchreierGraph:
+    """The Schreier graph assembled recursively over the row holding the
+    largest element, then reindexed to canonical order."""
+    n = shape.n
+    m = multiplicity_constants(shape).m
+    verts, edges, loops = _assemble_recursive(shape.parts, n)
+    order = sorted(range(m), key=verts.__getitem__)
+    relabel = np.empty(m, dtype=np.int64)
+    relabel[order] = np.arange(m)
+
+    row_words = np.array([verts[i] for i in order], dtype=np.int8)
+    row_words.setflags(write=False)
+    loops_arr = np.asarray(loops, dtype=np.int32)[order]
+    if edges:
+        eu, ev = np.array(edges, dtype=np.int64).T
+        eu, ev = relabel[eu], relabel[ev]
+    else:
+        eu = ev = np.empty(0, dtype=np.int64)
+    rows = np.concatenate([eu, ev, np.arange(m)])
+    cols = np.concatenate([ev, eu, np.arange(m)])
+    vals = np.concatenate(
+        [np.ones(2 * len(eu), dtype=np.int32), loops_arr]
+    )
+    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    if not np.all(degrees == n - 1):
+        raise NumericalError(f"graph for {shape.parts} is not (n-1)-regular")
+    return SchreierGraph(shape, row_words, adjacency)

@@ -61,48 +61,120 @@ def test_save_load_round_trip(tmp_path, rng):
     assert ta.to_csv_text() == tb.to_csv_text()
 
 
-def test_verify_cache_detects_corruption(tmp_path):
-    cache = build_cache(4, "h")
-    base = save_cache(cache, tmp_path)
-    assert verify_cache(tmp_path, 4) == []
-    victim = base / "s3-1" / "col_of.pfa"
-    data = read_array(victim).copy()
-    data[0] = data[1] = 0  # break the per-column counts
-    write_array(victim, data)
-    problems = verify_cache(tmp_path, 4)
-    assert problems and "counts" in problems[0]
+def _set_values(path, changes):
+    data = read_array(path).copy()
+    for t, value in changes.items():
+        assert data[t] != value
+        data[t] = value
+    write_array(path, data)
+
+
+def _swap_row_words(path, m, n):
+    words = read_array(path).reshape(m, n).copy()
+    assert not np.array_equal(words[0], words[1])
+    words[[0, 1]] = words[[1, 0]]
+    write_array(path, words.ravel())
+
+
+def _edit_shape_entry(manifest_path, edit):
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["shapes"][1])  # s3-1
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _truncate(path, nbytes):
+    path.write_bytes(path.read_bytes()[:nbytes])
 
 
 @pytest.mark.parametrize(
-    "shape_dir, edits",
+    "corrupt, match",
     [
         # stored trees: s3-1 parent [-1, 0, 1, 2], swap [0, 3, 2, 1];
         #               s2-2 parent [-1, 0, 1],    swap [0, 2, 3]
-        ("s3-1", {"bfs_swap": {2: 0}}),
-        ("s3-1", {"bfs_swap": {2: 3}}),  # in range, but leads back to the root
-        ("s2-2", {"bfs_parent": {1: 2}, "bfs_swap": {1: 3}}),  # 1 <-> 2, both edges swaps
+        pytest.param(
+            lambda base: _set_values(base / "s3-1/bfs_swap.pfa", {2: 0}),
+            "swap tree",
+            id="swap-zero",
+        ),
+        pytest.param(
+            # in range, but leads back to the root
+            lambda base: _set_values(base / "s3-1/bfs_swap.pfa", {2: 3}),
+            "swap tree",
+            id="wrong-swap",
+        ),
+        pytest.param(
+            # 1 <-> 2, both edges swaps
+            lambda base: (
+                _set_values(base / "s2-2/bfs_parent.pfa", {1: 2}),
+                _set_values(base / "s2-2/bfs_swap.pfa", {1: 3}),
+            ),
+            "swap tree",
+            id="parent-cycle",
+        ),
+        pytest.param(
+            lambda base: _edit_shape_entry(
+                base / "manifest.json", lambda entry: entry["files"].pop("bfs_parent")
+            ),
+            "bfs_parent",
+            id="missing-file-entry",
+        ),
+        pytest.param(
+            lambda base: _edit_shape_entry(
+                base / "manifest.json", lambda entry: entry.update(parts=[1, 3])
+            ),
+            "nonincreasing",
+            id="invalid-shape",
+        ),
+        pytest.param(
+            # s3-1 has three simple eigenvalues; analysis would drop a row
+            lambda base: _edit_shape_entry(
+                base / "manifest.json", lambda entry: entry["eigen_keys"].pop()
+            ),
+            "eigenvalue lists",
+            id="short-eigenvalue-list",
+        ),
+        pytest.param(
+            lambda base: _truncate(base / "manifest.json", 200),
+            "JSONDecodeError",
+            id="half-written-manifest",
+        ),
+        pytest.param(
+            lambda base: _swap_row_words(base / "s3-1/row_words.pfa", 4, 4),
+            "vertex order",
+            id="swapped-row-words",
+        ),
+        pytest.param(
+            # s3-1 col_of starts [0, 1, 0, 1, 2, 2]: column 1 loses a ranking
+            lambda base: _set_values(base / "s3-1/col_of.pfa", {1: 0}),
+            "counts",
+            id="col-of-counts",
+        ),
+        pytest.param(
+            lambda base: _truncate(base / "s2-2/eigvecs.pfa", 24 + 8),
+            "truncated",
+            id="truncated-eigvecs",
+        ),
+        pytest.param(
+            lambda base: (base / "s3-1/eigvecs.pfa").write_bytes(b"PFARRAY0" * 4),
+            "bad magic",
+            id="bad-magic",
+        ),
     ],
-    ids=["swap-zero", "wrong-swap", "parent-cycle"],
 )
-def test_corrupt_swap_tree_is_rejected(tmp_path, capsys, shape_dir, edits):
+def test_corrupt_cache_is_rejected(tmp_path, capsys, corrupt, match):
     base = save_cache(build_cache(4, "h"), tmp_path)
-    for key, changes in edits.items():
-        victim = base / shape_dir / f"{key}.pfa"
-        data = read_array(victim).copy()
-        for t, value in changes.items():
-            assert data[t] != value
-            data[t] = value
-        write_array(victim, data)
-    with pytest.raises(CacheFormatError, match="swap tree"):
+    corrupt(base)
+    with pytest.raises(CacheFormatError, match=match):
         load_cache(tmp_path, 4)
     problems = verify_cache(tmp_path, 4)
-    assert len(problems) == 1 and "swap tree" in problems[0]
+    assert len(problems) == 1 and match in problems[0]
     votes = tmp_path / "votes.txt"
     votes.write_text("n=4\n1 2 3 4,5\n2 1 4 3,2\n")
     assert main(["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]) == 2
     assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
     assert "nothing to do" not in capsys.readouterr().out
-    assert verify_cache(tmp_path, 4) == []
+    assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
+    assert "verified; nothing to do" in capsys.readouterr().out
 
 
 def test_cache_with_legacy_path_files_loads(tmp_path, rng):
@@ -270,6 +342,27 @@ def test_cli_top_with_names(workdir, capsys):
     assert lines[0] == "rank,shape,lambda,k,partition,names,alpha"
     assert len(lines) == 6
     assert "cand" in out
+
+
+def test_cli_top_orders_like_a_full_sort(workdir, capsys):
+    cache_dir = workdir / "cache"
+    run_cli("setup", "--n", 4, "--cache", cache_dir)
+    capsys.readouterr()
+    votes = workdir / "votes.txt"
+    assert run_cli("top", "--cache", cache_dir, "--ballots", votes, "--count", 19) == 0
+    import csv as csv_mod
+    from permaframe.ballots import read_ballot_file, tally
+
+    rows = list(csv_mod.reader(capsys.readouterr().out.splitlines()))[1:]
+
+    table = analyze(load_cache(cache_dir, 4), tally(read_ballot_file(votes)))
+    ranked = sorted(
+        enumerate(table.iter_rows()), key=lambda item: (-abs(item[1][1]), item[0])
+    )
+    assert [(row[1], row[3], row[4], row[6]) for row in rows] == [
+        (atom.shape.label(), str(atom.k), atom.lifting.label(), repr(alpha))
+        for _, (atom, alpha) in ranked
+    ]
 
 
 def test_cli_reconstruct_and_gft(workdir, capsys):

@@ -28,7 +28,12 @@ from permaframe.schreier import (
     project,
 )
 
-from oracles import characteristic_by_block_recursion, invert_index_map, relabeled_swap_maps
+from oracles import (
+    characteristic_by_block_recursion,
+    invert_index_map,
+    recursive_schreier,
+    relabeled_swap_maps,
+)
 
 
 def shape(*parts):
@@ -39,11 +44,12 @@ def shape(*parts):
 # graph construction
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_recursive_matches_direct_edge_rule(n):
+    assert build_schreier_direct is build_schreier
     for g in partitions_of(n):
-        rec = build_schreier(g)
-        direct = build_schreier_direct(g)
+        rec = recursive_schreier(g)
+        direct = build_schreier(g)
         assert np.array_equal(rec.row_words, direct.row_words)
         assert (rec.adjacency != direct.adjacency).nnz == 0
 
