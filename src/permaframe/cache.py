@@ -1,23 +1,26 @@
 """Per-shape setup bundles, the in-memory frame cache, and its on-disk form.
 
-Setup is data-independent and split into three phases: graph plus lifting-map
-construction, eigensolves in a dominance-compatible order, and the swap tree
-over the reduced liftings.  The analysis and synthesis operators get each
-reduced lifting's column map from one depth-first walk of that tree
-(``FrameCache.iter_lifting_maps``): it starts at the reading-order column map,
-reindexes the current map by the adjacent-swap map of each tree edge on the
-way down, and undoes the step the same way on backtrack (each swap map is an
-involution).
+Setup is data-independent and split into two phases: the Schreier graphs, and
+eigensolves in a dominance-compatible order.  The analysis and synthesis
+operators get each reduced lifting's column map from one depth-first walk of
+the swap tree over the reduced liftings (``FrameCache.iter_lifting_maps``): it
+starts at the reading-order column map, reindexes the current map by the
+adjacent-swap map of each tree edge on the way down, and undoes the step the
+same way on backtrack (each swap map is an involution).  The reading-order
+column map and the swap tree are pure functions of the shape, built on first
+use.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
-subdirectory per shape with flat little-endian 64-bit array files (magic
-header ``PFARRAY1``) for the eigenvectors, the vertex row words, the
-reading-order column map, and the swap tree.  The loader reads only the files
-it needs, so manifests listing further files still load.
+subdirectory per shape with two flat little-endian 64-bit array files (magic
+header ``PFARRAY1``): the eigenvectors, the one output of setup that cannot be
+rebuilt cheaply, and the vertex row words, which guard against a change of the
+builder's vertex order.  The loader reads only these, so manifests listing
+further files (older caches stored the column map and swap tree) still load.
 
-``load_cache`` is the one validator, checking the stored arrays against graphs
-built as setup builds them; ``verify_cache`` reports what it rejects, and
-``setup`` rebuilds such a cache.
+``load_cache`` is the one validator: it checks the stored row words against
+graphs built as setup builds them and the stored eigenvectors against those
+graphs' Laplacians; ``verify_cache`` reports what it rejects, and ``setup``
+rebuilds such a cache.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import struct
 import time
 from dataclasses import dataclass, field
-from math import factorial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -43,7 +46,7 @@ from .combinatorics import (
     dominates,
     reduced_representatives,
 )
-from .errors import CacheFormatError, ValidationError
+from .errors import CacheFormatError, NumericalError, ValidationError
 from .schreier import (
     SchreierGraph,
     adjacent_swap_maps,
@@ -51,7 +54,12 @@ from .schreier import (
     build_characteristic,
     build_schreier,
 )
-from .spectral import ShapeSpectrum, deflate_and_solve, hook_fastpath_spectrum
+from .spectral import (
+    ShapeSpectrum,
+    check_residuals,
+    deflate_and_solve,
+    hook_fastpath_spectrum,
+)
 
 ARRAY_MAGIC = b"PFARRAY1"
 ARRAY_VERSION = 1
@@ -68,18 +76,27 @@ def _is_hook(shape: IntegerPartition) -> bool:
 
 @dataclass
 class SchreierBundle:
-    """Everything precomputed for one shape."""
+    """One shape's graph and spectrum.  The reading-order column map and the
+    swap tree are derived from the shape on first use and then kept."""
 
     shape: IntegerPartition
     graph: SchreierGraph
-    col_of: np.ndarray  # (n!,) int64, reading-order lifting, read-only
-    bfs_parent: np.ndarray  # (z,) tree parent among reduced liftings, -1 at root
-    bfs_swap: np.ndarray  # (z,) adjacent transposition on the tree edge
     spectrum: ShapeSpectrum
 
-    def __post_init__(self) -> None:
-        # the swap-tree walk yields this array itself for the root lifting
-        self.col_of.setflags(write=False)
+    @cached_property
+    def col_of(self) -> np.ndarray:
+        """(n!,) int64 column map of the reading-order lifting, read-only
+        because the swap-tree walk yields this array itself for the root."""
+        col_of = build_characteristic(self.shape).col_of
+        col_of.setflags(write=False)
+        return col_of
+
+    @cached_property
+    def swap_tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent, swap), each (z,): the tree parent of every reduced lifting
+        (-1 at the root, lifting 0) and the adjacent transposition on its
+        edge."""
+        return bfs_tree_arrays(self.shape)
 
     @property
     def n(self) -> int:
@@ -91,7 +108,7 @@ class SchreierBundle:
 
     @property
     def z(self) -> int:
-        return len(self.bfs_parent)
+        return multiplicity_constants(self.shape).z
 
     @property
     def d(self) -> int:
@@ -103,14 +120,6 @@ class SchreierBundle:
 
     def reduced(self) -> tuple[OrderedSetPartition, ...]:
         return reduced_representatives(self.shape)
-
-
-def _tree_children(parent: np.ndarray) -> list[list[int]]:
-    """Child lists of the swap tree, in lifting order; the root is 0."""
-    children: list[list[int]] = [[] for _ in range(len(parent))]
-    for t in range(1, len(parent)):
-        children[int(parent[t])].append(t)
-    return children
 
 
 @dataclass
@@ -179,7 +188,10 @@ class FrameCache:
         ``col_of``; every other yielded map is a fresh array."""
         bundle = self.bundle(shape)
         maps = adjacent_swap_maps(self.n)
-        children = _tree_children(bundle.bfs_parent)
+        parent, swap = bundle.swap_tree
+        children: list[list[int]] = [[] for _ in range(len(parent))]
+        for t in range(1, len(parent)):
+            children[int(parent[t])].append(t)
         col = bundle.col_of
         yield 0, col
         stack: list[tuple[int, Iterator[int]]] = [(0, iter(children[0]))]
@@ -189,9 +201,9 @@ class FrameCache:
             if child is None:
                 stack.pop()
                 if stack:
-                    col = col[maps[int(bundle.bfs_swap[node]) - 1]]
+                    col = col[maps[int(swap[node]) - 1]]
                 continue
-            col = col[maps[int(bundle.bfs_swap[child]) - 1]]
+            col = col[maps[int(swap[child]) - 1]]
             yield child, col
             stack.append((child, iter(children[child])))
 
@@ -238,7 +250,6 @@ def build_cache(
     *,
     top_k: int | None = None,
     hook_fastpath: bool = False,
-    threads: int = 1,
     log: Callable[[str], None] | None = None,
 ) -> FrameCache:
     """Run the full data-independent setup for one n.
@@ -256,24 +267,10 @@ def build_cache(
         if log:
             log(msg)
 
-    def run_over_shapes(fn, items):
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, items))
-        return [fn(item) for item in items]
-
     t0 = time.perf_counter()
-    graphs = dict(zip(shape_list, run_over_shapes(build_schreier, shape_list)))
-    col_maps = dict(
-        zip(
-            shape_list,
-            run_over_shapes(lambda s: build_characteristic(s).col_of, shape_list),
-        )
-    )
+    graphs = {shape: build_schreier(shape) for shape in shape_list}
     report.phase_seconds["graphs"] = time.perf_counter() - t0
-    emit(f"phase 1 (graphs + lifting maps): {report.phase_seconds['graphs']:.2f}s")
+    emit(f"phase 1 (graphs): {report.phase_seconds['graphs']:.2f}s")
 
     t0 = time.perf_counter()
     spectra: dict[IntegerPartition, ShapeSpectrum] = {}
@@ -286,16 +283,8 @@ def build_cache(
     report.phase_seconds["spectra"] = time.perf_counter() - t0
     emit(f"phase 2 (eigensolves): {report.phase_seconds['spectra']:.2f}s")
 
-    t0 = time.perf_counter()
-
-    trees = dict(zip(shape_list, run_over_shapes(bfs_tree_arrays, shape_list)))
-    report.phase_seconds["paths"] = time.perf_counter() - t0
-    emit(f"phase 3 (swap tree): {report.phase_seconds['paths']:.2f}s")
-
     bundles = {
-        shape: SchreierBundle(
-            shape, graphs[shape], col_maps[shape], *trees[shape], spectra[shape]
-        )
+        shape: SchreierBundle(shape, graphs[shape], spectra[shape])
         for shape in shape_list
     }
     cache = FrameCache(
@@ -375,13 +364,10 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
         eig = bundle.spectrum
         files = {
             "eigvecs": ("eigvecs.pfa", np.asarray(eig.vectors, dtype=np.float64).ravel()),
-            "col_of": ("col_of.pfa", bundle.col_of.astype(np.int64)),
             "row_words": (
                 "row_words.pfa",
                 np.asarray(bundle.graph.row_words, dtype=np.int64).ravel(),
             ),
-            "bfs_parent": ("bfs_parent.pfa", bundle.bfs_parent),
-            "bfs_swap": ("bfs_swap.pfa", bundle.bfs_swap),
         }
         inventory = {}
         for key, (name, arr) in files.items():
@@ -417,37 +403,6 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
     return base
 
 
-def check_swap_tree(
-    shape: IntegerPartition, parent: np.ndarray, swap: np.ndarray, where
-) -> None:
-    """Raise ``CacheFormatError`` unless (parent, swap) is a tree over all
-    reduced liftings of the shape, rooted at lifting 0, whose every edge is an
-    adjacent swap: exchanging entries swap[t] and swap[t]+1 (1-based) of
-    lifting parent[t]'s row word gives lifting t's.  A corrupt tree would make
-    the walk yield wrong column maps or skip liftings, leaving their
-    coefficients unset."""
-    reps = reduced_representatives(shape)
-    z = len(reps)
-    if len(parent) != z or len(swap) != z or parent[0] != -1:
-        raise CacheFormatError(f"{where}: swap tree is not rooted at lifting 0")
-    for t in range(1, z):
-        p, s = int(parent[t]), int(swap[t])
-        if not (0 <= p < z and 1 <= s < shape.n):
-            raise CacheFormatError(f"{where}: swap tree entry {t} out of range")
-        rw = list(reps[p].row_word)
-        rw[s - 1], rw[s] = rw[s], rw[s - 1]
-        if tuple(rw) != reps[t].row_word:
-            raise CacheFormatError(f"{where}: swap tree edge to lifting {t} is not a swap")
-    children = _tree_children(parent)
-    reached, stack = 1, [0]
-    while stack:
-        kids = children[stack.pop()]
-        reached += len(kids)
-        stack.extend(kids)
-    if reached != z:
-        raise CacheFormatError(f"{where}: swap tree reaches {reached} of {z} liftings")
-
-
 def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
     shape = IntegerPartition(tuple(entry["parts"]))
     m, z, d = entry["m"], entry["z"], entry["d"]
@@ -475,15 +430,11 @@ def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
     lengths = {len(spectrum.eigenvalues), len(spectrum.keys), len(spectrum.kappas)}
     if sum(spectrum.kappas) != d or len(lengths) != 1:
         raise CacheFormatError(f"{sdir}: eigenvalue lists disagree with d={d}")
-    parent, swap = arr("bfs_parent", z), arr("bfs_swap", z)
-    check_swap_tree(shape, parent, swap, sdir)
-    col_of = arr("col_of", factorial(n))
-    # range first: bincount would allocate up to the largest stored value
-    if not (0 <= col_of.min() and col_of.max() < m) or np.any(
-        np.bincount(col_of, minlength=m) != factorial(n) // m
-    ):
-        raise CacheFormatError(f"{sdir}: column map counts are wrong")
-    return SchreierBundle(shape, graph, col_of, parent, swap, spectrum)
+    try:
+        check_residuals(spectrum, graph.laplacian)
+    except NumericalError as exc:
+        raise CacheFormatError(f"{sdir}: {exc}") from exc
+    return SchreierBundle(shape, graph, spectrum)
 
 
 def load_cache(root: str | Path, n: int) -> FrameCache:

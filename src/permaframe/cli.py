@@ -50,19 +50,20 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ignored_mode_arg(parser: argparse.ArgumentParser) -> None:
-    # analysis has one execution path; the flag stays so old scripts still run
+def _add_ignored_args(parser: argparse.ArgumentParser) -> None:
+    # every command has one serial execution path; the flags stay so old
+    # scripts still run
     parser.add_argument(
         "--mode", choices=["cached", "streamed", "auto"], default="auto",
         help="accepted and ignored",
     )
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
 def _add_common_analysis_args(parser: argparse.ArgumentParser) -> None:
     _add_cache_arg(parser)
     parser.add_argument("--ballots", required=True, help="ballot file to tally")
-    _add_ignored_mode_arg(parser)
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    _add_ignored_args(parser)
 
 
 def _detect_n(root: str) -> int:
@@ -137,7 +138,6 @@ def cmd_setup(args) -> int:
         "h",
         top_k=args.shapes,
         hook_fastpath=args.hook_fastpath,
-        threads=args.threads,
         log=print,
     )
     cache_mod.save_cache(built, args.cache)
@@ -288,10 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_cache_arg(p)
     p.add_argument("--shapes", type=int, default=None, help="keep only the first K shapes")
-    _add_ignored_mode_arg(p)
+    _add_ignored_args(p)
     p.add_argument("--hook-fastpath", action="store_true",
                    help="use closed-form eigenvectors for hook shapes")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--force", action="store_true", help="rebuild even if the cache verifies")
     p.set_defaults(func=cmd_setup)
 

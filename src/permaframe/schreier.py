@@ -155,11 +155,14 @@ def characteristic_column_map(
             f"lifting {lifting.label()} does not have shape {shape.parts}"
         )
     words = word_table(n)
-    rows_of_element = np.asarray(lifting.row_word, dtype=np.int8)
-    pulled = rows_of_element[words]  # row word of sigma^{-1}(lifting) per rank
+    rows_of_element = np.asarray(lifting.row_word, dtype=np.int64)
     num_rows = len(shape)
     weights = (num_rows ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    keys = pulled.astype(np.int64) @ weights
+    # base-r key of the row word of sigma^{-1}(lifting) per rank, summed one
+    # position at a time so no n! x n table is formed
+    keys = np.zeros(len(words), dtype=np.int64)
+    for j in range(n):
+        keys += (rows_of_element * weights[j])[words[:, j]]
     canon_keys = np.asarray(row_word_matrix(shape), dtype=np.int64) @ weights
     # canonical enumeration is lexicographic, so its keys are already sorted
     col_of = np.searchsorted(canon_keys, keys)

@@ -286,11 +286,13 @@ def _finalize_spectrum(
         )
     vectors = np.column_stack(blocks) if blocks else np.zeros((raw_vectors.shape[0], 0))
     spectrum = ShapeSpectrum(shape, tuple(eigenvalues), tuple(keys), tuple(kappas), vectors)
-    _check_residuals(spectrum, laplacian)
+    check_residuals(spectrum, laplacian)
     return spectrum
 
 
-def _check_residuals(spectrum: ShapeSpectrum, laplacian) -> None:
+def check_residuals(spectrum: ShapeSpectrum, laplacian) -> None:
+    """Raise ``NumericalError`` unless every stored block is an eigenspace of
+    ``laplacian`` at its eigenvalue and the columns are orthonormal."""
     for lam, _key, block in spectrum.blocks():
         residual = np.linalg.norm(laplacian @ block - lam * block, axis=0).max()
         if residual > 1e-8 * (1.0 + lam):

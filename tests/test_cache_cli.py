@@ -9,7 +9,12 @@ from permaframe.cli import main
 from permaframe.combinatorics import IntegerPartition, osp_index, reduced_representatives
 from permaframe.errors import CacheFormatError
 from permaframe.frame import Signal, analyze
-from permaframe.schreier import characteristic_column_map, minimal_paths
+from permaframe.schreier import (
+    bfs_tree_arrays,
+    build_characteristic,
+    characteristic_column_map,
+    minimal_paths,
+)
 
 
 def shape(*parts):
@@ -45,14 +50,14 @@ def test_array_file_rejects_garbage(tmp_path):
 
 def test_save_load_round_trip(tmp_path, rng):
     cache = build_cache(4, "h")
-    save_cache(cache, tmp_path)
+    base = save_cache(cache, tmp_path)
     loaded = load_cache(tmp_path, 4)
     assert loaded.shapes == cache.shapes
     for g in cache.shapes:
+        # only what the eigensolve produced plus the vertex-order guard
+        sdir = base / ("s" + "-".join(map(str, g.parts)))
+        assert sorted(p.name for p in sdir.iterdir()) == ["eigvecs.pfa", "row_words.pfa"]
         a, b = cache.bundles[g], loaded.bundles[g]
-        assert np.array_equal(a.col_of, b.col_of)
-        assert np.array_equal(a.bfs_parent, b.bfs_parent)
-        assert np.array_equal(a.bfs_swap, b.bfs_swap)
         assert np.allclose(a.spectrum.vectors, b.spectrum.vectors)
         assert a.spectrum.keys == b.spectrum.keys
     f = Signal.random(4, rng)
@@ -89,33 +94,11 @@ def _truncate(path, nbytes):
 @pytest.mark.parametrize(
     "corrupt, match",
     [
-        # stored trees: s3-1 parent [-1, 0, 1, 2], swap [0, 3, 2, 1];
-        #               s2-2 parent [-1, 0, 1],    swap [0, 2, 3]
-        pytest.param(
-            lambda base: _set_values(base / "s3-1/bfs_swap.pfa", {2: 0}),
-            "swap tree",
-            id="swap-zero",
-        ),
-        pytest.param(
-            # in range, but leads back to the root
-            lambda base: _set_values(base / "s3-1/bfs_swap.pfa", {2: 3}),
-            "swap tree",
-            id="wrong-swap",
-        ),
-        pytest.param(
-            # 1 <-> 2, both edges swaps
-            lambda base: (
-                _set_values(base / "s2-2/bfs_parent.pfa", {1: 2}),
-                _set_values(base / "s2-2/bfs_swap.pfa", {1: 3}),
-            ),
-            "swap tree",
-            id="parent-cycle",
-        ),
         pytest.param(
             lambda base: _edit_shape_entry(
-                base / "manifest.json", lambda entry: entry["files"].pop("bfs_parent")
+                base / "manifest.json", lambda entry: entry["files"].pop("eigvecs")
             ),
-            "bfs_parent",
+            "eigvecs",
             id="missing-file-entry",
         ),
         pytest.param(
@@ -144,10 +127,11 @@ def _truncate(path, nbytes):
             id="swapped-row-words",
         ),
         pytest.param(
-            # s3-1 col_of starts [0, 1, 0, 1, 2, 2]: column 1 loses a ranking
-            lambda base: _set_values(base / "s3-1/col_of.pfa", {1: 0}),
-            "counts",
-            id="col-of-counts",
+            # one float overwritten, header and size intact; entries of unit
+            # vectors never equal 1.5
+            lambda base: _set_values(base / "s3-1/eigvecs.pfa", {5: 1.5}),
+            "eigencheck",
+            id="eigvecs-drift",
         ),
         pytest.param(
             lambda base: _truncate(base / "s2-2/eigvecs.pfa", 24 + 8),
@@ -178,15 +162,21 @@ def test_corrupt_cache_is_rejected(tmp_path, capsys, corrupt, match):
 
 
 def test_cache_with_legacy_path_files_loads(tmp_path, rng):
-    # earlier caches also stored each lifting's vertex index and its whole
-    # swap path; the loader ignores those entries
+    # earlier caches also stored the reading-order column map, the swap tree,
+    # each lifting's vertex index and its whole swap path; the loader ignores
+    # those entries
     cache = build_cache(5, "h")
     base = save_cache(cache, tmp_path)
     manifest_path = base / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for entry in manifest["shapes"]:
-        paths = minimal_paths(IntegerPartition(tuple(entry["parts"])))
+        g = IntegerPartition(tuple(entry["parts"]))
+        paths = minimal_paths(g)
+        parent, swap = bfs_tree_arrays(g)
         legacy = {
+            "col_of": build_characteristic(g).col_of,
+            "bfs_parent": parent,
+            "bfs_swap": swap,
             "reduced_vertex": np.array([osp_index(p.target) for p in paths]),
             "swaps": np.array([s for p in paths for s in p.swaps], dtype=np.int64),
             "swap_offsets": np.cumsum([0] + [len(p.swaps) for p in paths]),
@@ -256,7 +246,7 @@ def test_cli_setup_and_idempotence(workdir, capsys):
     cache_dir = workdir / "cache"
     assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0
     first = capsys.readouterr().out
-    assert "phase 1" in first and "phase 2" in first and "phase 3" in first
+    assert "phase 1" in first and "phase 2" in first and "phase 3" not in first
     assert "19 atoms" in first
     assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0
     second = capsys.readouterr().out
