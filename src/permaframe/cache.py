@@ -2,13 +2,13 @@
 
 Setup is data-independent and split into two phases: the Schreier graphs, and
 eigensolves in a dominance-compatible order.  The analysis and synthesis
-operators get each reduced lifting's column map from one depth-first walk of
-the swap tree over the reduced liftings (``FrameCache.iter_lifting_maps``): it
-starts at the reading-order column map, reindexes the current map by the
-adjacent-swap map of each tree edge on the way down, and undoes the step the
-same way on backtrack (each swap map is an involution).  The reading-order
-column map and the swap tree are pure functions of the shape, built on first
-use.
+operators get each reduced lifting's column map, over a given set of ranks,
+from one depth-first walk of the swap tree (``FrameCache.iter_lifting_maps``):
+it carries one base-R vertex key per rank (R rows in the shape) from the
+reading-order lifting's, adds each tree edge's key difference on the way down
+and subtracts it on backtrack, and reads vertices from the shape's key ->
+vertex table.  Analysis walks over the signal's nonzeros, synthesis over all
+n! ranks.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic
@@ -29,8 +29,8 @@ import json
 import struct
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
+from math import factorial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -45,19 +45,22 @@ from .combinatorics import (
     partitions_of,
     dominates,
     reduced_representatives,
+    unrank_words,
 )
 from .errors import CacheFormatError, NumericalError, ValidationError
 from .schreier import (
     SchreierGraph,
-    adjacent_swap_maps,
     bfs_tree_arrays,
-    build_characteristic,
     build_schreier,
+    key_powers,
+    lifting_keys,
+    vertex_table,
 )
 from .spectral import (
     ShapeSpectrum,
     check_residuals,
     deflate_and_solve,
+    eigenvalue_key,
     hook_fastpath_spectrum,
 )
 
@@ -76,27 +79,11 @@ def _is_hook(shape: IntegerPartition) -> bool:
 
 @dataclass
 class SchreierBundle:
-    """One shape's graph and spectrum.  The reading-order column map and the
-    swap tree are derived from the shape on first use and then kept."""
+    """One shape's graph and spectrum."""
 
     shape: IntegerPartition
     graph: SchreierGraph
     spectrum: ShapeSpectrum
-
-    @cached_property
-    def col_of(self) -> np.ndarray:
-        """(n!,) int64 column map of the reading-order lifting, read-only
-        because the swap-tree walk yields this array itself for the root."""
-        col_of = build_characteristic(self.shape).col_of
-        col_of.setflags(write=False)
-        return col_of
-
-    @cached_property
-    def swap_tree(self) -> tuple[np.ndarray, np.ndarray]:
-        """(parent, swap), each (z,): the tree parent of every reduced lifting
-        (-1 at the root, lifting 0) and the adjacent transposition on its
-        edge."""
-        return bfs_tree_arrays(self.shape)
 
     @property
     def n(self) -> int:
@@ -178,22 +165,44 @@ class FrameCache:
     # -- lifting column maps -----------------------------------------------
 
     def iter_lifting_maps(
-        self, shape: IntegerPartition
+        self, shape: IntegerPartition, ranks: np.ndarray
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """(t, column map of the t-th reduced lifting) pairs in depth-first
-        order over the swap tree; every lifting appears exactly once, and each
-        map equals ``characteristic_column_map(shape, reduced_representatives
-        (shape)[t])``.  Each tree edge costs one O(n!) gather down and one to
-        undo it on backtrack.  The root's map is the bundle's read-only
-        ``col_of``; every other yielded map is a fresh array."""
+        """(t, vertex per rank of ``ranks`` under the t-th reduced lifting)
+        pairs in depth-first order over the swap tree; every lifting appears
+        exactly once, and each map equals ``characteristic_column_map(shape,
+        reduced_representatives(shape)[t])[ranks]`` as a fresh intp array.
+        Each tree edge costs O(len(ranks)) down and again on backtrack."""
         bundle = self.bundle(shape)
-        maps = adjacent_swap_maps(self.n)
-        parent, swap = bundle.swap_tree
-        children: list[list[int]] = [[] for _ in range(len(parent))]
-        for t in range(1, len(parent)):
+        parent, swap = bfs_tree_arrays(bundle.shape)
+        rows = [rep.row_word for rep in bundle.reduced()]
+        children: list[list[int]] = [[] for _ in rows]
+        for t in range(1, len(rows)):
             children[int(parent[t])].append(t)
-        col = bundle.col_of
-        yield 0, col
+        words = unrank_words(self.n, ranks)
+        key = lifting_keys(bundle.shape, rows[0], words)
+        # steps[c] = w[c] - w[c+1], where w[c] = R**(n-1-position of c): the
+        # edge into row word rw that swaps candidates s-1 and s moves every
+        # key by (rw[s-1] - rw[s]) * steps[s-1]
+        steps = np.empty(words.shape, dtype=np.intp)
+        flat, columns = steps.reshape(-1), np.arange(len(key))
+        for j, power in enumerate(key_powers(bundle.shape)):
+            flat[words[j].astype(np.intp) * len(key) + columns] = power
+        for c in range(1, self.n):
+            steps[c - 1] -= steps[c]
+        delta = np.empty_like(key)
+        table = vertex_table(bundle.shape)
+
+        def move(t: int, sign: int) -> None:
+            # the edge into lifting t, forward (+1) or back (-1); most edges
+            # move one row, and skipping their multiply saves a pass
+            s = int(swap[t])
+            coef = sign * (rows[t][s - 1] - rows[t][s])
+            step = steps[s - 1]
+            if abs(coef) != 1:
+                step = np.multiply(step, abs(coef), out=delta)
+            (np.add if coef > 0 else np.subtract)(key, step, out=key)
+
+        yield 0, table.take(key)
         stack: list[tuple[int, Iterator[int]]] = [(0, iter(children[0]))]
         while stack:
             node, it = stack[-1]
@@ -201,17 +210,17 @@ class FrameCache:
             if child is None:
                 stack.pop()
                 if stack:
-                    col = col[maps[int(swap[node]) - 1]]
+                    move(node, -1)
                 continue
-            col = col[maps[int(swap[child]) - 1]]
-            yield child, col
+            move(child, 1)
+            yield child, table.take(key)
             stack.append((child, iter(children[child])))
 
     def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:
-        """Every (lifting index, column map) pair of one shape, as a list.
-        Kept because the benchmark's tracer (``perfbench/trace_cli.py``) binds
-        it; the transform itself streams ``iter_lifting_maps``."""
-        return list(self.iter_lifting_maps(shape))
+        """Every (lifting index, column map over all n! ranks) pair of one
+        shape, as a list; the transform streams ``iter_lifting_maps``, the
+        benchmark's tracer binds this name."""
+        return list(self.iter_lifting_maps(shape, np.arange(factorial(self.n))))
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +439,8 @@ def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
     lengths = {len(spectrum.eigenvalues), len(spectrum.keys), len(spectrum.kappas)}
     if sum(spectrum.kappas) != d or len(lengths) != 1:
         raise CacheFormatError(f"{sdir}: eigenvalue lists disagree with d={d}")
+    if [eigenvalue_key(lam) for lam in spectrum.eigenvalues] != list(spectrum.keys):
+        raise CacheFormatError(f"{sdir}: eigenvalue keys disagree with the eigenvalues")
     try:
         check_residuals(spectrum, graph.laplacian)
     except NumericalError as exc:

@@ -401,17 +401,6 @@ def act(p: Permutation, osp: OrderedSetPartition) -> OrderedSetPartition:
     return OrderedSetPartition(tuple(row_word))
 
 
-def inversion_count(osp: OrderedSetPartition) -> int:
-    """Pairs (i, j) with i < j and j in a strictly higher (earlier) row than i."""
-    rw = osp.row_word
-    return sum(
-        1
-        for i in range(osp.n)
-        for j in range(i + 1, osp.n)
-        if rw[j] < rw[i]
-    )
-
-
 def is_reduced_representative(osp: OrderedSetPartition) -> bool:
     """True when equal-size blocks appear in order of increasing minimum element,
     i.e. the row word is lexicographically least in its orbit under permuting
@@ -599,35 +588,39 @@ def h_shapes(n: int, k: int | None = None) -> tuple[IntegerPartition, ...]:
 # vectorized permutation indexing (dense length-n! tables)
 
 
+def unrank_words(n: int, ranks: np.ndarray) -> np.ndarray:
+    """The words of the given lexicographic ranks, one per column: entry
+    [p, i] is the 0-based candidate in position p of ranking ``ranks[i]``;
+    (n, len(ranks)) int8, decoded from the Lehmer digits in O(n^2 len(ranks))."""
+    check_dense_n(n)
+    rest = np.array(ranks, dtype=np.int32)  # 12! < 2**31
+    words = np.empty((n, len(rest)), dtype=np.int8)
+    for p in range(n):
+        words[p] = digit = rest // factorial(n - 1 - p)
+        rest -= digit * factorial(n - 1 - p)
+    # right to left, each digit becomes the candidate it counts up to among
+    # those not placed before it
+    for p in range(n - 2, -1, -1):
+        words[p + 1 :] += words[p + 1 :] >= words[p]
+    return words
+
+
 @lru_cache(maxsize=2)
 def word_table(n: int) -> np.ndarray:
     """All permutation words of 0-based values, one per row, in lexicographic
     order; shape (n!, n), dtype int8."""
-    check_dense_n(n)
-    table = np.zeros((1, 1), dtype=np.int8)
-    for k in range(2, n + 1):
-        m = table.shape[0]
-        out = np.empty((k * m, k), dtype=np.int8)
-        values = np.arange(k, dtype=np.int8)
-        for v in range(k):
-            rest = np.delete(values, v)
-            block = out[v * m : (v + 1) * m]
-            block[:, 0] = v
-            block[:, 1:] = rest[table]
-        table = out
+    table = np.ascontiguousarray(unrank_words(n, np.arange(factorial(n))).T)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=4)
 def sign_vector(n: int) -> np.ndarray:
-    """Permutation signs indexed by lexicographic rank, as int8 in {-1, +1}."""
-    words = word_table(n)
-    inversions = np.zeros(words.shape[0], dtype=np.int64)
-    for j in range(n - 1):
-        inversions += (words[:, j + 1 :] < words[:, j : j + 1]).sum(
-            axis=1, dtype=np.int64
-        )
-    signs = np.where(inversions % 2 == 0, 1, -1).astype(np.int8)
+    """Permutation signs indexed by lexicographic rank, as int8 in {-1, +1}:
+    the parity of the Lehmer digit sum, (rank // k!) % (k+1) summed over k."""
+    check_dense_n(n)
+    ranks = np.arange(factorial(n), dtype=np.int32)
+    parity = sum(((ranks // factorial(k)) % (k + 1) for k in range(1, n)), np.zeros_like(ranks))
+    signs = (1 - 2 * (parity % 2)).astype(np.int8)
     signs.setflags(write=False)
     return signs

@@ -2,13 +2,13 @@
 energy decompositions, isotypic projections, graph Fourier transform, the
 transpose-shape sign trick, and the projected-indicator baseline.
 
-Analysis never materializes length-n! atoms.  Each coefficient is computed on
-the Schreier graph side: accumulate the signal onto the graph through the
-lifting's column map, and take inner products with the stored eigenvectors,
-scaled by the frame constant.  Synthesis spreads each lifting's combined
-eigenvector back through the same map.  One depth-first walk of the swap tree
-per shape yields those maps; shapes whose transpose is not cached are
-completed by carrying the sign-flipped signal through the same walk
+Analysis never materializes length-n! atoms or index maps.  Each coefficient
+is computed on the Schreier graph side: accumulate the signal's nonzeros onto
+the graph through the lifting's column map over them, and take inner products
+with the stored eigenvectors, scaled by the frame constant.  Synthesis spreads
+each lifting's combined eigenvector back over all n! ranks.  One walk of the
+swap tree per shape yields those maps; shapes whose transpose is not cached
+are completed by carrying the sign-flipped nonzeros through the same walk
 (:func:`analyze_with_conjugates`).  Atom materialization exists only for tests
 and small-n inspection.
 """
@@ -38,7 +38,7 @@ from .combinatorics import (
     standard_ordered_set_partitions,
 )
 from .errors import ResourceLimitError, ValidationError
-from .schreier import characteristic_column_map, project
+from .schreier import characteristic_column_map
 from .spectral import key_to_value, reflected_key
 
 MAX_MATERIALIZE_N = 8
@@ -303,11 +303,13 @@ def _analyze_blocks(
     flipped_shapes: Sequence[IntegerPartition] = (),
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
-    ``flipped_shapes`` (a subset), from one tree walk per shape.  Each signal
-    gets its own accumulation and product per lifting, so its coefficients do
-    not depend on whether the other is computed alongside."""
-    values = signal.values
-    flipped_values = sign_flip(signal).values if flipped_shapes else None
+    ``flipped_shapes`` (a subset), from one tree walk per shape over the
+    signal's nonzeros, in rank order so the sums match a dense pass bit for
+    bit.  Each signal gets its own accumulation and product per lifting, so
+    its coefficients do not depend on whether the other is computed alongside."""
+    support = np.flatnonzero(signal.values)
+    values = signal.values[support]
+    flipped_values = values * sign_vector(signal.n)[support] if flipped_shapes else None
     direct: list[ShapeBlock] = []
     flipped: list[ShapeBlock] = []
     for shape in shape_list:
@@ -318,7 +320,7 @@ def _analyze_blocks(
         jobs = [(values, np.empty((r_used, bundle.z)), direct)]
         if shape in flipped_shapes:
             jobs.append((flipped_values, np.empty((r_used, bundle.z)), flipped))
-        for t, col in cache.iter_lifting_maps(shape):
+        for t, col in cache.iter_lifting_maps(shape, support):
             for f, alphas, _out in jobs:
                 g = np.bincount(col, weights=f, minlength=bundle.m)
                 alphas[:, t] = vectors.T @ g
@@ -425,8 +427,9 @@ def synthesize(
                 )
             vectors = spectrum.vectors[:, : block.num_rows]
             jobs.setdefault(block.shape, []).append((acc, vectors, block))
+    ranks = np.arange(factorial(cache.n))
     for shape, shape_jobs in jobs.items():
-        for t, col in cache.iter_lifting_maps(shape):
+        for t, col in cache.iter_lifting_maps(shape, ranks):
             for acc, vectors, block in shape_jobs:
                 w = block.c_bar * (vectors @ block.alphas[:, t])
                 acc += w[col]
@@ -620,6 +623,6 @@ def schreier_projection(
     in canonical order."""
     part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
     _check_signal(cache, signal)
-    bundle = cache.bundle(part)
+    m = cache.bundle(part).m
     cmap = characteristic_column_map(part, lifting)
-    return project(cmap, signal.values, bundle.m)
+    return np.bincount(cmap, weights=signal.values, minlength=m)

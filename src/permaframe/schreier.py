@@ -1,15 +1,17 @@
 """Schreier graphs of the permutahedron, their characteristic (lifting) matrices
-in column-map form, minimal swap paths to each reduced lifting, and the
-length-n! index maps of the adjacent transpositions acting on the left.
+in column-map form, and the swap tree of minimal paths to each reduced lifting.
 
 There is one graph builder, ``build_schreier``, which applies the edge rule
 to every vertex at once; setup and the cache loader both call it.
 
 A lifting's column map sends each permutation rank to the graph vertex it
-falls on.  Acting on a lifting by an adjacent swap reindexes its column map by
-that swap's map, which is how the swap-tree walk in ``cache`` reaches every
-reduced lifting from the reading-order one.  The permutahedron itself is the
-Schreier graph of the all-ones shape.
+falls on.  Vertices are found through the base-R keys of their row words (R
+rows) and one key -> vertex table per shape (``vertex_table``).  A ranking's
+key for a lifting sums each candidate's row times R**(n-1-position)
+(``lifting_keys``), so an adjacent swap of two candidates moves every key by
+a multiple of a difference of two such powers: that is how the swap-tree walk
+in ``cache`` reaches every reduced lifting over any set of ranks.  The
+permutahedron itself is the Schreier graph of the all-ones shape.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .combinatorics import (
     OrderedSetPartition,
     check_dense_n,
     enumerate_ordered_set_partitions,
-    inversion_count,
     multiplicity_constants,
     reading_order_partition,
     reduced_representatives,
+    unrank_words,
     row_word_matrix,
     word_table,
 )
@@ -80,22 +82,20 @@ class SchreierGraph:
 def build_schreier(shape: IntegerPartition) -> SchreierGraph:
     """The graph from the edge rule: vertices are joined when one adjacent
     swap of element labels (positions s, s+1 of the row word) maps one to the
-    other, and a swap inside one row is a loop.  Canonical vertex order is
-    lexicographic, so the row words' keys are sorted and each swapped word's
-    vertex is one ``searchsorted`` away."""
+    other, and a swap inside one row is a loop.  Each swapped word's vertex is
+    one lookup in the key -> vertex table away."""
     n = shape.n
     m = multiplicity_constants(shape).m
     if m > 2_000_000:
         raise ResourceLimitError(f"shape {shape.parts} has {m} vertices")
     row_words = row_word_matrix(shape)  # int8, read-only
-    weights = len(shape) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = row_words.astype(np.int64) @ weights
-    left = row_words[:, :-1].astype(np.int64)
-    right = row_words[:, 1:].astype(np.int64)
+    weights = key_powers(shape)
+    left = row_words[:, :-1].astype(np.intp)
+    right = row_words[:, 1:].astype(np.intp)
     loops = left == right
     # swapping positions s, s+1 moves the key by (right - left) * (w[s] - w[s+1])
     shift = (right - left) * (weights[:-1] - weights[1:])
-    other = np.searchsorted(keys, keys[:, None] + shift)
+    other = vertex_table(shape)[(row_words.astype(np.intp) @ weights)[:, None] + shift]
     u, s = np.nonzero(~loops)
     rows = np.concatenate([u, np.arange(m)])
     cols = np.concatenate([other[u, s], np.arange(m)])
@@ -144,6 +144,34 @@ class CharacteristicMatrix:
         return out
 
 
+def key_powers(shape: IntegerPartition) -> np.ndarray:
+    """(n,) intp: R**(n-1-j) for position j, R = len(shape); a row word dotted
+    with it is the word's base-R key."""
+    return len(shape) ** np.arange(shape.n - 1, -1, -1, dtype=np.intp)
+
+
+def vertex_table(shape: IntegerPartition) -> np.ndarray:
+    """(R**n,) intp table from a row word's base-R key to its canonical vertex
+    index, -1 at keys that are not row words of the shape."""
+    keys = row_word_matrix(shape).astype(np.intp) @ key_powers(shape)
+    table = np.full(len(shape) ** shape.n, -1, dtype=np.intp)
+    table[keys] = np.arange(len(keys))
+    return table
+
+
+def lifting_keys(
+    shape: IntegerPartition, row_word: tuple[int, ...], words: np.ndarray
+) -> np.ndarray:
+    """Per ranking (a column of ``words``, from :func:`unrank_words`), the key
+    of the vertex it carries the lifting with row word ``row_word`` to, whose
+    position j holds the row of the candidate ranked at j."""
+    rows = np.asarray(row_word, dtype=np.intp)
+    keys = np.zeros(words.shape[1], dtype=np.intp)
+    for j, power in enumerate(key_powers(shape)):
+        keys += (rows * power).take(words[j])
+    return keys
+
+
 def characteristic_column_map(
     shape: IntegerPartition, lifting: OrderedSetPartition
 ) -> np.ndarray:
@@ -154,19 +182,8 @@ def characteristic_column_map(
         raise ValidationError(
             f"lifting {lifting.label()} does not have shape {shape.parts}"
         )
-    words = word_table(n)
-    rows_of_element = np.asarray(lifting.row_word, dtype=np.int64)
-    num_rows = len(shape)
-    weights = (num_rows ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    # base-r key of the row word of sigma^{-1}(lifting) per rank, summed one
-    # position at a time so no n! x n table is formed
-    keys = np.zeros(len(words), dtype=np.int64)
-    for j in range(n):
-        keys += (rows_of_element * weights[j])[words[:, j]]
-    canon_keys = np.asarray(row_word_matrix(shape), dtype=np.int64) @ weights
-    # canonical enumeration is lexicographic, so its keys are already sorted
-    col_of = np.searchsorted(canon_keys, keys)
-    return col_of
+    words = unrank_words(n, np.arange(factorial(n)))
+    return vertex_table(shape)[lifting_keys(shape, lifting.row_word, words)]
 
 
 def build_characteristic(shape: IntegerPartition) -> CharacteristicMatrix:
@@ -195,23 +212,25 @@ class LiftingPath:
     swaps: tuple[int, ...]  # each entry i means the transposition (i, i+1)
 
 
-def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
+@lru_cache(maxsize=64)
+def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first search from the reading-order partition over the reduced
-    representatives; every path length equals the target's inversion count.
+    representatives: (parent, swap), each (z,) int64 and read-only, holding the
+    tree parent of every reduced lifting (-1 at the root, lifting 0) and the
+    swap s on its edge, which exchanges elements s and s+1.
 
     Swapping the elements of an inverted adjacent pair preserves the
     increasing-minimum ordering of equal-size blocks, so the search restricted
     to reduced representatives still finds paths that are minimal in the full
-    graph.  Ties break toward the lowest canonical index.
+    graph: each lifting's depth is its inversion count.  Ties break toward the
+    lowest canonical index.
     """
     n = shape.n
     reps = reduced_representatives(shape)
     rep_index = {rep.row_word: t for t, rep in enumerate(reps)}
-    z = len(reps)
-    parent = np.full(z, -1, dtype=np.int64)
-    parent_swap = np.zeros(z, dtype=np.int64)
-    dist = np.full(z, -1, dtype=np.int64)
-    dist[0] = 0
+    parent = np.full(len(reps), -1, dtype=np.int64)
+    swap = np.zeros(len(reps), dtype=np.int64)
+    seen = {0}
     frontier = [0]
     while frontier:
         next_frontier: list[int] = []
@@ -220,51 +239,35 @@ def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
             for s in range(1, n):
                 if rw[s - 1] == rw[s]:
                     continue
-                other = list(rw)
-                other[s - 1], other[s] = other[s], other[s - 1]
-                u = rep_index.get(tuple(other))
-                if u is None or dist[u] >= 0:
+                u = rep_index.get(rw[: s - 1] + (rw[s], rw[s - 1]) + rw[s + 1 :])
+                if u is None or u in seen:
                     continue
-                dist[u] = dist[t] + 1
+                seen.add(u)
                 parent[u] = t
-                parent_swap[u] = s
+                swap[u] = s
                 next_frontier.append(u)
         frontier = next_frontier
-    if np.any(dist < 0):
+    if len(seen) != len(reps):
         raise NumericalError(f"reduced representatives not reachable for {shape.parts}")
+    parent.setflags(write=False)
+    swap.setflags(write=False)
+    return parent, swap
 
+
+def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
+    """The root-to-lifting swap sequence of every reduced representative in
+    the tree of :func:`bfs_tree_arrays`; every path length equals the
+    target's inversion count."""
+    parent, swap = bfs_tree_arrays(shape)
     paths = []
-    for t, rep in enumerate(reps):
+    for t, rep in enumerate(reduced_representatives(shape)):
         swaps: list[int] = []
         u = t
         while parent[u] >= 0:
-            swaps.append(int(parent_swap[u]))
+            swaps.append(int(swap[u]))
             u = int(parent[u])
-        swaps.reverse()
-        if len(swaps) != inversion_count(rep):
-            raise NumericalError(
-                f"path to {rep.label()} has length {len(swaps)}, "
-                f"expected {inversion_count(rep)}"
-            )
-        paths.append(LiftingPath(rep, t, tuple(swaps)))
+        paths.append(LiftingPath(rep, t, tuple(reversed(swaps))))
     return tuple(paths)
-
-
-def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, swap) arrays over the reduced representatives; parent[0] = -1."""
-    paths = minimal_paths(shape)
-    z = len(paths)
-    parent = np.full(z, -1, dtype=np.int64)
-    swap = np.zeros(z, dtype=np.int64)
-    lookup = {p.target.row_word: p.target_index for p in paths}
-    for p in paths:
-        if p.swaps:
-            rw = list(p.target.row_word)
-            s = p.swaps[-1]
-            rw[s - 1], rw[s] = rw[s], rw[s - 1]
-            parent[p.target_index] = lookup[tuple(rw)]
-            swap[p.target_index] = s
-    return parent, swap
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,8 @@ _SWAP_MAP_BLOCK = 1 << 16  # ranks per block, bounding the int64 position table
 
 @lru_cache(maxsize=2)
 def adjacent_swap_maps(n: int) -> np.ndarray:
-    """Index maps for left multiplication by each adjacent transposition.
+    """Index maps for left multiplication by each adjacent transposition; the
+    transform does not use them, the benchmark's tracer binds the name.
 
     ``maps[i - 1][rank(w)] = rank of w with candidate labels i and i+1 swapped``
     (1-based labels).  Shape (n-1, n!), dtype int64; every map is an
@@ -297,17 +301,3 @@ def adjacent_swap_maps(n: int) -> np.ndarray:
             maps[i - 1, lo:hi] = ranks + np.where(a < b, weight[a], -weight[b])
     maps.setflags(write=False)
     return maps
-
-
-def project(col_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """Accumulate a signal onto the Schreier graph through the lifting whose
-    column map is ``col_of``."""
-    if len(values) != len(col_of):
-        raise ValidationError("signal length does not match the column map")
-    return np.bincount(col_of, weights=values, minlength=m)
-
-
-def lift(col_of: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Spread a vertex vector over the rankings: the transpose of
-    :func:`project` as a linear map."""
-    return np.asarray(x, dtype=np.float64)[col_of]

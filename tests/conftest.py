@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from permaframe import build_cache
+
+# one fixed, bounded profile: the same examples on every run, no flaky
+# deadlines on a loaded machine, and no example database left on disk
+settings.register_profile(
+    "permaframe", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("permaframe")
 
 
 @pytest.fixture(scope="session")

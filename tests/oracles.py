@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from permaframe.combinatorics import (
     IntegerPartition,
+    OrderedSetPartition,
     enumerate_ordered_set_partitions,
     multiplicity_constants,
     reading_order_partition,
@@ -158,3 +159,22 @@ def recursive_schreier(shape: IntegerPartition) -> SchreierGraph:
     if not np.all(degrees == n - 1):
         raise NumericalError(f"graph for {shape.parts} is not (n-1)-regular")
     return SchreierGraph(shape, row_words, adjacency)
+
+
+def inversion_count(osp: OrderedSetPartition) -> int:
+    """Pairs (i, j) with i < j and j in a strictly higher (earlier) row than i:
+    the length of a minimal swap path from the reading-order partition."""
+    rw = osp.row_word
+    return sum(1 for i in range(osp.n) for j in range(i + 1, osp.n) if rw[j] < rw[i])
+
+
+def project(col_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Accumulate a signal onto the Schreier graph through the lifting whose
+    column map is ``col_of``."""
+    return np.bincount(col_of, weights=values, minlength=m)
+
+
+def lift(col_of: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Spread a vertex vector over the rankings: the transpose of
+    :func:`project` as a linear map."""
+    return np.asarray(x, dtype=np.float64)[col_of]

@@ -25,7 +25,6 @@ from permaframe.combinatorics import (
     enumerate_ordered_set_partitions,
     h_shapes,
     hook_dimension,
-    inversion_count,
     kostka,
     multiplicity_constants,
     partitions_of,
@@ -50,6 +49,8 @@ from permaframe.spectral import (
     key_to_value,
     verify_dominance_conjecture,
 )
+
+from oracles import inversion_count
 
 
 def shape(*parts):

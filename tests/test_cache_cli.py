@@ -1,17 +1,26 @@
 import json
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permaframe import build_cache, load_cache, save_cache, verify_cache
-from permaframe.cache import read_array, write_array
+from permaframe.cache import FrameCache, SchreierBundle, read_array, write_array
 from permaframe.cli import main
-from permaframe.combinatorics import IntegerPartition, osp_index, reduced_representatives
+from permaframe.combinatorics import (
+    IntegerPartition,
+    osp_index,
+    partitions_of,
+    reduced_representatives,
+)
 from permaframe.errors import CacheFormatError
 from permaframe.frame import Signal, analyze
 from permaframe.schreier import (
     bfs_tree_arrays,
     build_characteristic,
+    build_schreier,
     characteristic_column_map,
     minimal_paths,
 )
@@ -117,6 +126,16 @@ def _truncate(path, nbytes):
             id="short-eigenvalue-list",
         ),
         pytest.param(
+            # the stored keys must be the eigenvalues' own: a drifted key
+            # relabels every CSV row of that eigenvalue
+            lambda base: _edit_shape_entry(
+                base / "manifest.json",
+                lambda entry: entry["eigen_keys"].__setitem__(0, entry["eigen_keys"][0] + 1),
+            ),
+            "eigenvalue keys",
+            id="eigen-key-drift",
+        ),
+        pytest.param(
             lambda base: _truncate(base / "manifest.json", 200),
             "JSONDecodeError",
             id="half-written-manifest",
@@ -195,16 +214,48 @@ def test_cache_with_legacy_path_files_loads(tmp_path, rng):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_walk_yields_every_lifting_column_map(n):
     cache = build_cache(n, "all")
+    ranks = np.arange(factorial(n))
     for g in cache.shapes:
         reps = reduced_representatives(g)
         seen = []
-        for t, col in cache.iter_lifting_maps(g):
-            assert col.dtype == np.int64
+        maps = list(cache.iter_lifting_maps(g, ranks))
+        for t, col in maps:
+            assert col.dtype == np.intp
             assert np.array_equal(col, characteristic_column_map(g, reps[t]))
             seen.append(t)
         assert sorted(seen) == list(range(len(reps)))
-        root = next(cache.iter_lifting_maps(g))[1]
-        assert root is cache.bundles[g].col_of and not root.flags.writeable
+        # every yielded map is its own array
+        assert len({id(col) for _t, col in maps}) == len(maps)
+
+
+@st.composite
+def shapes_and_ranks(draw):
+    n = draw(st.integers(1, 7))
+    g = draw(st.sampled_from(partitions_of(n)))
+    kind = draw(st.sampled_from(["empty", "full", "subset"]))
+    if kind == "empty":
+        ranks = np.zeros(0, dtype=np.int64)
+    elif kind == "full":
+        ranks = np.arange(factorial(n))
+    else:
+        # any order and any size; analysis passes sorted nonzeros
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(1, factorial(n)))
+        ranks = rng.choice(factorial(n), size=size, replace=False)
+    return g, ranks
+
+
+@given(shapes_and_ranks())
+def test_walk_over_any_rank_set_matches_the_column_maps(case):
+    g, ranks = case
+    # the walk reads only the shape's swap tree, so no eigensolve is needed
+    cache = FrameCache(g.n, {g: SchreierBundle(g, build_schreier(g), None)})
+    reps = reduced_representatives(g)
+    seen = []
+    for t, col in cache.iter_lifting_maps(g, ranks):
+        assert np.array_equal(col, characteristic_column_map(g, reps[t])[ranks])
+        seen.append(t)
+    assert sorted(seen) == list(range(len(reps)))
 
 
 def test_loaded_cache_reconstructs(tmp_path, rng):

@@ -16,7 +16,6 @@ from permaframe.combinatorics import (
     equal_block_orbit,
     h_shapes,
     hook_dimension,
-    inversion_count,
     kostka,
     lex_rank,
     lex_unrank,
@@ -32,7 +31,7 @@ from permaframe.combinatorics import (
 )
 from permaframe.errors import ResourceLimitError, ValidationError
 
-from oracles import rank_words
+from oracles import inversion_count, rank_words
 
 
 def P(*w):

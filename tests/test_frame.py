@@ -1,8 +1,10 @@
+import tracemalloc
 from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import pytest
 
+from permaframe import build_cache
 from permaframe.combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
@@ -32,8 +34,14 @@ from permaframe.frame import (
     standard_basis_check,
     synthesize,
 )
-from permaframe.schreier import build_schreier, characteristic_column_map, lift
+from permaframe.schreier import (
+    build_characteristic,
+    build_schreier,
+    characteristic_column_map,
+)
 from permaframe.spectral import dense_oracle, eigenvalue_key, key_to_value
+
+from oracles import lift
 
 
 def shape(*parts):
@@ -77,9 +85,8 @@ def test_equal_norms_with_full_frame_scaling(cache4_all):
     for g in cache4_all.shapes:
         consts = multiplicity_constants(g)
         d = hook_dimension(g)
-        bundle = cache4_all.bundles[g]
-        v = bundle.spectrum.vectors[:, 0]
-        raw = lift(bundle.col_of, v)
+        v = cache4_all.bundles[g].spectrum.vectors[:, 0]
+        raw = lift(build_characteristic(g).col_of, v)
         scaled = consts.c * raw
         assert scaled @ scaled == pytest.approx(d / consts.m, rel=1e-10)
 
@@ -276,6 +283,53 @@ def test_one_walk_sign_trick_matches_separate_passes(cache5_h, rng):
 
 # ---------------------------------------------------------------------------
 # energies and the graph Fourier transform
+
+
+def relabeled(f: Signal, sigma: np.ndarray) -> Signal:
+    """The signal of the same ballots with candidate c renamed sigma[c]."""
+    words = word_table(f.n)
+    rank_of = {w: r for r, w in enumerate(map(tuple, words.tolist()))}
+    out = np.empty_like(f.values)
+    for r, w in enumerate(sigma[words].tolist()):
+        out[rank_of[tuple(w)]] = f.values[r]
+    return Signal(f.n, out)
+
+
+@pytest.mark.parametrize("name", ["cache4_all", "cache5_h", "cache6_all"])
+def test_energies_are_invariant_under_candidate_relabeling(name, request, rng):
+    # each (shape, eigenvalue) space is closed under renaming candidates,
+    # which permutes the rankings isometrically, so its energy is unchanged
+    cache = request.getfixturevalue(name)
+    for _ in range(3):
+        f = Signal(cache.n, rng.integers(0, 9, size=factorial(cache.n)).astype(float))
+        g = relabeled(f, rng.permutation(cache.n))
+        tol = 1e-9 * f.norm2()
+        rows_f, rows_g = analyze(cache, f).energy_rows(), analyze(cache, g).energy_rows()
+        assert [r[:2] for r in rows_f] == [r[:2] for r in rows_g]
+        assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
+        gft_f, gft_g = graph_fourier(cache, f), graph_fourier(cache, g)
+        assert [k for k, _ in gft_f] == [k for k, _ in gft_g]
+        assert np.allclose(
+            [e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol
+        )
+
+
+def test_sparse_analysis_allocates_no_rank_length_array():
+    # n=9 top-5 with 2,000 rankings: once the one-off tables are warm, the
+    # sign-trick analysis touches only the nonzeros, never an n!-length map
+    cache = build_cache(9, "h", top_k=5)
+    rng = np.random.default_rng(5)
+    values = np.zeros(factorial(9))
+    values[rng.choice(factorial(9), size=2000, replace=False)] = rng.integers(1, 9, size=2000)
+    f = Signal(9, values)
+    analyze_with_conjugates(cache, f)
+    tracemalloc.start()
+    try:
+        analyze_with_conjugates(cache, f)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < factorial(9) * 8
 
 
 def test_energy_of_constant_ballot_total(cache4_all):

@@ -10,7 +10,6 @@ from permaframe.combinatorics import (
     act,
     adjacent_transposition,
     enumerate_ordered_set_partitions,
-    inversion_count,
     lex_rank,
     lex_unrank,
     multiplicity_constants,
@@ -23,14 +22,15 @@ from permaframe.schreier import (
     build_schreier,
     build_schreier_direct,
     characteristic_column_map,
-    lift,
     minimal_paths,
-    project,
 )
 
 from oracles import (
     characteristic_by_block_recursion,
+    inversion_count,
     invert_index_map,
+    lift,
+    project,
     recursive_schreier,
     relabeled_swap_maps,
 )
