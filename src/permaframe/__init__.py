@@ -65,10 +65,10 @@ from .schreier import (
 )
 from .spectral import (
     ShapeSpectrum,
-    deflate_and_solve,
     dense_oracle,
     hook_wedge_eigenvectors,
     path_eigenpairs,
+    specht_spectrum,
     verify_dominance_conjecture,
 )
 

@@ -1,14 +1,15 @@
 """Per-shape setup bundles, the in-memory frame cache, and its on-disk form.
 
-Setup is data-independent and split into two phases: the Schreier graphs, and
-eigensolves in a dominance-compatible order.  The analysis and synthesis
-operators get each reduced lifting's column map, over a given set of ranks,
-from one depth-first walk of the swap tree (``FrameCache.iter_lifting_maps``):
-it carries one base-R vertex key per rank (R rows in the shape) from the
-reading-order lifting's, adds each tree edge's key difference on the way down
-and subtracts it on backtrack, and reads vertices from the shape's key ->
-vertex table.  Analysis walks over the signal's nonzeros, synthesis over all
-n! ranks.
+Setup is data-independent and split into two phases: the Schreier graphs,
+and one eigensolve per shape on the span of its standard polytabloids
+(``spectral.specht_spectrum``), which needs no other shape.  The analysis and
+synthesis operators get each reduced lifting's column map, over a given set
+of ranks, from one depth-first walk of the swap tree
+(``FrameCache.iter_lifting_maps``): it carries one base-R vertex key per rank
+(R rows in the shape) from the reading-order lifting's, adds each tree edge's
+key difference on the way down and subtracts it on backtrack, and reads
+vertices from the shape's key -> vertex table.  Analysis walks over the
+signal's nonzeros, synthesis over all n! ranks.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic
@@ -43,7 +44,6 @@ from .combinatorics import (
     hook_dimension,
     multiplicity_constants,
     partitions_of,
-    dominates,
     reduced_representatives,
     unrank_words,
 )
@@ -56,13 +56,7 @@ from .schreier import (
     lifting_keys,
     vertex_table,
 )
-from .spectral import (
-    ShapeSpectrum,
-    check_residuals,
-    deflate_and_solve,
-    eigenvalue_key,
-    hook_fastpath_spectrum,
-)
+from .spectral import ShapeSpectrum, check_residuals, eigenvalue_key, specht_spectrum
 
 ARRAY_MAGIC = b"PFARRAY1"
 ARRAY_VERSION = 1
@@ -71,10 +65,6 @@ MANIFEST_FORMAT = "permaframe-setup-cache"
 MANIFEST_VERSION = 1
 
 FULL_H_MAX_N = 10  # larger n requires an explicit top-k shape count
-
-
-def _is_hook(shape: IntegerPartition) -> bool:
-    return all(p == 1 for p in shape.parts[1:])
 
 
 @dataclass
@@ -126,7 +116,6 @@ class FrameCache:
         *,
         shape_source: str = "custom",
         top_k: int | None = None,
-        hook_fastpath: bool = False,
         report: BuildReport | None = None,
     ) -> None:
         self.n = n
@@ -136,7 +125,6 @@ class FrameCache:
         )
         self.shape_source = shape_source
         self.top_k = top_k
-        self.hook_fastpath = hook_fastpath
         self.report = report or BuildReport()
 
     # -- lookups ---------------------------------------------------------
@@ -244,13 +232,7 @@ def resolve_shape_list(
         if part.n != n:
             raise ValidationError(f"shape {part.parts} does not partition {n}")
         resolved.append(part)
-    # the eigensolver needs every strict dominator, so close the list upward
-    closed = set(resolved)
-    for gamma in list(closed):
-        for nu in partitions_of(n):
-            if dominates(nu, gamma):
-                closed.add(nu)
-    return sorted(closed, key=lambda s: s.parts, reverse=True), "custom"
+    return sorted(set(resolved), key=lambda s: s.parts, reverse=True), "custom"
 
 
 def build_cache(
@@ -258,15 +240,13 @@ def build_cache(
     shapes: str | Sequence[IntegerPartition | Sequence[int]] = "h",
     *,
     top_k: int | None = None,
-    hook_fastpath: bool = False,
     log: Callable[[str], None] | None = None,
 ) -> FrameCache:
     """Run the full data-independent setup for one n.
 
     ``shapes`` is "h" (transpose-reduced list, optionally truncated to
-    ``top_k``), "all", or an explicit list (closed upward under dominance
-    automatically).  Shapes are processed in descending lexicographic order,
-    which refines dominance, so every eigensolve sees its dominators solved.
+    ``top_k``), "all", or an explicit list, built as given.  Each shape is
+    solved on its own Specht module, independently of the others.
     """
     check_dense_n(n)
     shape_list, source = resolve_shape_list(n, shapes, top_k)
@@ -282,13 +262,7 @@ def build_cache(
     emit(f"phase 1 (graphs): {report.phase_seconds['graphs']:.2f}s")
 
     t0 = time.perf_counter()
-    spectra: dict[IntegerPartition, ShapeSpectrum] = {}
-    for shape in shape_list:  # descending lex = dominators first
-        if hook_fastpath and _is_hook(shape):
-            spectra[shape] = hook_fastpath_spectrum(shape, graphs[shape].laplacian)
-        else:
-            doms = {nu: sp for nu, sp in spectra.items() if dominates(nu, shape)}
-            spectra[shape] = deflate_and_solve(shape, graphs[shape].laplacian, doms)
+    spectra = {shape: specht_spectrum(shape, graphs[shape].laplacian) for shape in shape_list}
     report.phase_seconds["spectra"] = time.perf_counter() - t0
     emit(f"phase 2 (eigensolves): {report.phase_seconds['spectra']:.2f}s")
 
@@ -296,14 +270,7 @@ def build_cache(
         shape: SchreierBundle(shape, graphs[shape], spectra[shape])
         for shape in shape_list
     }
-    cache = FrameCache(
-        n,
-        bundles,
-        shape_source=source,
-        top_k=top_k,
-        hook_fastpath=hook_fastpath,
-        report=report,
-    )
+    cache = FrameCache(n, bundles, shape_source=source, top_k=top_k, report=report)
     report.atom_count = cache.atom_count()
     emit(f"{report.atom_count} atoms over {len(shape_list)} shapes")
     return cache
@@ -404,7 +371,6 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
         "shape_source": cache.shape_source,
         "top_k": cache.top_k,
         "full_h": cache.full_h,
-        "hook_fastpath": cache.hook_fastpath,
         "shapes": shape_entries,
     }
     with open(base / MANIFEST_NAME, "w") as fh:
@@ -470,7 +436,6 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
             {bundle.shape: bundle for bundle in bundles},
             shape_source=manifest.get("shape_source", "custom"),
             top_k=manifest.get("top_k"),
-            hook_fastpath=manifest.get("hook_fastpath", False),
         )
     except (OSError, KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         detail = f"{type(exc).__name__}: {exc}"

@@ -51,13 +51,14 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ignored_args(parser: argparse.ArgumentParser) -> None:
-    # every command has one serial execution path; the flags stay so old
-    # scripts still run
+    # every command has one serial execution path and setup one eigensolver;
+    # the flags stay so old scripts still run
     parser.add_argument(
         "--mode", choices=["cached", "streamed", "auto"], default="auto",
         help="accepted and ignored",
     )
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    parser.add_argument("--hook-fastpath", action="store_true", help="accepted and ignored")
 
 
 def _add_common_analysis_args(parser: argparse.ArgumentParser) -> None:
@@ -133,13 +134,7 @@ def cmd_setup(args) -> int:
         print(f"cache at {base} failed verification; rebuilding:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
-    built = cache_mod.build_cache(
-        n,
-        "h",
-        top_k=args.shapes,
-        hook_fastpath=args.hook_fastpath,
-        log=print,
-    )
+    built = cache_mod.build_cache(n, "h", top_k=args.shapes, log=print)
     cache_mod.save_cache(built, args.cache)
     print(f"cache written to {base} ({built.atom_count()} atoms)")
     return EXIT_OK
@@ -289,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_arg(p)
     p.add_argument("--shapes", type=int, default=None, help="keep only the first K shapes")
     _add_ignored_args(p)
-    p.add_argument("--hook-fastpath", action="store_true",
-                   help="use closed-form eigenvectors for hook shapes")
     p.add_argument("--force", action="store_true", help="rebuild even if the cache verifies")
     p.set_defaults(func=cmd_setup)
 

@@ -558,13 +558,6 @@ def kostka(
     return len(found), tuple(found)
 
 
-def tableau_to_set_partition(t: ColumnStrictTableau) -> OrderedSetPartition:
-    """Set partition of shape content(t): element j goes to row r when the jth
-    box of the tableau in reading order contains r."""
-    entries = [v for row in t.rows for v in row]
-    return OrderedSetPartition(tuple(v - 1 for v in entries))
-
-
 # ---------------------------------------------------------------------------
 # subsampled shape lists
 

@@ -18,4 +18,4 @@ class CacheFormatError(PermaframeError, RuntimeError):
 
 
 class NumericalError(PermaframeError, RuntimeError):
-    """A numerical invariant failed (e.g. deflation produced the wrong rank)."""
+    """A numerical invariant failed (e.g. an eigenbasis failed its residual check)."""

@@ -1,18 +1,27 @@
 """Laplacian eigenpairs of the new spectral content of each Schreier graph.
 
-Every Schreier graph's function space splits into one new irreducible piece and
-lifted copies of the pieces belonging to shapes earlier in dominance order.
-The solver lifts the already-computed eigenvectors of those earlier shapes (one
-lift per column-strict tableau), restricts the Laplacian to the orthogonal
-complement of the lifted span, and eigendecomposes that small block.  Closed
-forms are available for the two-row shape with a singleton (a path graph) and,
-behind an optional fast path, for all hook shapes via wedge products.
+Every Schreier graph's function space splits into one new irreducible piece,
+the Specht module of its shape, and copies of the pieces of the shapes that
+dominate it.  Three routes lead to the new piece's eigenpairs:
+
+* closed forms: the shape (n-1, 1) is a path graph in disguise, and every
+  hook shape embeds in a product of path graphs whose antisymmetrized (wedge)
+  eigenvectors restrict to Schreier eigenvectors;
+* polytabloids: the standard polytabloids are a basis of the Specht module,
+  and the Laplacian, which lies in the group algebra, preserves it, so one
+  small symmetric eigensolve on an orthonormal basis of their span gives
+  every shape's eigenpairs independently of the others;
+* reflection: a transposed shape needs no solve, since its spectrum is the
+  mirror image lambda -> 2(n-1) - lambda.
+
+Setup uses the polytabloid route.  The closed forms check it, and the
+reflection stands in for the transposed shapes that setup leaves out.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial, sqrt
 from typing import Iterator, Mapping
 
@@ -22,26 +31,19 @@ import scipy.sparse
 
 from .combinatorics import (
     IntegerPartition,
-    OrderedSetPartition,
     dominates,
-    hook_dimension,
-    kostka,
+    multiplicity_constants,
     partitions_of,
     row_word_matrix,
-    tableau_to_set_partition,
+    standard_ordered_set_partitions,
 )
 from .errors import NumericalError, ResourceLimitError, ValidationError
+from .schreier import key_powers, vertex_table
 
 EIG_CLUSTER_TOL = 1e-8
 EIG_KEY_GRID = 1e-6
 SIGN_TOL = 1e-8
-RANK_TOL = 1e-10
-RANK_WARN_BAND = (1e-8, 1e-4)
 DENSE_ORACLE_MAX = 5040
-
-
-def _dense(mat) -> np.ndarray:
-    return mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
 
 
 def eigenvalue_key(lam: float) -> int:
@@ -151,69 +153,6 @@ def hook_wedge_eigenvectors(
 
 
 # ---------------------------------------------------------------------------
-# lifting between Schreier graphs
-
-
-def lift_map_mask(
-    gamma: IntegerPartition,
-    nu: IntegerPartition,
-    xi: OrderedSetPartition,
-) -> tuple[np.ndarray, int]:
-    """0/1 support of the map carrying functions on the nu-graph into the
-    gamma-graph through the lifting labelled by xi (a set partition of shape
-    gamma built from a column-strict tableau of shape nu).
-
-    Entry (p, q) is nonzero exactly when the pairwise block-intersection
-    pattern of (vertex p of gamma, vertex q of nu) matches that of
-    (xi, reading-order partition of nu); all nonzero entries share one integer
-    value, returned alongside the mask.
-    """
-    if xi.shape != gamma:
-        raise ValidationError("lifting label does not have the target shape")
-    rw_g = np.asarray(row_word_matrix(gamma), dtype=np.int16)
-    rw_n = np.asarray(row_word_matrix(nu), dtype=np.int16)
-    width = len(nu)
-    xi_rw = np.asarray(xi.row_word, dtype=np.int16)
-    pi1_rw = np.zeros(nu.n, dtype=np.int16)
-    pos = 0
-    for row, size in enumerate(nu.parts):
-        pi1_rw[pos : pos + size] = row
-        pos += size
-    target = np.sort(xi_rw * width + pi1_rw)
-    counts = np.bincount(target)
-    value = 1
-    for c in counts:
-        value *= factorial(int(c))
-
-    m_g, m_n = rw_g.shape[0], rw_n.shape[0]
-    mask = np.empty((m_g, m_n), dtype=bool)
-    chunk = max(1, int(4_000_000 // max(1, m_n * nu.n)))
-    for lo in range(0, m_g, chunk):
-        hi = min(m_g, lo + chunk)
-        codes = rw_g[lo:hi, None, :] * width + rw_n[None, :, :]
-        codes.sort(axis=2)
-        mask[lo:hi] = (codes == target[None, None, :]).all(axis=2)
-    return mask, value
-
-
-def lift_between_shapes(
-    nu: IntegerPartition,
-    gamma: IntegerPartition,
-    xi: OrderedSetPartition,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Image on the gamma-graph of a vector from the new piece of the nu-graph;
-    eigenvectors map to eigenvectors with the same eigenvalue, and distinct
-    tableaux give linearly independent images."""
-    if not dominates(nu, gamma):
-        raise ValidationError(
-            f"{nu.parts} must strictly dominate {gamma.parts} for lifting"
-        )
-    mask, value = lift_map_mask(gamma, nu, xi)
-    return value * (mask @ np.asarray(x, dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
 # deterministic bases
 
 
@@ -305,98 +244,57 @@ def check_residuals(spectrum: ShapeSpectrum, laplacian) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the deflation solver
+# the Specht-module solver
 
 
-def deflate_and_solve(
-    shape: IntegerPartition,
-    laplacian,
-    dominator_spectra: Mapping[IntegerPartition, ShapeSpectrum],
-) -> ShapeSpectrum:
+def polytabloid_matrix(shape: IntegerPartition) -> np.ndarray:
+    """(m, d) matrix of the standard polytabloids on the canonical vertex
+    order, one column per standard Young tableau T:
+    e_T = sum over the column group C_T of sgn(pi) {pi T}, with entries +-1.
+
+    The column group, the product of S_l over the column lengths l, is one
+    table: row g holds the row each cell's entry moves to (cells in reading
+    order), so the tabloid {g T} has that row at the cell's element, and its
+    vertex key is the table times the key powers at T's elements.
+    """
+    cells = [(r, c) for r, size in enumerate(shape.parts) for c in range(size)]
+    columns = shape.transpose().parts
+    perms = [np.array(list(permutations(range(length))), dtype=np.intp) for length in columns]
+    picks = np.indices([len(p) for p in perms]).reshape(len(perms), -1)
+    moved = np.empty((picks.shape[1], shape.n), dtype=np.intp)
+    signs = np.ones(picks.shape[1])
+    for c, (perm, pick) in enumerate(zip(perms, picks)):
+        inversions = np.triu(perm[:, :, None] > perm[:, None, :]).sum(axis=(1, 2))
+        moved[:, [i for i, cell in enumerate(cells) if cell[1] == c]] = perm[pick]
+        signs *= (1 - 2 * (inversions % 2))[pick]
+    elements = np.array(
+        [[e - 1 for block in t.blocks for e in block] for t in standard_ordered_set_partitions(shape)]
+    )
+    vertices = vertex_table(shape)[moved @ key_powers(shape)[elements].T]
+    basis = np.zeros((multiplicity_constants(shape).m, len(elements)))
+    basis[vertices, np.arange(len(elements))] = signs[:, None]
+    return basis
+
+
+def specht_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
     """Eigenpairs of the new irreducible piece of one Schreier graph.
 
-    Lifts the eigenvectors of every strictly dominating shape through all of
-    its column-strict tableaux, orthonormalizes the lifted family (its rank
-    must be m - d), and eigendecomposes the Laplacian restricted to the
-    orthogonal complement.
+    That piece is the Specht module, spanned by the standard polytabloids.
+    The Laplacian lies in the group algebra, so it preserves the module: its
+    restriction to an orthonormal basis Q of the polytabloids' span is a
+    d x d symmetric block whose eigenvectors X give the eigenvectors Q X.
     """
-    lap = _dense(laplacian)
-    m = lap.shape[0]
-    d = hook_dimension(shape)
-    doms = [nu for nu in partitions_of(shape.n) if dominates(nu, shape)]
-    missing = [nu for nu in doms if nu not in dominator_spectra]
-    if missing:
-        raise ValidationError(
-            f"missing dominator spectra for {[nu.parts for nu in missing]}"
-        )
-
-    if not doms:
-        # the one-row shape: a single vertex, eigenvalue exactly 0
-        vectors = np.ones((1, 1))
-        return ShapeSpectrum(shape, (0.0,), (0,), (1,), vectors)
-
-    lifted = []
-    for nu in doms:
-        count, tableaux = kostka(shape, nu)
-        if count == 0:
-            raise NumericalError(f"no tableaux for dominator {nu.parts}")
-        basis = dominator_spectra[nu].vectors
-        for tab in tableaux:
-            mask, _value = lift_map_mask(shape, nu, tableau_to_set_partition(tab))
-            lifted.append(mask.astype(np.float64) @ basis)
-    span = np.column_stack(lifted)
-    if span.shape[1] != m - d:
-        raise NumericalError(
-            f"lifted multiplicities for {shape.parts} give {span.shape[1]} columns, "
-            f"expected {m - d}"
-        )
-    u, s, _ = np.linalg.svd(span, full_matrices=True)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    gray = np.count_nonzero(
-        (s > RANK_WARN_BAND[0] * s[0]) & (s < RANK_WARN_BAND[1] * s[0])
-    )
-    if gray:
-        warnings.warn(
-            f"{gray} borderline singular values while deflating {shape.parts}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if rank != m - d:
-        raise NumericalError(
-            f"lifted span for {shape.parts} has rank {rank}, expected {m - d}"
-        )
-    complement = u[:, rank:]
-    block = complement.T @ lap @ complement
-    block = 0.5 * (block + block.T)
-    values, coeffs = scipy.linalg.eigh(block)
-    vectors = complement @ coeffs
-    return _finalize_spectrum(shape, values, vectors, lap)
+    q, r = np.linalg.qr(polytabloid_matrix(shape))
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-8 * diag.max():
+        raise NumericalError(f"standard polytabloids of {shape.parts} lost rank")
+    block = q.T @ (laplacian @ q)
+    values, coeffs = scipy.linalg.eigh(0.5 * (block + block.T))
+    return _finalize_spectrum(shape, values, q @ coeffs, laplacian)
 
 
-def hook_fastpath_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
-    """Assemble the spectrum of a hook shape from closed-form wedge vectors.
-
-    The per-eigenvalue subspaces agree with the deflation route and the
-    canonical basis depends only on the subspace, so both routes emit the same
-    vectors.
-    """
-    parts = shape.parts
-    n = shape.n
-    k = len(parts) - 1
-    if any(p != 1 for p in parts[1:]):
-        raise ValidationError(f"{parts} is not a hook shape")
-    if k == 0:
-        return deflate_and_solve(shape, laplacian, {})
-    from itertools import combinations
-
-    pairs = [
-        hook_wedge_eigenvectors(n, k, subset)
-        for subset in combinations(range(1, n), k)
-    ]
-    values = np.array([lam for lam, _vec in pairs])
-    vectors = np.column_stack([vec for _lam, vec in pairs])
-    lap = _dense(laplacian)
-    return _finalize_spectrum(shape, values, vectors, lap)
+# the benchmark's tracer (perfbench/trace_cli.py) binds this older name
+deflate_and_solve = specht_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +303,7 @@ def hook_fastpath_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
 
 def dense_oracle(laplacian) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition for cross-checks; desk scale only."""
-    lap = _dense(laplacian)
+    lap = laplacian.toarray() if scipy.sparse.issparse(laplacian) else np.asarray(laplacian)
     if lap.shape[0] > DENSE_ORACLE_MAX:
         raise ResourceLimitError(
             f"dense oracle refused for {lap.shape[0]} vertices (> {DENSE_ORACLE_MAX})"

@@ -2,20 +2,34 @@
 checked against; test scale only."""
 
 from math import factorial
+from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from permaframe.combinatorics import (
+    ColumnStrictTableau,
     IntegerPartition,
     OrderedSetPartition,
+    dominates,
     enumerate_ordered_set_partitions,
+    hook_dimension,
+    kostka,
     multiplicity_constants,
+    partitions_of,
     reading_order_partition,
+    row_word_matrix,
     word_table,
 )
-from permaframe.errors import NumericalError, ResourceLimitError
-from permaframe.schreier import MAX_MATERIALIZE_N, CharacteristicMatrix, SchreierGraph
+from permaframe.errors import NumericalError, ResourceLimitError, ValidationError
+from permaframe.schreier import (
+    MAX_MATERIALIZE_N,
+    CharacteristicMatrix,
+    SchreierGraph,
+    build_schreier,
+)
+from permaframe.spectral import ShapeSpectrum, _finalize_spectrum
 
 
 def rank_words(words: np.ndarray) -> np.ndarray:
@@ -178,3 +192,141 @@ def lift(col_of: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Spread a vertex vector over the rankings: the transpose of
     :func:`project` as a linear map."""
     return np.asarray(x, dtype=np.float64)[col_of]
+
+
+# ---------------------------------------------------------------------------
+# the deflation eigensolver: lifting dominators' eigenvectors through Kostka
+# tableaux, then solving on the orthogonal complement of their span
+
+
+def tableau_to_set_partition(t: ColumnStrictTableau) -> OrderedSetPartition:
+    """Set partition of shape content(t): element j goes to row r when the jth
+    box of the tableau in reading order contains r."""
+    entries = [v for row in t.rows for v in row]
+    return OrderedSetPartition(tuple(v - 1 for v in entries))
+
+
+def lift_map_mask(
+    gamma: IntegerPartition,
+    nu: IntegerPartition,
+    xi: OrderedSetPartition,
+) -> tuple[np.ndarray, int]:
+    """0/1 support of the map carrying functions on the nu-graph into the
+    gamma-graph through the lifting labelled by xi (a set partition of shape
+    gamma built from a column-strict tableau of shape nu).
+
+    Entry (p, q) is nonzero exactly when the pairwise block-intersection
+    pattern of (vertex p of gamma, vertex q of nu) matches that of
+    (xi, reading-order partition of nu); all nonzero entries share one integer
+    value, returned alongside the mask.
+    """
+    if xi.shape != gamma:
+        raise ValidationError("lifting label does not have the target shape")
+    rw_g = np.asarray(row_word_matrix(gamma), dtype=np.int16)
+    rw_n = np.asarray(row_word_matrix(nu), dtype=np.int16)
+    width = len(nu)
+    xi_rw = np.asarray(xi.row_word, dtype=np.int16)
+    pi1_rw = np.zeros(nu.n, dtype=np.int16)
+    pos = 0
+    for row, size in enumerate(nu.parts):
+        pi1_rw[pos : pos + size] = row
+        pos += size
+    target = np.sort(xi_rw * width + pi1_rw)
+    counts = np.bincount(target)
+    value = 1
+    for c in counts:
+        value *= factorial(int(c))
+
+    m_g, m_n = rw_g.shape[0], rw_n.shape[0]
+    mask = np.empty((m_g, m_n), dtype=bool)
+    chunk = max(1, int(4_000_000 // max(1, m_n * nu.n)))
+    for lo in range(0, m_g, chunk):
+        hi = min(m_g, lo + chunk)
+        codes = rw_g[lo:hi, None, :] * width + rw_n[None, :, :]
+        codes.sort(axis=2)
+        mask[lo:hi] = (codes == target[None, None, :]).all(axis=2)
+    return mask, value
+
+
+def lift_between_shapes(
+    nu: IntegerPartition,
+    gamma: IntegerPartition,
+    xi: OrderedSetPartition,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Image on the gamma-graph of a vector from the new piece of the nu-graph;
+    eigenvectors map to eigenvectors with the same eigenvalue, and distinct
+    tableaux give linearly independent images."""
+    if not dominates(nu, gamma):
+        raise ValidationError(
+            f"{nu.parts} must strictly dominate {gamma.parts} for lifting"
+        )
+    mask, value = lift_map_mask(gamma, nu, xi)
+    return value * (mask @ np.asarray(x, dtype=np.float64))
+
+
+def deflate_and_solve(
+    shape: IntegerPartition,
+    laplacian,
+    dominator_spectra: Mapping[IntegerPartition, ShapeSpectrum],
+) -> ShapeSpectrum:
+    """Eigenpairs of the new irreducible piece of one Schreier graph.
+
+    Lifts the eigenvectors of every strictly dominating shape through all of
+    its column-strict tableaux, orthonormalizes the lifted family (its rank
+    must be m - d), and eigendecomposes the Laplacian restricted to the
+    orthogonal complement.
+    """
+    lap = laplacian.toarray() if sp.issparse(laplacian) else np.asarray(laplacian)
+    m = lap.shape[0]
+    d = hook_dimension(shape)
+    doms = [nu for nu in partitions_of(shape.n) if dominates(nu, shape)]
+    missing = [nu for nu in doms if nu not in dominator_spectra]
+    if missing:
+        raise ValidationError(
+            f"missing dominator spectra for {[nu.parts for nu in missing]}"
+        )
+
+    if not doms:
+        # the one-row shape: a single vertex, eigenvalue exactly 0
+        vectors = np.ones((1, 1))
+        return ShapeSpectrum(shape, (0.0,), (0,), (1,), vectors)
+
+    lifted = []
+    for nu in doms:
+        count, tableaux = kostka(shape, nu)
+        if count == 0:
+            raise NumericalError(f"no tableaux for dominator {nu.parts}")
+        basis = dominator_spectra[nu].vectors
+        for tab in tableaux:
+            mask, _value = lift_map_mask(shape, nu, tableau_to_set_partition(tab))
+            lifted.append(mask.astype(np.float64) @ basis)
+    span = np.column_stack(lifted)
+    if span.shape[1] != m - d:
+        raise NumericalError(
+            f"lifted multiplicities for {shape.parts} give {span.shape[1]} columns, "
+            f"expected {m - d}"
+        )
+    u, s, _ = np.linalg.svd(span, full_matrices=True)
+    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+    if rank != m - d:
+        raise NumericalError(
+            f"lifted span for {shape.parts} has rank {rank}, expected {m - d}"
+        )
+    complement = u[:, rank:]
+    block = complement.T @ lap @ complement
+    block = 0.5 * (block + block.T)
+    values, coeffs = scipy.linalg.eigh(block)
+    vectors = complement @ coeffs
+    return _finalize_spectrum(shape, values, vectors, lap)
+
+
+def deflation_spectra(shapes) -> dict[IntegerPartition, ShapeSpectrum]:
+    """Deflation spectra of the given shapes and of every shape dominating
+    one of them, solved in descending lexicographic order."""
+    closed = {nu for g in shapes for nu in partitions_of(g.n) if nu == g or dominates(nu, g)}
+    spectra: dict[IntegerPartition, ShapeSpectrum] = {}
+    for g in sorted(closed, key=lambda s: s.parts, reverse=True):
+        doms = {nu: spec for nu, spec in spectra.items() if dominates(nu, g)}
+        spectra[g] = deflate_and_solve(g, build_schreier(g).laplacian, doms)
+    return spectra

@@ -25,6 +25,8 @@ from permaframe.schreier import (
     minimal_paths,
 )
 
+from oracles import deflation_spectra
+
 
 def shape(*parts):
     return IntegerPartition(tuple(parts))
@@ -209,6 +211,38 @@ def test_cache_with_legacy_path_files_loads(tmp_path, rng):
     loaded = load_cache(tmp_path, 5)
     f = Signal.random(5, rng)
     assert analyze(loaded, f).to_csv_text() == analyze(cache, f).to_csv_text()
+
+
+def test_deflation_written_cache_loads(tmp_path, rng):
+    # caches already on disk hold deflation eigenvectors; they load, and their
+    # coefficients agree with the Specht solver's
+    built = build_cache(6, "h")
+    spectra = deflation_spectra(built.shapes)
+    bundles = {
+        g: SchreierBundle(g, bundle.graph, spectra[g]) for g, bundle in built.bundles.items()
+    }
+    base = save_cache(FrameCache(6, bundles, shape_source="h"), tmp_path)
+    manifest = json.loads((base / "manifest.json").read_text())
+    manifest["hook_fastpath"] = False  # as such caches were written
+    (base / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    assert verify_cache(tmp_path, 6) == []
+    loaded = load_cache(tmp_path, 6)
+    f = Signal.random(6, rng)
+    want = analyze(built, f)
+    got = analyze(loaded, f)
+    for (ia, va), (ib, vb) in zip(got.iter_rows(), want.iter_rows(), strict=True):
+        assert ia == ib
+        assert abs(va - vb) <= 1e-12
+
+
+def test_custom_shape_list_is_built_as_given(cache6_all):
+    g = shape(3, 2, 1)
+    cache = build_cache(6, [g])
+    assert cache.shapes == (g,)
+    got, want = cache.bundles[g].spectrum, cache6_all.bundles[g].spectrum
+    assert got.keys == want.keys and got.kappas == want.kappas
+    assert np.abs(np.subtract(got.eigenvalues, want.eigenvalues)).max() <= 1e-12
+    assert np.abs(got.vectors - want.vectors).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -479,15 +513,19 @@ def test_cli_max_eigs_counts(workdir, capsys):
     assert len(out.read_text().splitlines()) == 1 + 15  # min(2, d) * z per shape
 
 
-def test_hook_fastpath_cache_agrees(rng):
-    fast = build_cache(5, "h", hook_fastpath=True)
-    slow = build_cache(5, "h")
-    f = Signal.random(5, rng)
-    a = analyze(fast, f)
-    b = analyze(slow, f)
-    for (ia, va), (ib, vb) in zip(a.iter_rows(), b.iter_rows()):
-        assert ia == ib
-        assert va == pytest.approx(vb, abs=1e-9)
+def test_cli_hook_fastpath_is_accepted_and_ignored(workdir, capsys):
+    cache_dir = workdir / "cache"
+    assert run_cli("setup", "--n", 4, "--cache", cache_dir, "--hook-fastpath") == 0
+    capsys.readouterr()
+    out = workdir / "hook.csv"
+    assert run_cli(
+        "analyze", "--cache", cache_dir, "--ballots", workdir / "votes.txt",
+        "--out", out, "--hook-fastpath",
+    ) == 0
+    manifest = json.loads((cache_dir / "n=4" / "manifest.json").read_text())
+    assert "hook_fastpath" not in manifest
+    assert run_cli("setup", "--n", 4, "--cache", cache_dir, "--hook-fastpath") == 0
+    assert "verified; nothing to do" in capsys.readouterr().out
 
 
 def test_cli_cache_root_env(workdir, capsys, monkeypatch):

@@ -26,12 +26,11 @@ from permaframe.combinatorics import (
     sign,
     sign_vector,
     standard_ordered_set_partitions,
-    tableau_to_set_partition,
     word_table,
 )
 from permaframe.errors import ResourceLimitError, ValidationError
 
-from oracles import inversion_count, rank_words
+from oracles import inversion_count, rank_words, tableau_to_set_partition
 
 
 def P(*w):

@@ -1,27 +1,42 @@
+import json
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from permaframe import spectral
 from permaframe.combinatorics import (
     IntegerPartition,
+    h_shapes,
     hook_dimension,
     kostka,
     partitions_of,
-    tableau_to_set_partition,
 )
+from permaframe.errors import NumericalError
 from permaframe.schreier import build_schreier
 from permaframe.spectral import (
-    deflate_and_solve,
     dense_oracle,
     eigenvalue_key,
-    hook_fastpath_spectrum,
     hook_wedge_eigenvectors,
     key_to_value,
-    lift_between_shapes,
     path_eigenpairs,
+    polytabloid_matrix,
     reflected_key,
     sign_convention,
+    specht_spectrum,
     verify_dominance_conjecture,
 )
+
+from oracles import (
+    deflate_and_solve,
+    deflation_spectra,
+    lift_between_shapes,
+    lift_map_mask,
+    tableau_to_set_partition,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def shape(*parts):
@@ -75,7 +90,63 @@ def test_deflation_reproduces_path_closed_form(cache6_all):
 
 
 # ---------------------------------------------------------------------------
-# the deflation solver
+# the Specht-module solver
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_specht_solver_matches_the_deflation_oracle(n):
+    # every shape through n = 6; at n = 7 the transpose-reduced list, which is
+    # closed upward under dominance, since deflating (2,1,1,1,1,1) and
+    # (1,1,1,1,1,1,1) costs the oracle about 100 s of dense SVD
+    shapes = partitions_of(n) if n < 7 else h_shapes(n)
+    oracle = deflation_spectra(shapes)
+    for g in shapes:
+        got = specht_spectrum(g, build_schreier(g).laplacian)
+        want = oracle[g]
+        assert got.keys == want.keys and got.kappas == want.kappas
+        assert np.abs(np.subtract(got.eigenvalues, want.eigenvalues)).max() <= 1e-12
+        # measured: 2.9e-13 at n = 7
+        assert np.abs(got.vectors - want.vectors).max() <= 1e-11
+
+
+@pytest.mark.parametrize("parts", [(3, 2), (2, 2, 1), (3, 2, 1), (2, 2, 2), (1, 1, 1, 1)])
+def test_polytabloids_span_an_invariant_subspace(parts):
+    # e_T has one +-1 entry per column-group element, and the span is a
+    # d-dimensional Laplacian-invariant subspace
+    g = IntegerPartition(parts)
+    basis = polytabloid_matrix(g)
+    group = np.prod([factorial(c) for c in g.transpose().parts])
+    assert basis.shape == (build_schreier(g).m, hook_dimension(g))
+    assert set(np.unique(basis)) <= {-1.0, 0.0, 1.0}
+    assert np.all(np.count_nonzero(basis, axis=0) == group)
+    assert np.linalg.matrix_rank(basis) == hook_dimension(g)
+    image = build_schreier(g).laplacian @ basis
+    coeffs = np.linalg.lstsq(basis, image, rcond=None)[0]
+    assert np.abs(basis @ coeffs - image).max() < 1e-10
+
+
+def test_specht_solver_refuses_a_rank_deficient_basis(monkeypatch):
+    g = shape(3, 2)
+    deficient = polytabloid_matrix(g)
+    deficient[:, -1] = deficient[:, 0]
+    monkeypatch.setattr(spectral, "polytabloid_matrix", lambda _shape: deficient)
+    with pytest.raises(NumericalError, match="lost rank"):
+        specht_spectrum(g, build_schreier(g).laplacian)
+
+
+def test_full_n9_list_keeps_its_keys():
+    # the keys and multiplicities of every shape of the transpose-reduced
+    # n = 9 list, as the deflation solver found them
+    from permaframe import build_cache
+
+    want = json.loads((DATA / "n9_h_keys.json").read_text())
+    cache = build_cache(9, "h")
+    assert sorted(s.label() for s in cache.shapes) == sorted(want)
+    for g, bundle in cache.bundles.items():
+        spectrum = bundle.spectrum
+        assert sum(spectrum.kappas) == spectrum.d == hook_dimension(g)
+        assert list(spectrum.keys) == want[g.label()]["keys"]
+        assert list(spectrum.kappas) == want[g.label()]["kappas"]
 
 
 def test_two_two_eigenvalues(cache4_all):
@@ -205,7 +276,6 @@ def test_self_lift_is_scalar_multiple_of_identity(cache5_all):
     # the map with shape = content and the reading-order label acts on the new
     # irreducible piece as a scalar
     from permaframe.combinatorics import reading_order_partition
-    from permaframe.spectral import lift_map_mask
 
     g = shape(3, 2)
     mask, value = lift_map_mask(g, g, reading_order_partition(g))
@@ -277,17 +347,6 @@ def test_wedge_span_matches_deflation(n, cache4_all, cache5_all, cache6_all):
             # largest principal angle between the two spans
             angles = np.linalg.svd(wedge.T @ block, compute_uv=False)
             assert np.all(np.abs(angles - 1.0) < 1e-8)
-
-
-@pytest.mark.parametrize("parts", [(6,), (5, 1), (4, 1, 1), (3, 1, 1, 1)])
-def test_hook_fastpath_equals_deflation(parts, cache6_all):
-    g = IntegerPartition(parts)
-    lap = cache6_all.bundles[g].graph.laplacian
-    fast = hook_fastpath_spectrum(g, lap)
-    slow = cache6_all.bundles[g].spectrum
-    assert fast.keys == slow.keys
-    assert fast.kappas == slow.kappas
-    assert np.allclose(fast.vectors, slow.vectors, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
