@@ -20,7 +20,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .combinatorics import Permutation, lex_rank
+import numpy as np
+
+from .combinatorics import Permutation, rank_words
 from .errors import ValidationError
 from .frame import Signal
 
@@ -97,8 +99,10 @@ def serialize_ballots(ballots: BallotFile) -> str:
 def tally(ballots: BallotFile) -> Signal:
     """Vote counts per ranking, indexed by lexicographic rank."""
     signal = Signal.zeros(ballots.n)
-    for ranking, count in ballots.records:
-        signal.values[lex_rank(ranking)] += count
+    words = np.array([r.word for r, _c in ballots.records], dtype=np.int8)
+    counts = np.array([c for _r, c in ballots.records], dtype=np.float64)
+    # unbuffered, in record order: duplicates add up as a per-record loop would
+    np.add.at(signal.values, rank_words(words.reshape(-1, ballots.n)), counts)
     return signal
 
 

@@ -598,6 +598,18 @@ def unrank_words(n: int, ranks: np.ndarray) -> np.ndarray:
     return words
 
 
+def rank_words(words: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks (int64) of permutation words given one per row,
+    the transpose of :func:`unrank_words`' layout; the candidates may be
+    numbered from 0 or from 1."""
+    count, n = words.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    for j in range(n - 1):
+        smaller = (words[:, j + 1 :] < words[:, j : j + 1]).sum(axis=1, dtype=np.int64)
+        ranks += smaller * factorial(n - 1 - j)
+    return ranks
+
+
 @lru_cache(maxsize=2)
 def word_table(n: int) -> np.ndarray:
     """All permutation words of 0-based values, one per row, in lexicographic

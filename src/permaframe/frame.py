@@ -15,8 +15,6 @@ and small-n inspection.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from math import factorial
@@ -158,6 +156,12 @@ class ShapeBlock:
         return out
 
 
+def _csv_field(label: str) -> str:
+    """A shape or partition label as one csv field under minimal quoting:
+    labels hold only digits, '|' and ',', so only a comma calls for quotes."""
+    return f'"{label}"' if "," in label else label
+
+
 @dataclass
 class CoefficientTable:
     """Analysis coefficients grouped by shape, in the canonical report order:
@@ -237,38 +241,41 @@ class CoefficientTable:
         return CoefficientTable(self.n, blocks, provenance)
 
     # -- serialization ----------------------------------------------------
+    # Labels are formatted once per block and lambda/k once per row; each
+    # alpha is the repr of a Python float, which is what csv and json write.
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "lambda", "k", "partition", "alpha"])
-        for atom, alpha in self.iter_rows():
-            writer.writerow(
-                [
-                    atom.shape.label(),
-                    f"{atom.eigenvalue:.6f}",
-                    atom.k,
-                    atom.lifting.label(),
-                    repr(alpha),
-                ]
-            )
-        return buf.getvalue()
-
-    def to_json_obj(self) -> dict:
-        rows = [
-            {
-                "shape": atom.shape.label(),
-                "lambda": round(atom.eigenvalue, 6),
-                "k": atom.k,
-                "partition": atom.lifting.label(),
-                "alpha": alpha,
-            }
-            for atom, alpha in self.iter_rows()
-        ]
-        return {"n": self.n, "provenance": self.provenance, "rows": rows}
+        """One line per atom: shape, lambda, k, partition, alpha; labels
+        quoted by csv's minimal-quoting rule."""
+        lines = ["shape,lambda,k,partition,alpha\n"]
+        for b in self.blocks:
+            shape = _csv_field(b.shape.label())
+            parts = [_csv_field(rep.label()) for rep in reduced_representatives(b.shape)]
+            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
+                head = f"{shape},{key_to_value(key):.6f},{k},"
+                lines.extend(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas))
+        return "".join(lines)
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1)
+        """``{"n", "provenance", "rows"}`` as ``json.dumps(..., indent=1)``
+        lays it out, one object per atom in ``rows``."""
+        header = json.dumps(
+            {"n": self.n, "provenance": self.provenance, "rows": []}, indent=1
+        )
+        rows = []
+        for b in self.blocks:
+            shape = json.dumps(b.shape.label())
+            parts = [json.dumps(rep.label()) for rep in reduced_representatives(b.shape)]
+            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
+                head = (
+                    f'  {{\n   "shape": {shape},\n   "lambda": {round(key_to_value(key), 6)!r},'
+                    f'\n   "k": {k},\n   "partition": '
+                )
+                rows.extend(f'{head}{p},\n   "alpha": {a!r}\n  }}' for p, a in zip(parts, alphas))
+        if not rows:
+            return header
+        # the empty list closes the header: "rows": []\n}
+        return "".join([header[: -len("[]\n}")], "[\n", ",\n".join(rows), "\n ]\n}"])
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +504,6 @@ class EnergyTable:
     rows: list[tuple[IntegerPartition, int, float]]  # (shape, eigen key, energy)
     shape_totals: dict[IntegerPartition, float]
     total: float
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "lambda", "energy"])
-        for shape, key, energy in self.rows:
-            writer.writerow([shape.label(), f"{key_to_value(key):.6f}", repr(energy)])
-        return buf.getvalue()
 
 
 def energy_table(table: CoefficientTable) -> EnergyTable:

@@ -26,7 +26,6 @@ from math import factorial, sqrt
 from typing import Iterator, Mapping
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .combinatorics import (
@@ -288,6 +287,8 @@ def specht_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-8 * diag.max():
         raise NumericalError(f"standard polytabloids of {shape.parts} lost rank")
+    import scipy.linalg  # setup only: analysis processes never load it
+
     block = q.T @ (laplacian @ q)
     values, coeffs = scipy.linalg.eigh(0.5 * (block + block.T))
     return _finalize_spectrum(shape, values, q @ coeffs, laplacian)
@@ -303,6 +304,8 @@ deflate_and_solve = specht_spectrum
 
 def dense_oracle(laplacian) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition for cross-checks; desk scale only."""
+    import scipy.linalg
+
     lap = laplacian.toarray() if scipy.sparse.issparse(laplacian) else np.asarray(laplacian)
     if lap.shape[0] > DENSE_ORACLE_MAX:
         raise ResourceLimitError(

@@ -1,6 +1,9 @@
 """Slow reference constructions that the package's vectorized paths are
 checked against; test scale only."""
 
+import csv
+import io
+import json
 from math import factorial
 from typing import Mapping
 
@@ -18,11 +21,13 @@ from permaframe.combinatorics import (
     kostka,
     multiplicity_constants,
     partitions_of,
+    rank_words,
     reading_order_partition,
     row_word_matrix,
     word_table,
 )
 from permaframe.errors import NumericalError, ResourceLimitError, ValidationError
+from permaframe.frame import CoefficientTable
 from permaframe.schreier import (
     MAX_MATERIALIZE_N,
     CharacteristicMatrix,
@@ -32,18 +37,37 @@ from permaframe.schreier import (
 from permaframe.spectral import ShapeSpectrum, _finalize_spectrum
 
 
-def rank_words(words: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of permutation words (rows), as int64."""
-    words = np.asarray(words)
-    squeeze = words.ndim == 1
-    if squeeze:
-        words = words[None, :]
-    count, n = words.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    for j in range(n - 1):
-        smaller = (words[:, j + 1 :] < words[:, j : j + 1]).sum(axis=1, dtype=np.int64)
-        ranks += smaller * factorial(n - 1 - j)
-    return ranks[0] if squeeze else ranks
+def reference_csv_text(table: CoefficientTable) -> str:
+    """The coefficient table through ``csv.writer``, one row per atom."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["shape", "lambda", "k", "partition", "alpha"])
+    for atom, alpha in table.iter_rows():
+        writer.writerow(
+            [
+                atom.shape.label(),
+                f"{atom.eigenvalue:.6f}",
+                atom.k,
+                atom.lifting.label(),
+                repr(alpha),
+            ]
+        )
+    return buf.getvalue()
+
+
+def reference_json_text(table: CoefficientTable) -> str:
+    """The coefficient table through ``json.dumps``, one object per atom."""
+    rows = [
+        {
+            "shape": atom.shape.label(),
+            "lambda": round(atom.eigenvalue, 6),
+            "k": atom.k,
+            "partition": atom.lifting.label(),
+            "alpha": alpha,
+        }
+        for atom, alpha in table.iter_rows()
+    ]
+    return json.dumps({"n": table.n, "provenance": table.provenance, "rows": rows}, indent=1)
 
 
 def invert_index_map(vec: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from permaframe.ballots import (
     BallotFile,
@@ -74,6 +76,29 @@ def test_tally_is_linear_in_counts():
     a = parse_ballots("n=3\n2 1 3,4\n3 1 2,1\n")
     doubled = BallotFile(3, [(r, 2 * c) for r, c in a.records], "x")
     assert np.array_equal(2 * tally(a).values, tally(doubled).values)
+
+
+@st.composite
+def ballot_files(draw):
+    n = draw(st.integers(1, 7))
+    records = draw(
+        st.lists(
+            st.tuples(st.permutations(range(1, n + 1)), st.integers(0, 10**6)),
+            max_size=40,
+        )
+    )
+    # repeat a prefix so that every nonempty file has duplicate rankings
+    records += records[: (len(records) + 1) // 2]
+    return BallotFile(n, [(Permutation(tuple(w)), c) for w, c in records])
+
+
+@given(ballot_files())
+@example(BallotFile(5, []))
+def test_tally_matches_per_record_accumulation(ballots):
+    expected = np.zeros(factorial(ballots.n))
+    for ranking, count in ballots.records:
+        expected[lex_rank(ranking)] += count
+    assert np.array_equal(tally(ballots).values, expected)
 
 
 def synthetic_full_ballot_file(n: int, total: int) -> BallotFile:

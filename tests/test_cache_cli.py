@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,33 @@ def workdir(tmp_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def test_cli_analyze_does_not_load_scipy_linalg(workdir):
+    # the dense eigensolver is setup's alone; analysis processes skip its import
+    cache_dir = workdir / "cache"
+    assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0
+    argv = [
+        "analyze",
+        "--cache", str(cache_dir),
+        "--ballots", str(workdir / "votes.txt"),
+        "--out", str(workdir / "coeffs.csv"),
+    ]
+    script = (
+        "import sys\n"
+        "from permaframe.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=workdir, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (workdir / "coeffs.csv").read_text().startswith("shape,lambda,k,partition,alpha\n")
 
 
 def test_cli_setup_and_idempotence(workdir, capsys):

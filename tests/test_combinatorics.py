@@ -21,6 +21,7 @@ from permaframe.combinatorics import (
     lex_unrank,
     multiplicity_constants,
     partitions_of,
+    rank_words,
     reading_order_partition,
     reduced_representatives,
     sign,
@@ -30,7 +31,7 @@ from permaframe.combinatorics import (
 )
 from permaframe.errors import ResourceLimitError, ValidationError
 
-from oracles import inversion_count, rank_words, tableau_to_set_partition
+from oracles import inversion_count, tableau_to_set_partition
 
 
 def P(*w):

@@ -41,7 +41,7 @@ from permaframe.schreier import (
 )
 from permaframe.spectral import dense_oracle, eigenvalue_key, key_to_value
 
-from oracles import lift
+from oracles import lift, reference_csv_text, reference_json_text
 
 
 def shape(*parts):
@@ -663,3 +663,36 @@ def test_popularity_weights_reference_values():
     ]
     assert weights[0] == pytest.approx(10.0)
     assert weights[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def assert_serializes_like_reference(table):
+    assert table.to_csv_text() == reference_csv_text(table)
+    assert table.to_json_text() == reference_json_text(table)
+
+
+def test_serialization_matches_reference_writers(cache5_all, rng):
+    f = Signal.random(5, rng)
+    table = analyze(cache5_all, f, dataset='votes "2024" \\ Zürich \u2013 draft')
+    assert_serializes_like_reference(table)
+    assert_serializes_like_reference(table.filter(max_eigs=1))
+    empty = table.filter(shapes=[])
+    assert_serializes_like_reference(empty)
+    assert empty.to_csv_text() == "shape,lambda,k,partition,alpha\n"
+    assert '"rows": []' in empty.to_json_text()
+
+
+def test_serialization_quotes_comma_labels_at_n10():
+    # at n >= 10 partition labels separate elements with commas, so they are
+    # quoted in csv like the multi-part shape labels
+    cache = build_cache(10, [(9, 1), (8, 1, 1)])
+    rng = np.random.default_rng(10)
+    values = np.zeros(factorial(10))
+    values[rng.choice(factorial(10), size=100, replace=False)] = rng.integers(1, 9, size=100)
+    table = analyze(cache, Signal(10, values), dataset="sparse")
+    assert_serializes_like_reference(table)
+    text = table.to_csv_text()
+    assert '\n"8,1,1",' in text and ',"1,2,3,4,5,6,7,8|9|10",' in text
