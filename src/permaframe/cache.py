@@ -17,16 +17,20 @@ header ``PFARRAY1``): the eigenvectors, the one output of setup that cannot be
 rebuilt cheaply, and the vertex row words, which guard against a change of the
 builder's vertex order.  The loader reads only these, so manifests listing
 further files (older caches stored the column map and swap tree) still load.
+``save_cache`` writes a hidden sibling directory and renames it into place.
 
 ``load_cache`` is the one validator: it checks the stored row words against
 graphs built as setup builds them and the stored eigenvectors against those
-graphs' Laplacians; ``verify_cache`` reports what it rejects, and ``setup``
+graphs' Laplacians, applied through their neighbor tables, so loading needs
+numpy alone; ``verify_cache`` reports what it rejects, and ``setup``
 rebuilds such a cache.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
 import time
 from dataclasses import dataclass, field
@@ -329,13 +333,35 @@ def cache_dir(root: str | Path, n: int) -> Path:
 
 
 def save_cache(cache: FrameCache, root: str | Path) -> Path:
+    """Write the cache for ``cache.n`` under ``root``, replacing any cache
+    there.  The files go to a hidden sibling directory first, which is then
+    renamed into place, so an interrupted write leaves either the old cache
+    whole or no cache, never a manifest beside another build's arrays."""
     base = cache_dir(root, cache.n)
-    base.mkdir(parents=True, exist_ok=True)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    fresh = base.with_name(f".{base.name}.{os.getpid()}.new")
+    stale = base.with_name(f".{base.name}.{os.getpid()}.old")
+    for leftover in (fresh, stale):
+        shutil.rmtree(leftover, ignore_errors=True)
+    try:
+        _write_cache(cache, fresh)
+        if base.exists():
+            os.replace(base, stale)
+        os.replace(fresh, base)
+    except BaseException:
+        shutil.rmtree(fresh, ignore_errors=True)
+        raise
+    shutil.rmtree(stale, ignore_errors=True)
+    return base
+
+
+def _write_cache(cache: FrameCache, base: Path) -> None:
+    base.mkdir()
     shape_entries = []
     for shape in cache.shapes:
         bundle = cache.bundles[shape]
         sdir = base / _shape_dirname(shape)
-        sdir.mkdir(exist_ok=True)
+        sdir.mkdir()
         consts = multiplicity_constants(shape)
         eig = bundle.spectrum
         files = {
@@ -375,7 +401,6 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
     }
     with open(base / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=1)
-    return base
 
 
 def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
@@ -408,7 +433,7 @@ def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
     if [eigenvalue_key(lam) for lam in spectrum.eigenvalues] != list(spectrum.keys):
         raise CacheFormatError(f"{sdir}: eigenvalue keys disagree with the eigenvalues")
     try:
-        check_residuals(spectrum, graph.laplacian)
+        check_residuals(spectrum, graph.apply_laplacian)
     except NumericalError as exc:
         raise CacheFormatError(f"{sdir}: {exc}") from exc
     return SchreierBundle(shape, graph, spectrum)

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .combinatorics import (
     IntegerPartition,
@@ -48,14 +47,17 @@ MAX_MATERIALIZE_N = 8  # dense n! x m matrices are test-scale only
 class SchreierGraph:
     """Quotient graph on the ordered set partitions of one shape.
 
-    ``adjacency`` is symmetric with 0/1 off-diagonal entries and self-loop
-    counts on the diagonal; every vertex satisfies off-diagonal degree plus
-    loop count = n - 1.  The Laplacian ignores the loops.
+    ``neighbors[u, s]`` is the vertex that swapping positions s and s+1 of
+    u's row word reaches, u itself when the swap stays inside one row (a
+    loop), so every vertex has degree n - 1 counting loops.  The Laplacian
+    ignores the loops.  ``adjacency`` and ``laplacian`` are the sparse
+    matrices of setup's eigensolve and import scipy; ``apply_laplacian``
+    needs numpy alone.
     """
 
     shape: IntegerPartition
     row_words: np.ndarray  # (m, n) int8, canonical (lexicographic) order
-    adjacency: sp.csr_matrix  # int32
+    neighbors: np.ndarray  # (m, n - 1) intp
 
     @property
     def n(self) -> int:
@@ -67,13 +69,40 @@ class SchreierGraph:
 
     @property
     def loops(self) -> np.ndarray:
-        return self.adjacency.diagonal()
+        """(m,) int32 loop count per vertex."""
+        return (self.neighbors == np.arange(self.m)[:, None]).sum(axis=1, dtype=np.int32)
 
     @property
-    def laplacian(self) -> sp.csr_matrix:
-        lap = -self.adjacency.astype(np.float64)
-        lap.setdiag((self.n - 1) - self.loops.astype(np.float64))
+    def adjacency(self):
+        """Symmetric CSR matrix (int32) with 0/1 off-diagonal entries and the
+        loop counts on the diagonal."""
+        import scipy.sparse
+
+        loops = self.neighbors == np.arange(self.m)[:, None]
+        u, s = np.nonzero(~loops)
+        rows = np.concatenate([u, np.arange(self.m)])
+        cols = np.concatenate([self.neighbors[u, s], np.arange(self.m)])
+        vals = np.concatenate(
+            [np.ones(len(u), dtype=np.int32), loops.sum(axis=1, dtype=np.int32)]
+        )
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.m, self.m))
+
+    @property
+    def laplacian(self):
+        """The Laplacian as a CSR matrix (float64)."""
+        adjacency = self.adjacency
+        lap = -adjacency.astype(np.float64)
+        lap.setdiag((self.n - 1) - adjacency.diagonal().astype(np.float64))
         return lap.tocsr()
+
+    def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
+        """``laplacian @ x`` for an (m, k) array, as (n-1) x minus the sum of
+        x over each swap's neighbors; a loop's term cancels its share of the
+        degree."""
+        out = (self.n - 1) * x
+        for s in range(self.n - 1):
+            out -= x[self.neighbors[:, s]]
+        return out
 
     def vertices(self) -> tuple[OrderedSetPartition, ...]:
         return enumerate_ordered_set_partitions(self.shape)
@@ -84,7 +113,6 @@ def build_schreier(shape: IntegerPartition) -> SchreierGraph:
     swap of element labels (positions s, s+1 of the row word) maps one to the
     other, and a swap inside one row is a loop.  Each swapped word's vertex is
     one lookup in the key -> vertex table away."""
-    n = shape.n
     m = multiplicity_constants(shape).m
     if m > 2_000_000:
         raise ResourceLimitError(f"shape {shape.parts} has {m} vertices")
@@ -92,22 +120,12 @@ def build_schreier(shape: IntegerPartition) -> SchreierGraph:
     weights = key_powers(shape)
     left = row_words[:, :-1].astype(np.intp)
     right = row_words[:, 1:].astype(np.intp)
-    loops = left == right
     # swapping positions s, s+1 moves the key by (right - left) * (w[s] - w[s+1])
     shift = (right - left) * (weights[:-1] - weights[1:])
-    other = vertex_table(shape)[(row_words.astype(np.intp) @ weights)[:, None] + shift]
-    u, s = np.nonzero(~loops)
-    rows = np.concatenate([u, np.arange(m)])
-    cols = np.concatenate([other[u, s], np.arange(m)])
-    vals = np.concatenate(
-        [np.ones(len(u), dtype=np.int32), loops.sum(axis=1, dtype=np.int32)]
-    )
-    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    if not np.all(degrees == n - 1):
+    neighbors = vertex_table(shape)[(row_words.astype(np.intp) @ weights)[:, None] + shift]
+    if np.any(neighbors < 0):
         raise NumericalError(f"graph for {shape.parts} is not (n-1)-regular")
-    return SchreierGraph(shape, row_words, adjacency)
+    return SchreierGraph(shape, row_words, neighbors)
 
 
 # the benchmark's tracer (perfbench/trace_cli.py) binds this older name

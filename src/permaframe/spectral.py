@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, sqrt
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .combinatorics import (
     IntegerPartition,
@@ -223,21 +222,30 @@ def _finalize_spectrum(
             f"distinct eigenvalue clusters of {shape.parts} collide on the key grid"
         )
     vectors = np.column_stack(blocks) if blocks else np.zeros((raw_vectors.shape[0], 0))
+    del blocks, raw_vectors  # before the residual check's (m, d) temporaries
     spectrum = ShapeSpectrum(shape, tuple(eigenvalues), tuple(keys), tuple(kappas), vectors)
-    check_residuals(spectrum, laplacian)
+    check_residuals(spectrum, lambda x: laplacian @ x)
     return spectrum
 
 
-def check_residuals(spectrum: ShapeSpectrum, laplacian) -> None:
-    """Raise ``NumericalError`` unless every stored block is an eigenspace of
-    ``laplacian`` at its eigenvalue and the columns are orthonormal."""
-    for lam, _key, block in spectrum.blocks():
-        residual = np.linalg.norm(laplacian @ block - lam * block, axis=0).max()
-        if residual > 1e-8 * (1.0 + lam):
-            raise NumericalError(
-                f"eigencheck failed for {spectrum.shape.parts} at {lam}: {residual:.2e}"
-            )
-    gram = spectrum.vectors.T @ spectrum.vectors
+def check_residuals(
+    spectrum: ShapeSpectrum, apply_laplacian: Callable[[np.ndarray], np.ndarray]
+) -> None:
+    """Raise ``NumericalError`` unless every stored column is an eigenvector
+    of the Laplacian, which ``apply_laplacian`` applies to an (m, k) array, at
+    its eigenvalue and the columns are orthonormal."""
+    lams = np.repeat(spectrum.eigenvalues, spectrum.kappas)
+    vectors = spectrum.vectors
+    errors = apply_laplacian(vectors)
+    errors -= vectors * lams
+    residuals = np.linalg.norm(errors, axis=0)
+    bad = np.flatnonzero(residuals > 1e-8 * (1.0 + lams))
+    if len(bad):
+        raise NumericalError(
+            f"eigencheck failed for {spectrum.shape.parts} at {lams[bad[0]]}: "
+            f"{residuals[bad[0]]:.2e}"
+        )
+    gram = vectors.T @ vectors
     if np.abs(gram - np.eye(spectrum.d)).max() > 1e-10:
         raise NumericalError(f"eigenbasis of {spectrum.shape.parts} not orthonormal")
 
@@ -305,6 +313,7 @@ deflate_and_solve = specht_spectrum
 def dense_oracle(laplacian) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition for cross-checks; desk scale only."""
     import scipy.linalg
+    import scipy.sparse
 
     lap = laplacian.toarray() if scipy.sparse.issparse(laplacian) else np.asarray(laplacian)
     if lap.shape[0] > DENSE_ORACLE_MAX:

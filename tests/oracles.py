@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from permaframe.combinatorics import (
     ColumnStrictTableau,
+    Permutation,
     IntegerPartition,
     OrderedSetPartition,
     dominates,
@@ -26,15 +27,71 @@ from permaframe.combinatorics import (
     row_word_matrix,
     word_table,
 )
+from permaframe.ballots import BallotFile, word_dtype
 from permaframe.errors import NumericalError, ResourceLimitError, ValidationError
 from permaframe.frame import CoefficientTable
 from permaframe.schreier import (
     MAX_MATERIALIZE_N,
     CharacteristicMatrix,
-    SchreierGraph,
     build_schreier,
 )
 from permaframe.spectral import ShapeSpectrum, _finalize_spectrum
+
+
+def reference_parse_ballots(text: str) -> tuple[int, list[tuple[Permutation, int]]]:
+    """(n, records) of a ballot file parsed line by line, one ``Permutation``
+    and one Python int per record, raising at the first bad line."""
+    n: int | None = None
+    records: list[tuple[Permutation, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            if not line.startswith("n="):
+                raise ValidationError(f"line {lineno}: expected header 'n=<N>'")
+            try:
+                n = int(line[2:])
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: bad candidate count") from exc
+            if n < 1:
+                raise ValidationError(f"line {lineno}: n must be positive")
+            continue
+        if "," not in line:
+            raise ValidationError(f"line {lineno}: missing ',<count>'")
+        ranking_text, count_text = line.rsplit(",", 1)
+        try:
+            word = tuple(int(tok) for tok in ranking_text.split())
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: bad candidate token") from exc
+        if len(word) != n:
+            raise ValidationError(
+                f"line {lineno}: ranking lists {len(word)} of {n} candidates; "
+                f"only complete rankings are supported"
+            )
+        try:
+            ranking = Permutation(word)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
+        try:
+            count = int(count_text)
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: bad count {count_text!r}") from exc
+        if count < 0:
+            raise ValidationError(f"line {lineno}: negative count {count}")
+        records.append((ranking, count))
+    if n is None:
+        raise ValidationError("empty ballot file (no 'n=<N>' header)")
+    return n, records
+
+
+def ballot_file(
+    n: int, records: list[tuple[Permutation, int]], label: str = "ballots"
+) -> BallotFile:
+    """A ``BallotFile`` holding the given (ranking, count) records."""
+    words = np.array([r.word for r, _c in records], dtype=word_dtype(n)).reshape(-1, n)
+    counts = np.array([c for _r, c in records], dtype=np.int64)
+    return BallotFile(n, words, counts, label)
 
 
 def reference_csv_text(table: CoefficientTable) -> str:
@@ -168,9 +225,10 @@ def _assemble_recursive(comp: tuple[int, ...], n: int):
     return verts, edges, loops
 
 
-def recursive_schreier(shape: IntegerPartition) -> SchreierGraph:
+def recursive_schreier(shape: IntegerPartition) -> tuple[np.ndarray, sp.csr_matrix]:
     """The Schreier graph assembled recursively over the row holding the
-    largest element, then reindexed to canonical order."""
+    largest element, then reindexed to canonical order: (row words, CSR
+    adjacency with the loop counts on the diagonal)."""
     n = shape.n
     m = multiplicity_constants(shape).m
     verts, edges, loops = _assemble_recursive(shape.parts, n)
@@ -196,7 +254,7 @@ def recursive_schreier(shape: IntegerPartition) -> SchreierGraph:
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     if not np.all(degrees == n - 1):
         raise NumericalError(f"graph for {shape.parts} is not (n-1)-regular")
-    return SchreierGraph(shape, row_words, adjacency)
+    return row_words, adjacency
 
 
 def inversion_count(osp: OrderedSetPartition) -> int:

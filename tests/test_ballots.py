@@ -4,7 +4,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from permaframe.ballots import (
@@ -17,6 +17,8 @@ from permaframe.ballots import (
 from permaframe.combinatorics import Permutation, lex_rank
 from permaframe.errors import ResourceLimitError, ValidationError
 from permaframe.frame import Signal
+
+from oracles import ballot_file, reference_parse_ballots
 
 
 def test_parse_minimal_file():
@@ -74,7 +76,7 @@ def test_tally_empty_and_delta():
 
 def test_tally_is_linear_in_counts():
     a = parse_ballots("n=3\n2 1 3,4\n3 1 2,1\n")
-    doubled = BallotFile(3, [(r, 2 * c) for r, c in a.records], "x")
+    doubled = BallotFile(3, a.words, 2 * a.counts, "x")
     assert np.array_equal(2 * tally(a).values, tally(doubled).values)
 
 
@@ -89,11 +91,11 @@ def ballot_files(draw):
     )
     # repeat a prefix so that every nonempty file has duplicate rankings
     records += records[: (len(records) + 1) // 2]
-    return BallotFile(n, [(Permutation(tuple(w)), c) for w, c in records])
+    return ballot_file(n, [(Permutation(tuple(w)), c) for w, c in records])
 
 
 @given(ballot_files())
-@example(BallotFile(5, []))
+@example(ballot_file(5, []))
 def test_tally_matches_per_record_accumulation(ballots):
     expected = np.zeros(factorial(ballots.n))
     for ranking, count in ballots.records:
@@ -108,7 +110,7 @@ def synthetic_full_ballot_file(n: int, total: int) -> BallotFile:
     records = [
         (r, base + (1 if i < extra else 0)) for i, r in enumerate(rankings)
     ]
-    return BallotFile(n, records, f"synthetic-{total}")
+    return ballot_file(n, records, f"synthetic-{total}")
 
 
 def test_apa_sized_file_accepted():
@@ -148,3 +150,142 @@ def test_dense_signals_refused_before_allocating():
     ballots = parse_ballots("n=13\n" + " ".join(map(str, range(1, 14))) + ",1\n")
     with pytest.raises(ResourceLimitError):
         tally(ballots)
+
+
+# ---------------------------------------------------------------------------
+# the array parser against the line-by-line reference
+
+
+@st.composite
+def ballot_lines(draw):
+    """(n, lines, record_at): the lines of a valid ballot file, where a record
+    is [lead, candidate tokens, gap, comma pad, count, tail] and every other
+    line a string (header, comment or blank), and the records' indices."""
+    n = draw(st.integers(1, 12))
+    words = draw(st.lists(st.permutations([str(c) for c in range(1, n + 1)]), max_size=25))
+    words += words[: (len(words) + 1) // 2]  # duplicate rankings
+    counts = st.one_of(st.integers(0, 10**6), st.integers(2**62, 2**70))
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    records = [
+        [draw(pad), list(word), draw(st.sampled_from([" ", "  ", "\t", " \t"])),
+         draw(pad), str(draw(counts)), draw(st.sampled_from(["", " ", "  # note"]))]
+        for word in words
+    ]
+    filler = st.sampled_from(["", "   ", "# a comment", "\t# 1 2,3"])
+    lines = draw(st.lists(filler, max_size=2)) + [f"n={n}" + draw(st.sampled_from(["", " # head"]))]
+    record_at = []
+    for record in records:
+        lines += draw(st.lists(filler, max_size=1))
+        record_at.append(len(lines))
+        lines.append(record)
+    return n, lines, record_at
+
+
+def render(lines, newline):
+    def text(line):
+        if isinstance(line, str):
+            return line
+        lead, tokens, gap, comma_pad, count, tail = line
+        return f"{lead}{gap.join(tokens)}{comma_pad},{comma_pad}{count}{tail}"
+
+    return newline.join(map(text, lines)) + newline
+
+
+@given(ballot_lines(), st.sampled_from(["\n", "\r\n"]))
+@example((3, ["n=3"], []), "\n")
+def test_parser_matches_the_reference(case, newline):
+    n, lines, _ = case
+    text = render(lines, newline)
+    ballots = parse_ballots(text)
+    ref_n, records = reference_parse_ballots(text)
+    assert ballots.n == ref_n == n
+    assert ballots.words.shape == (len(records), n)
+    assert ballots.words.tolist() == [list(r.word) for r, _c in records]
+    assert ballots.counts.tolist() == [c for _r, c in records]
+    assert ballots.total() == sum(c for _r, c in records)
+    assert ballots.records == records
+
+
+def _corrupt(record, kind):
+    lead, tokens, gap, comma_pad, count, tail = record
+    tokens = list(tokens)
+    if kind == "missing-comma":
+        return f"{lead}{gap.join(tokens)}{comma_pad}{count}{tail}"
+    if kind == "semicolon-for-comma":
+        return f"{lead}{gap.join(tokens)} ; {count}{tail}"
+    if kind == "bad-token":
+        tokens[-1] = "x" + tokens[-1]
+    elif kind == "short-ranking":
+        tokens.pop()
+    elif kind == "repeated-candidate":
+        tokens[0] = tokens[-1] if len(tokens) > 1 else "2"
+    elif kind == "bad-count":
+        count = count + ".5"
+    elif kind == "negative-count":
+        count = "-" + count
+    return [lead, tokens, gap, comma_pad, count, tail]
+
+
+ERROR_KINDS = [
+    "missing-comma",
+    "semicolon-for-comma",
+    "bad-token",
+    "short-ranking",
+    "repeated-candidate",
+    "bad-count",
+    "negative-count",
+]
+
+
+@given(ballot_lines(), st.sampled_from(["\n", "\r\n"]), st.data())
+def test_parse_errors_match_the_reference(case, newline, data):
+    n, lines, record_at = case
+    assume(record_at)
+    # one or two bad lines, each of any kind; the first one is reported
+    for at in data.draw(st.lists(st.sampled_from(record_at), min_size=1, max_size=2, unique=True)):
+        kind = data.draw(st.sampled_from(ERROR_KINDS))
+        if kind == "negative-count" and lines[at][4] == "0":
+            kind = "bad-count"  # "-0" is a valid count
+        lines[at] = _corrupt(lines[at], kind)
+    text = render(lines, newline)
+    with pytest.raises(ValidationError) as got:
+        parse_ballots(text)
+    with pytest.raises(ValidationError) as want:
+        reference_parse_ballots(text)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("line ")
+
+
+@pytest.mark.parametrize("kind", ERROR_KINDS)
+def test_each_error_kind_names_its_line(kind):
+    lines = ["n=3", "# votes", ["", ["1", "2", "3"], " ", "", "4", ""]]
+    lines.append(_corrupt(["", ["2", "1", "3"], " ", "", "2", ""], kind))
+    text = render(lines, "\n")
+    with pytest.raises(ValidationError, match="^line 4: ") as got:
+        parse_ballots(text)
+    with pytest.raises(ValidationError) as want:
+        reference_parse_ballots(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_counts_beyond_int64_stay_exact():
+    big = 2**64 + 1  # wraps to 1 in uint64 and does not fit int64
+    ballots = parse_ballots(f"n=3\n1 2 3,{big}\n2 1 3,{2**63 - 1}\n1 2 3,3\n")
+    assert ballots.counts.tolist() == [big, 2**63 - 1, 3]
+    assert ballots.total() == big + 2**63 + 2
+    assert parse_ballots(serialize_ballots(ballots)).counts.tolist() == [big, 2**63 - 1, 3]
+    assert tally(ballots).values[0] == float(big) + 3.0
+    # a sum past int64 of counts that each fit stays exact too
+    assert parse_ballots(f"n=2\n1 2,{2**62}\n2 1,{2**62}\n1 2,{2**62}\n").total() == 3 * 2**62
+
+
+def test_words_hold_every_candidate_count():
+    n = 200
+    word = list(range(n, 0, -1))
+    ballots = parse_ballots(f"n={n}\n" + " ".join(map(str, word)) + ",7\n")
+    assert ballots.words.tolist() == [word]
+    assert ballots.records == [(Permutation(tuple(word)), 7)]
+    # in int8, 356 would wrap to 100 and complete the ranking
+    text = "n=100\n" + " ".join(map(str, range(1, 100))) + " 356,1\n"
+    with pytest.raises(ValidationError, match="^line 2: not a permutation"):
+        parse_ballots(text)

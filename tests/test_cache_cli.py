@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permaframe import build_cache, load_cache, save_cache, verify_cache
+from permaframe import cache as cache_mod
 from permaframe.cache import FrameCache, SchreierBundle, read_array, write_array
 from permaframe.cli import main
 from permaframe.combinatorics import (
@@ -96,6 +97,12 @@ def _swap_row_words(path, m, n):
     write_array(path, words.ravel())
 
 
+def _scale_column(path, d, column, factor):
+    vectors = read_array(path).reshape(-1, d).copy()
+    vectors[:, column] *= factor
+    write_array(path, vectors.ravel())
+
+
 def _edit_shape_entry(manifest_path, edit):
     manifest = json.loads(manifest_path.read_text())
     edit(manifest["shapes"][1])  # s3-1
@@ -159,6 +166,12 @@ def _truncate(path, nbytes):
             id="eigvecs-drift",
         ),
         pytest.param(
+            # still an eigenvector, with a norm 1e-7 off: the gram must see it
+            lambda base: _scale_column(base / "s3-1/eigvecs.pfa", 3, 1, 1 + 1e-7),
+            "not orthonormal",
+            id="eigvec-column-scaled",
+        ),
+        pytest.param(
             lambda base: _truncate(base / "s2-2/eigvecs.pfa", 24 + 8),
             "truncated",
             id="truncated-eigvecs",
@@ -184,6 +197,53 @@ def test_corrupt_cache_is_rejected(tmp_path, capsys, corrupt, match):
     assert "nothing to do" not in capsys.readouterr().out
     assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
     assert "verified; nothing to do" in capsys.readouterr().out
+
+
+def _file_bytes(base):
+    return {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+
+
+class Interrupted(BaseException):
+    """Stands in for a kill during a cache write."""
+
+
+@pytest.mark.parametrize("before", ["no-cache", "corrupt-cache"])
+def test_interrupted_write_leaves_no_mixed_cache(tmp_path, capsys, monkeypatch, before):
+    votes = tmp_path / "votes.txt"
+    votes.write_text("n=4\n1 2 3 4,5\n2 1 4 3,2\n")
+    analyze = ["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]
+    base = tmp_path / "n=4"
+    old_files = {}
+    if before == "corrupt-cache":
+        save_cache(build_cache(4, "h"), tmp_path)
+        # s3-1's eigenvectors come third, so a rebuild that wrote in place
+        # would mend them before the interruption
+        _set_values(base / "s3-1/eigvecs.pfa", {5: 1.5})
+        old_files = _file_bytes(base)
+    writes = []
+    write_array = cache_mod.write_array
+
+    def write_then_stop(path, arr):
+        writes.append(path)
+        if len(writes) == 5:
+            raise Interrupted
+        write_array(path, arr)
+
+    monkeypatch.setattr(cache_mod, "write_array", write_then_stop)
+    with pytest.raises(Interrupted):
+        main(["setup", "--n", "4", "--cache", str(tmp_path)])
+    monkeypatch.undo()
+    # the old cache, if any, is left whole and nothing else is
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["votes.txt"] + (["n=4"] if old_files else [])
+    )
+    assert _file_bytes(base) == old_files
+    assert main(analyze) == 2
+    capsys.readouterr()
+    assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
+    assert "cache written" in capsys.readouterr().out
+    assert verify_cache(tmp_path, 4) == []
+    assert main(analyze) == 0
 
 
 def test_cache_with_legacy_path_files_loads(tmp_path, rng):
@@ -331,31 +391,52 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def test_cli_analyze_does_not_load_scipy_linalg(workdir):
-    # the dense eigensolver is setup's alone; analysis processes skip its import
-    cache_dir = workdir / "cache"
-    assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0
-    argv = [
-        "analyze",
-        "--cache", str(cache_dir),
-        "--ballots", str(workdir / "votes.txt"),
-        "--out", str(workdir / "coeffs.csv"),
-    ]
+@pytest.fixture(scope="module")
+def verified_cache(tmp_path_factory):
+    root = tmp_path_factory.mktemp("verified")
+    (root / "votes.txt").write_text("n=4\n1 2 3 4,40\n2 1 3 4,25\n4 3 2 1,3\n")
+    assert run_cli("setup", "--n", 4, "--cache", root / "cache") == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--out", "coeffs.csv"],
+        ["analyze", "--format", "json", "--out", "coeffs.json"],
+        ["energy", "--out", "energy.csv"],
+        ["top", "--out", "top.csv"],
+        ["reconstruct"],
+        ["gft", "--out", "gft.csv"],
+        ["project", "--shape", "2,2", "--blocks", "13|24", "--out", "proj.csv"],
+        ["setup", "--n", "4"],
+    ],
+    ids=["analyze", "analyze_json", "energy", "top", "reconstruct", "gft", "project", "setup"],
+)
+def test_cli_commands_do_not_load_scipy(verified_cache, tmp_path, command):
+    # scipy is setup's eigensolver alone: every command that only reads a
+    # verified cache, setup included, runs on numpy
+    argv = [*command, "--cache", str(verified_cache / "cache")]
+    if command[0] != "setup":
+        argv += ["--ballots", str(verified_cache / "votes.txt")]
     script = (
         "import sys\n"
         "from permaframe.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=workdir, env=env,
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-1] == "False"
-    assert (workdir / "coeffs.csv").read_text().startswith("shape,lambda,k,partition,alpha\n")
+    assert proc.stdout.splitlines()[-1] == "[]"
+    if command[0] == "setup":
+        assert "verified; nothing to do" in proc.stdout
+    if "--out" in command:
+        assert (tmp_path / command[command.index("--out") + 1]).stat().st_size > 0
 
 
 def test_cli_setup_and_idempotence(workdir, capsys):

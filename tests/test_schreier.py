@@ -48,10 +48,10 @@ def shape(*parts):
 def test_recursive_matches_direct_edge_rule(n):
     assert build_schreier_direct is build_schreier
     for g in partitions_of(n):
-        rec = recursive_schreier(g)
+        row_words, adjacency = recursive_schreier(g)
         direct = build_schreier(g)
-        assert np.array_equal(rec.row_words, direct.row_words)
-        assert (rec.adjacency != direct.adjacency).nnz == 0
+        assert np.array_equal(row_words, direct.row_words)
+        assert (adjacency != direct.adjacency).nnz == 0
 
 
 def test_graph_3_2_shape():
@@ -82,6 +82,16 @@ def test_laplacian_rows_sum_to_zero_and_psd():
         lap = g.laplacian.toarray()
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.linalg.eigvalsh(lap).min() > -1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_apply_laplacian_matches_the_sparse_laplacian(n):
+    rng = np.random.default_rng(n)
+    for g in partitions_of(n):
+        graph = build_schreier(g)
+        x = rng.standard_normal((graph.m, 3))
+        assert np.abs(graph.apply_laplacian(x) - graph.laplacian @ x).max() <= 1e-13
+        assert np.array_equal(graph.loops, graph.adjacency.diagonal())
 
 
 # ---------------------------------------------------------------------------
