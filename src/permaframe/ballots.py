@@ -34,6 +34,10 @@ from .errors import ValidationError
 from .frame import Signal
 
 
+# the most candidates that an empty words array can have columns for
+MAX_CANDIDATES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
+
 def word_dtype(n: int) -> type:
     """The integer type of ``BallotFile.words`` for n candidates."""
     return np.int8 if n <= np.iinfo(np.int8).max else np.int64
@@ -71,7 +75,7 @@ def parse_ballots(text: str, label: str = "ballots") -> BallotFile:
     body = [lines[i - 1] for i in linenos[1:]]
     try:
         words, counts = _parse_records(body, n)
-    except (ValueError, OverflowError):
+    except ValueError:
         for lineno in linenos[1:]:
             _check_record(lineno, lines[lineno - 1], n)
         raise
@@ -87,12 +91,14 @@ def _parse_header(lineno: int, line: str) -> int:
         raise ValidationError(f"line {lineno}: bad candidate count") from exc
     if n < 1:
         raise ValidationError(f"line {lineno}: n must be positive")
+    if n > MAX_CANDIDATES:
+        raise ValidationError(f"line {lineno}: n={n} is too large")
     return n
 
 
 def _parse_records(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, counts) of the record lines; ``ValueError`` or
-    ``OverflowError`` when any line is malformed.
+    """(words, counts) of the record lines; ``ValueError`` when any line is
+    malformed.
 
     A well-formed line splits into n candidate tokens, a comma and a count.
     With the commas split off as tokens of their own and a ';' token after
@@ -100,16 +106,20 @@ def _parse_records(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     columns are read off by slicing; a malformed line shifts a ',' or ';'
     out of its column or into a number's."""
     width, size = n + 3, len(body)
+    if not size:
+        return np.zeros((0, n), word_dtype(n)), np.zeros(0, np.int64)
     tokens = " ; ".join(body + [""]).replace(",", " , ").split()
-    columns = [tokens[j::width] for j in range(width)]
-    if (
-        len(tokens) != size * width
-        or columns[n].count(",") != size
-        or columns[n + 2].count(";") != size
-    ):
+    # n comes from the header; from here on it is bounded by the text's size
+    if len(tokens) != size * width:
         raise ValueError("a record is not n candidates, a comma and a count")
-    # few distinct tokens: int() parses each once, as the per-line check does
+    columns = [tokens[j::width] for j in range(width)]
+    if columns[n].count(",") != size or columns[n + 2].count(";") != size:
+        raise ValueError("a record is not n candidates, a comma and a count")
+    # few distinct tokens: int() parses each once, as the per-line check does,
+    # and each is range-checked before it is narrowed to the words' dtype
     values = {token: int(token) for token in set(chain.from_iterable(columns[:n]))}
+    if not all(1 <= v <= n for v in values.values()):
+        raise ValueError("a candidate is out of range")
     words = np.fromiter(
         map(values.__getitem__, chain.from_iterable(columns[:n])),
         dtype=word_dtype(n),

@@ -341,8 +341,10 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
     base.parent.mkdir(parents=True, exist_ok=True)
     fresh = base.with_name(f".{base.name}.{os.getpid()}.new")
     stale = base.with_name(f".{base.name}.{os.getpid()}.old")
-    for leftover in (fresh, stale):
-        shutil.rmtree(leftover, ignore_errors=True)
+    # an earlier write killed before it finished leaves its hidden siblings
+    for suffix in ("new", "old"):
+        for leftover in base.parent.glob(f".{base.name}.*.{suffix}"):
+            shutil.rmtree(leftover, ignore_errors=True)
     try:
         _write_cache(cache, fresh)
         if base.exists():
@@ -350,6 +352,8 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
         os.replace(fresh, base)
     except BaseException:
         shutil.rmtree(fresh, ignore_errors=True)
+        if stale.exists() and not base.exists():
+            os.replace(stale, base)
         raise
     shutil.rmtree(stale, ignore_errors=True)
     return base

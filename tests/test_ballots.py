@@ -289,3 +289,32 @@ def test_words_hold_every_candidate_count():
     text = "n=100\n" + " ".join(map(str, range(1, 100))) + " 356,1\n"
     with pytest.raises(ValidationError, match="^line 2: not a permutation"):
         parse_ballots(text)
+
+
+def test_header_n_is_bounded_by_the_text():
+    # the header alone must not size any work: an empty body or a short
+    # record under a huge n is answered without n-length allocations
+    n = 10**9
+    ballots = parse_ballots(f"n={n}\n# no records\n")
+    assert ballots.words.shape == (0, n)
+    assert ballots.counts.shape == (0,)
+    assert ballots.total() == 0
+    text = f"n={n}\n1 2 3,1\n"
+    with pytest.raises(ValidationError, match="^line 2: ranking lists 3 of") as got:
+        parse_ballots(text)
+    with pytest.raises(ValidationError) as want:
+        reference_parse_ballots(text)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValidationError, match="^line 1: n=.* is too large"):
+        parse_ballots(f"n={10**30}\n")
+
+
+@pytest.mark.parametrize("token", ["0", "4", "257", "-253", str(2**64 + 1)])
+def test_out_of_range_candidates_are_refused(token):
+    # checked as Python ints, before any narrowing cast could wrap them
+    text = f"n=3\n1 2 3,1\n{token} 2 3,1\n"
+    with pytest.raises(ValidationError, match="^line 3: ") as got:
+        parse_ballots(text)
+    with pytest.raises(ValidationError) as want:
+        reference_parse_ballots(text)
+    assert str(got.value) == str(want.value)

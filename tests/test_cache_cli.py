@@ -246,6 +246,44 @@ def test_interrupted_write_leaves_no_mixed_cache(tmp_path, capsys, monkeypatch, 
     assert main(analyze) == 0
 
 
+def test_failed_swap_puts_the_old_cache_back(tmp_path, monkeypatch):
+    base = save_cache(build_cache(4, "h"), tmp_path)
+    old_files = _file_bytes(base)
+    replaces = []
+    replace = os.replace
+
+    def replace_then_stop(src, dst):
+        replaces.append((Path(src).name, Path(dst).name))
+        if len(replaces) == 2:  # the new cache moving into place
+            raise Interrupted
+        replace(src, dst)
+
+    monkeypatch.setattr(cache_mod.os, "replace", replace_then_stop)
+    with pytest.raises(Interrupted):
+        save_cache(build_cache(4, "h"), tmp_path)
+    monkeypatch.undo()
+    assert [dst for _, dst in replaces] == [f".n=4.{os.getpid()}.old", "n=4", "n=4"]
+    assert [p.name for p in tmp_path.iterdir()] == ["n=4"]
+    assert _file_bytes(base) == old_files
+
+
+def test_setup_clears_a_killed_write(tmp_path, capsys):
+    # a writer killed between its two renames leaves the old cache hidden
+    # and the new one unmoved, under its own process id
+    votes = tmp_path / "votes.txt"
+    votes.write_text("n=4\n1 2 3 4,5\n")
+    for suffix in ("old", "new"):
+        base = save_cache(build_cache(4, "h"), tmp_path / suffix)
+        base.rename(tmp_path / f".n=4.999999999.{suffix}")
+        (tmp_path / suffix).rmdir()
+    analyze = ["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]
+    assert main(analyze) == 2
+    assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n=4", "votes.txt"]
+    capsys.readouterr()
+    assert main(analyze) == 0
+
+
 def test_cache_with_legacy_path_files_loads(tmp_path, rng):
     # earlier caches also stored the reading-order column map, the swap tree,
     # each lifting's vertex index and its whole swap path; the loader ignores
@@ -598,6 +636,10 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
     wrong_n = tmp_path / "wrong.txt"
     wrong_n.write_text("n=3\n1 2 3,4\n")
     assert run_cli("analyze", "--cache", cache_dir, "--ballots", wrong_n) == 2
+    huge_n = tmp_path / "huge.txt"
+    huge_n.write_text("n=1000000000\n")
+    assert run_cli("analyze", "--cache", cache_dir, "--ballots", huge_n) == 2
+    assert "ballots are for n=1000000000 but the cache is for n=4" in capsys.readouterr().err
     assert (
         run_cli(
             "project", "--cache", cache_dir, "--ballots", workdir / "votes.txt",
