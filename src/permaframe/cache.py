@@ -9,7 +9,8 @@ of ranks, from one depth-first walk of the swap tree
 (R rows in the shape) from the reading-order lifting's, adds each tree edge's
 key difference on the way down and subtracts it on backtrack, and reads
 vertices from the shape's key -> vertex table.  Analysis walks over the
-signal's nonzeros, synthesis over all n! ranks.
+signal's nonzeros; synthesis walks all n! ranks in fixed blocks, one walk per
+block and shape.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic

@@ -337,25 +337,22 @@ def reading_order_partition(gamma: IntegerPartition) -> OrderedSetPartition:
     return OrderedSetPartition(tuple(row_word))
 
 
-def _multiset_words(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct arrangements of the multiset {r with multiplicity counts[r]},
-    in lexicographic order."""
-    total = sum(counts)
-    word: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for r, c in enumerate(counts):
-            if c > 0:
-                counts[r] -= 1
-                word.append(r)
-                yield from rec()
-                word.pop()
-                counts[r] += 1
-
-    yield from rec()
+@lru_cache(maxsize=64)
+def row_word_matrix(gamma: IntegerPartition) -> np.ndarray:
+    """Row words of the canonical enumeration as an (m, n) int8 array: the
+    distinct arrangements of the multiset {r with multiplicity gamma_r} in
+    lexicographic order.  Built one position at a time, extending every
+    prefix, in order, by each row that still has room, in increasing order."""
+    check_exact_n(gamma.n)
+    words = np.zeros((1, 0), dtype=np.int8)
+    room = np.array([gamma.parts], dtype=np.int8)
+    for _ in range(gamma.n):
+        prefix, row = np.nonzero(room)
+        words = np.concatenate([words[prefix], row[:, None].astype(np.int8)], axis=1)
+        room = room[prefix]
+        room[np.arange(len(row)), row] -= 1
+    words.setflags(write=False)
+    return words
 
 
 @lru_cache(maxsize=64)
@@ -363,19 +360,7 @@ def enumerate_ordered_set_partitions(
     gamma: IntegerPartition,
 ) -> tuple[OrderedSetPartition, ...]:
     """All m ordered set partitions of the shape, sorted by row word."""
-    check_exact_n(gamma.n)
-    return tuple(
-        OrderedSetPartition(w) for w in _multiset_words(list(gamma.parts))
-    )
-
-
-@lru_cache(maxsize=64)
-def row_word_matrix(gamma: IntegerPartition) -> np.ndarray:
-    """Row words of the canonical enumeration as an (m, n) int8 array."""
-    osps = enumerate_ordered_set_partitions(gamma)
-    mat = np.array([osp.row_word for osp in osps], dtype=np.int8)
-    mat.setflags(write=False)
-    return mat
+    return tuple(OrderedSetPartition(tuple(w)) for w in row_word_matrix(gamma).tolist())
 
 
 @lru_cache(maxsize=64)
@@ -401,28 +386,21 @@ def act(p: Permutation, osp: OrderedSetPartition) -> OrderedSetPartition:
     return OrderedSetPartition(tuple(row_word))
 
 
-def is_reduced_representative(osp: OrderedSetPartition) -> bool:
-    """True when equal-size blocks appear in order of increasing minimum element,
-    i.e. the row word is lexicographically least in its orbit under permuting
-    equal-size blocks."""
-    blocks = osp.blocks
-    for i in range(len(blocks) - 1):
-        if len(blocks[i]) == len(blocks[i + 1]) and blocks[i][0] > blocks[i + 1][0]:
-            return False
-    return True
-
-
 @lru_cache(maxsize=64)
 def reduced_representatives(gamma: IntegerPartition) -> tuple[OrderedSetPartition, ...]:
-    """One canonical representative per orbit under permuting equal-size blocks.
+    """One canonical representative per orbit under permuting equal-size blocks:
+    the row words whose equal-size blocks appear in order of increasing
+    minimum element, i.e. the least row word of each orbit.
 
     There are exactly z of them; the reading-order partition is first.
     """
-    reps = tuple(
-        osp
-        for osp in enumerate_ordered_set_partitions(gamma)
-        if is_reduced_representative(osp)
-    )
+    words = row_word_matrix(gamma)
+    keep = np.ones(len(words), dtype=bool)
+    for r in range(len(gamma) - 1):
+        if gamma.parts[r] == gamma.parts[r + 1]:
+            # argmax finds the first element of each row
+            keep &= (words == r).argmax(axis=1) < (words == r + 1).argmax(axis=1)
+    reps = tuple(OrderedSetPartition(tuple(w)) for w in words[keep].tolist())
     assert len(reps) == multiplicity_constants(gamma).z
     assert reps[0] == reading_order_partition(gamma)
     return reps
@@ -619,13 +597,21 @@ def word_table(n: int) -> np.ndarray:
     return table
 
 
+def rank_signs(n: int, ranks: np.ndarray) -> np.ndarray:
+    """Permutation signs of the given lexicographic ranks, as int8 in
+    {-1, +1}: the parity of the Lehmer digit sum, (rank // k!) % (k+1)
+    summed over k."""
+    check_dense_n(n)
+    ranks = np.asarray(ranks, dtype=np.int32)  # 12! < 2**31
+    parity = sum(((ranks // factorial(k)) % (k + 1) for k in range(1, n)), np.zeros_like(ranks))
+    return (1 - 2 * (parity % 2)).astype(np.int8)
+
+
 @lru_cache(maxsize=4)
 def sign_vector(n: int) -> np.ndarray:
-    """Permutation signs indexed by lexicographic rank, as int8 in {-1, +1}:
-    the parity of the Lehmer digit sum, (rank // k!) % (k+1) summed over k."""
+    """Permutation signs indexed by lexicographic rank, all n! of them, as a
+    read-only :func:`rank_signs` table."""
     check_dense_n(n)
-    ranks = np.arange(factorial(n), dtype=np.int32)
-    parity = sum(((ranks // factorial(k)) % (k + 1) for k in range(1, n)), np.zeros_like(ranks))
-    signs = (1 - 2 * (parity % 2)).astype(np.int8)
+    signs = rank_signs(n, np.arange(factorial(n)))
     signs.setflags(write=False)
     return signs

@@ -5,7 +5,7 @@ import csv
 import io
 import json
 from math import factorial
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -28,8 +28,9 @@ from permaframe.combinatorics import (
     word_table,
 )
 from permaframe.ballots import BallotFile, word_dtype
+from permaframe.cache import FrameCache
 from permaframe.errors import NumericalError, ResourceLimitError, ValidationError
-from permaframe.frame import CoefficientTable
+from permaframe.frame import CoefficientTable, Signal, sign_flip
 from permaframe.schreier import (
     MAX_MATERIALIZE_N,
     CharacteristicMatrix,
@@ -125,6 +126,69 @@ def reference_json_text(table: CoefficientTable) -> str:
         for atom, alpha in table.iter_rows()
     ]
     return json.dumps({"n": table.n, "provenance": table.provenance, "rows": rows}, indent=1)
+
+
+def _multiset_words(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct arrangements of the multiset {r with multiplicity counts[r]},
+    in lexicographic order."""
+    total = sum(counts)
+    word: list[int] = []
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(word) == total:
+            yield tuple(word)
+            return
+        for r, c in enumerate(counts):
+            if c > 0:
+                counts[r] -= 1
+                word.append(r)
+                yield from rec()
+                word.pop()
+                counts[r] += 1
+
+    yield from rec()
+
+
+def reference_enumeration(gamma: IntegerPartition) -> tuple[OrderedSetPartition, ...]:
+    """Every ordered set partition of the shape as a validated object, in
+    row-word order, by recursion over the multiset of rows."""
+    return tuple(OrderedSetPartition(w) for w in _multiset_words(list(gamma.parts)))
+
+
+def is_reduced_representative(osp: OrderedSetPartition) -> bool:
+    """True when equal-size blocks appear in order of increasing minimum element,
+    i.e. the row word is lexicographically least in its orbit under permuting
+    equal-size blocks."""
+    blocks = osp.blocks
+    for i in range(len(blocks) - 1):
+        if len(blocks[i]) == len(blocks[i + 1]) and blocks[i][0] > blocks[i + 1][0]:
+            return False
+    return True
+
+
+def reference_synthesize(
+    cache: FrameCache,
+    table: CoefficientTable,
+    flipped: CoefficientTable | None = None,
+) -> Signal:
+    """Synthesis as one walk per shape over all n! ranks at once, one
+    accumulator per table, each lifting's weights formed as it is visited."""
+    tables = [table] if flipped is None else [table, flipped]
+    accs = [np.zeros(factorial(cache.n)) for _ in tables]
+    jobs: dict[IntegerPartition, list] = {}
+    for acc, tab in zip(accs, tables):
+        for block in tab.blocks:
+            vectors = cache.bundle(block.shape).spectrum.vectors[:, : block.num_rows]
+            jobs.setdefault(block.shape, []).append((acc, vectors, block))
+    ranks = np.arange(factorial(cache.n))
+    for shape, shape_jobs in jobs.items():
+        for t, col in cache.iter_lifting_maps(shape, ranks):
+            for acc, vectors, block in shape_jobs:
+                w = block.c_bar * (vectors @ block.alphas[:, t])
+                acc += w[col]
+    if flipped is not None:
+        accs[0] += sign_flip(Signal(cache.n, accs[1])).values
+    return Signal(cache.n, accs[0])
 
 
 def invert_index_map(vec: np.ndarray) -> np.ndarray:

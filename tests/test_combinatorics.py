@@ -4,6 +4,8 @@ from math import factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permaframe.combinatorics import (
     ColumnStrictTableau,
@@ -21,9 +23,11 @@ from permaframe.combinatorics import (
     lex_unrank,
     multiplicity_constants,
     partitions_of,
+    rank_signs,
     rank_words,
     reading_order_partition,
     reduced_representatives,
+    row_word_matrix,
     sign,
     sign_vector,
     standard_ordered_set_partitions,
@@ -31,7 +35,12 @@ from permaframe.combinatorics import (
 )
 from permaframe.errors import ResourceLimitError, ValidationError
 
-from oracles import inversion_count, tableau_to_set_partition
+from oracles import (
+    inversion_count,
+    is_reduced_representative,
+    reference_enumeration,
+    tableau_to_set_partition,
+)
 
 
 def P(*w):
@@ -87,6 +96,19 @@ def test_sign_vector_matches_scalar_sign():
     signs = sign_vector(4)
     for idx in range(24):
         assert signs[idx] == sign(lex_unrank(idx, 4))
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, factorial(n) - 1), max_size=30))
+    )
+)
+def test_rank_signs_match_the_sign_table(case):
+    n, ranks = case
+    signs = rank_signs(n, np.array(ranks, dtype=np.int64))
+    assert signs.dtype == np.int8
+    assert np.array_equal(signs, sign_vector(n)[np.array(ranks, dtype=np.int64)])
+    assert signs.tolist() == [sign(lex_unrank(r, n)) for r in ranks]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +194,19 @@ def test_reduced_representatives():
     g = shape(4, 1, 1)
     assert len(reduced_representatives(g)) == 15
     assert reduced_representatives(g)[0] == reading_order_partition(g)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_matches_the_object_reference(n):
+    # every shape through n = 8, the transpose-reduced lists at n = 9 and 10
+    for g in partitions_of(n) if n <= 8 else h_shapes(n):
+        osps = reference_enumeration(g)
+        words = row_word_matrix(g)
+        assert words.dtype == np.int8 and not words.flags.writeable
+        assert np.array_equal(words, np.array([o.row_word for o in osps]).reshape(len(osps), n))
+        if n <= 7:  # the objects are built from the matrix
+            assert enumerate_ordered_set_partitions(g) == osps
+        assert reduced_representatives(g) == tuple(filter(is_reduced_representative, osps))
 
 
 def test_orbit_reconstruction_covers_everything():

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import pytest
 
-from permaframe import build_cache
+from permaframe import build_cache, frame
 from permaframe.combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
@@ -18,6 +19,7 @@ from permaframe.combinatorics import (
 from permaframe.errors import ValidationError
 from permaframe.frame import (
     AtomId,
+    CoefficientTable,
     Signal,
     all_atom_ids,
     analyze,
@@ -41,7 +43,7 @@ from permaframe.schreier import (
 )
 from permaframe.spectral import dense_oracle, eigenvalue_key, key_to_value
 
-from oracles import lift, reference_csv_text, reference_json_text
+from oracles import lift, reference_csv_text, reference_json_text, reference_synthesize
 
 
 def shape(*parts):
@@ -279,6 +281,74 @@ def test_one_walk_sign_trick_matches_separate_passes(cache5_h, rng):
         assert same_blocks(flipped, analyze(cache, sign_flip(f), shapes=conj))
         expected = synthesize(cache, direct).values + sign_flip(synthesize(cache, flipped)).values
         assert np.array_equal(reconstruct(cache, f).values, expected)
+
+
+# 7 divides 7!, so n = 7 takes 1000 for a ragged last block (and 720 blocks
+# of 7 would take seconds per synthesis)
+@pytest.mark.parametrize(
+    "n, block", [(4, 7), (4, 50), (5, 7), (5, 50), (6, 7), (6, 50), (7, 50), (7, 1000)]
+)
+def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
+    # the rank blocks (several, the last ragged) change no bit: every ranking
+    # sums the same terms in the same order as one walk over all n! ranks
+    monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", block)
+    cache = build_cache(n, "h")
+    f = Signal.random(n, rng)
+    direct, flipped = analyze_with_conjugates(cache, f)
+    assert flipped.blocks and len(direct.blocks) > 1
+    top = [b.shape for b in direct.blocks[:2]]
+    cases = [
+        (direct,),
+        (direct, flipped),
+        (direct.filter(shapes=top),),
+        (direct.filter(shapes=top[1:]), flipped),  # some shapes in one table only
+        (direct.filter(max_eigs=2), flipped.filter(max_eigs=1)),
+    ]
+    for tables in cases:
+        got = synthesize(cache, *tables).values
+        assert np.array_equal(got, reference_synthesize(cache, *tables).values)
+    g = cache.shapes[-1]
+    expected = reference_synthesize(cache, analyze(cache, f, shapes=[g]))
+    assert np.array_equal(isotypic_project(cache, f, g).values, expected.values)
+
+
+def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
+    table = analyze(cache4_all, Signal.random(4, rng))
+    b = table.blocks[2]
+    assert b.z > 1
+
+    def with_block(**changes):
+        blocks = list(table.blocks)
+        blocks[2] = dataclasses.replace(b, **changes)
+        return CoefficientTable(4, blocks)
+
+    extra = np.hstack([b.alphas, b.alphas[:, :1]])
+    for alphas in (extra, b.alphas[:, :-1], b.alphas[:-1], b.alphas.ravel()):
+        with pytest.raises(ValidationError, match="alphas"):
+            synthesize(cache4_all, with_block(alphas=alphas))
+        with pytest.raises(ValidationError, match="alphas"):
+            synthesize(cache4_all, table, with_block(alphas=alphas))
+    with pytest.raises(ValidationError, match="frame constant"):
+        synthesize(cache4_all, with_block(c_bar=np.nextafter(b.c_bar, 2.0)))
+
+
+def test_synthesis_allocates_no_rank_table():
+    # n=9 top-5 reconstruction tables: beyond the (n!, 2) accumulator, the
+    # final sign flip and the returned signal (about 9 MB together), the walk
+    # holds one rank block; an (n, n!) intp step table alone would be 26 MB
+    cache = build_cache(9, "h", top_k=5)
+    rng = np.random.default_rng(5)
+    values = np.zeros(factorial(9))
+    values[rng.choice(factorial(9), size=2000, replace=False)] = rng.integers(1, 9, size=2000)
+    direct, flipped = analyze_with_conjugates(cache, Signal(9, values))
+    synthesize(cache, direct, flipped)
+    tracemalloc.start()
+    try:
+        synthesize(cache, direct, flipped)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # ---------------------------------------------------------------------------

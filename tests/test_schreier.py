@@ -227,7 +227,7 @@ def test_path_lengths_equal_inversion_counts(n):
 
 
 def test_paths_stay_in_reduced_set_and_land_on_target():
-    from permaframe.combinatorics import is_reduced_representative
+    from oracles import is_reduced_representative
 
     for parts in [(2, 2), (3, 3), (4, 1, 1), (2, 2, 1)]:
         g = IntegerPartition(parts)
