@@ -9,10 +9,9 @@ projects signals onto the much smaller Schreier quotient graphs for
 inspection.
 """
 
-from .ballots import BallotFile, parse_ballots, read_ballot_file, serialize_ballots, tally
+from .ballots import BallotFile, parse_ballots, read_ballot_file, tally
 from .cache import FrameCache, SchreierBundle, build_cache, load_cache, save_cache, verify_cache
 from .combinatorics import (
-    ColumnStrictTableau,
     IntegerPartition,
     OrderedSetPartition,
     Permutation,
@@ -20,9 +19,7 @@ from .combinatorics import (
     enumerate_ordered_set_partitions,
     h_shapes,
     hook_dimension,
-    kostka,
     lex_rank,
-    lex_unrank,
     multiplicity_constants,
     partitions_of,
     reduced_representatives,
@@ -44,15 +41,12 @@ from .frame import (
     analyze_with_conjugates,
     atom,
     conjugate_energy_rows,
-    conjugate_shape_energy,
     energy_table,
     graph_fourier,
     isotypic_project,
-    mallows_baseline,
     reconstruct,
     schreier_projection,
     sign_flip,
-    standard_basis_check,
     synthesize,
 )
 from .schreier import (
@@ -65,7 +59,6 @@ from .schreier import (
 )
 from .spectral import (
     ShapeSpectrum,
-    dense_oracle,
     hook_wedge_eigenvectors,
     path_eigenpairs,
     specht_spectrum,

@@ -170,15 +170,6 @@ def read_ballot_file(path: str | Path) -> BallotFile:
     return parse_ballots(path.read_text(), label=path.name)
 
 
-def serialize_ballots(ballots: BallotFile) -> str:
-    lines = [f"n={ballots.n}"]
-    lines.extend(
-        " ".join(map(str, word)) + f",{count}"
-        for word, count in zip(ballots.words.tolist(), ballots.counts.tolist())
-    )
-    return "\n".join(lines) + "\n"
-
-
 def tally(ballots: BallotFile) -> Signal:
     """Vote counts per ranking, indexed by lexicographic rank."""
     signal = Signal.zeros(ballots.n)

@@ -43,13 +43,13 @@ import numpy as np
 
 from .combinatorics import (
     IntegerPartition,
-    OrderedSetPartition,
+    block_labels,
     check_dense_n,
     h_shapes,
     hook_dimension,
     multiplicity_constants,
     partitions_of,
-    reduced_representatives,
+    reduced_row_words,
     unrank_words,
 )
 from .errors import CacheFormatError, NumericalError, ValidationError
@@ -100,9 +100,6 @@ class SchreierBundle:
     def c_bar(self) -> float:
         return multiplicity_constants(self.shape).c_bar
 
-    def reduced(self) -> tuple[OrderedSetPartition, ...]:
-        return reduced_representatives(self.shape)
-
 
 @dataclass
 class BuildReport:
@@ -135,8 +132,7 @@ class FrameCache:
     # -- lookups ---------------------------------------------------------
 
     def bundle(self, shape: IntegerPartition | Sequence[int]) -> SchreierBundle:
-        if not isinstance(shape, IntegerPartition):
-            shape = IntegerPartition(tuple(shape))
+        shape = IntegerPartition.of(shape)
         try:
             return self.bundles[shape]
         except KeyError:
@@ -162,15 +158,20 @@ class FrameCache:
     ) -> Iterator[tuple[int, np.ndarray]]:
         """(t, vertex per rank of ``ranks`` under the t-th reduced lifting)
         pairs in depth-first order over the swap tree; every lifting appears
-        exactly once, and each map equals ``characteristic_column_map(shape,
-        reduced_representatives(shape)[t])[ranks]`` as a fresh intp array.
+        exactly once, and each map equals the column map of row t of
+        ``reduced_row_words(shape)`` at ``ranks``, as a fresh intp array.
         Each tree edge costs O(len(ranks)) down and again on backtrack."""
         bundle = self.bundle(shape)
         parent, swap = bfs_tree_arrays(bundle.shape)
-        rows = [rep.row_word for rep in bundle.reduced()]
+        rows = reduced_row_words(bundle.shape)
         children: list[list[int]] = [[] for _ in rows]
         for t in range(1, len(rows)):
             children[int(parent[t])].append(t)
+        # the edge into lifting t swaps positions swap[t] - 1 and swap[t] of
+        # its row word; rise[t] is the row difference across them
+        at = np.arange(len(rows))
+        rise = (rows[at, swap - 1].astype(np.intp) - rows[at, swap]).tolist()
+        swaps = swap.tolist()
         words = unrank_words(self.n, ranks)
         key = lifting_keys(bundle.shape, rows[0], words)
         # steps[c] = w[c] - w[c+1], where w[c] = R**(n-1-position of c): the
@@ -188,9 +189,8 @@ class FrameCache:
         def move(t: int, sign: int) -> None:
             # the edge into lifting t, forward (+1) or back (-1); most edges
             # move one row, and skipping their multiply saves a pass
-            s = int(swap[t])
-            coef = sign * (rows[t][s - 1] - rows[t][s])
-            step = steps[s - 1]
+            coef = sign * rise[t]
+            step = steps[swaps[t] - 1]
             if abs(coef) != 1:
                 step = np.multiply(step, abs(coef), out=delta)
             (np.add if coef > 0 else np.subtract)(key, step, out=key)
@@ -233,7 +233,7 @@ def resolve_shape_list(
         raise ValidationError(f"unknown shape selector {shapes!r}")
     resolved = []
     for s in shapes:
-        part = s if isinstance(s, IntegerPartition) else IntegerPartition(tuple(s))
+        part = IntegerPartition.of(s)
         if part.n != n:
             raise ValidationError(f"shape {part.parts} does not partition {n}")
         resolved.append(part)
@@ -391,7 +391,7 @@ def _write_cache(cache: FrameCache, base: Path) -> None:
                 "eigenvalues": [float(v) for v in eig.eigenvalues],
                 "eigen_keys": list(eig.keys),
                 "kappas": list(eig.kappas),
-                "vertex_labels": [v.label() for v in bundle.graph.vertices()],
+                "vertex_labels": block_labels(bundle.graph.row_words),
                 "files": inventory,
             }
         )

@@ -22,7 +22,7 @@ import numpy as np
 from . import cache as cache_mod
 from . import frame
 from .ballots import load_candidate_names, read_ballot_file, tally
-from .combinatorics import IntegerPartition, OrderedSetPartition, check_dense_n
+from .combinatorics import IntegerPartition, OrderedSetPartition, block_labels, check_dense_n
 from .errors import (
     CacheFormatError,
     PermaframeError,
@@ -187,6 +187,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_top(args) -> int:
+    if args.count < 1:
+        raise ValidationError(f"--count {args.count} must be at least 1")
     cache = _load_cache(args)
     signal, _ = _load_signal(args, cache)
     names = load_candidate_names(args.names) if args.names else None
@@ -258,10 +260,9 @@ def cmd_project(args) -> int:
             f"blocks {args.blocks!r} do not form a partition of shape {shape.parts}"
         )
     values = frame.schreier_projection(cache, signal, shape, lifting)
-    bundle = cache.bundle(shape)
     out = ["vertex,value"]
-    for vertex, value in zip(bundle.graph.vertices(), values):
-        out.append(f'"{vertex.label()}",{float(value)!r}')
+    for label, value in zip(block_labels(cache.bundle(shape).graph.row_words), values):
+        out.append(f'"{label}",{float(value)!r}')
     _write_text(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 

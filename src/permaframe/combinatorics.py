@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: permutations, integer partitions, ordered set
-partitions, dominance order, hook-length dimensions, and Kostka numbers.
+partitions, dominance order and hook-length dimensions.
 
 Conventions used throughout the package:
 
@@ -9,6 +9,9 @@ Conventions used throughout the package:
   ``row_word[j]`` is the 0-based index of the block containing element ``j + 1``.
   The canonical ordering of all ordered set partitions of a shape is
   lexicographic on row words, which puts the reading-order partition first.
+  The transform handles row words as (count, n) int8 matrices, one word per
+  row; ``OrderedSetPartition`` objects are the validated view of one word,
+  built where a lifting is parsed from or printed as text.
 * Integer partitions are nonincreasing tuples of positive parts.
 
 Everything here is exact integer arithmetic; Python's unbounded ints cover the
@@ -84,15 +87,6 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
-def adjacent_transposition(n: int, i: int) -> Permutation:
-    """The transposition (i, i+1) as a permutation of 1..n."""
-    if not 1 <= i <= n - 1:
-        raise ValidationError(f"adjacent transposition index {i} out of range for n={n}")
-    word = list(range(1, n + 1))
-    word[i - 1], word[i] = word[i], word[i - 1]
-    return Permutation(tuple(word))
-
-
 def lex_rank(p: Permutation) -> int:
     """Index of ``p`` in the lexicographic order of words, in [0, n!)."""
     n = p.n
@@ -101,18 +95,6 @@ def lex_rank(p: Permutation) -> int:
         smaller = sum(1 for k in range(j + 1, n) if p.word[k] < p.word[j])
         rank += smaller * factorial(n - 1 - j)
     return rank
-
-
-def lex_unrank(index: int, n: int) -> Permutation:
-    check_exact_n(n)
-    if not 0 <= index < factorial(n):
-        raise ValidationError(f"rank {index} out of range for n={n}")
-    remaining = list(range(1, n + 1))
-    word = []
-    for j in range(n - 1, -1, -1):
-        q, index = divmod(index, factorial(j))
-        word.append(remaining.pop(q))
-    return Permutation(tuple(word))
 
 
 def sign(p: Permutation) -> int:
@@ -250,10 +232,19 @@ def multiplicity_constants(gamma: IntegerPartition) -> MultiplicityConstants:
 # ordered set partitions
 
 
-def _format_block(block: tuple[int, ...], n: int) -> str:
-    if n <= 9:
-        return "".join(str(e) for e in block)
-    return ",".join(str(e) for e in block)
+def block_labels(words: np.ndarray) -> list[str]:
+    """The block label of each row word of one shape, given one per row: the
+    elements (1-based) of each block in increasing order, blocks joined by
+    "|"; elements are digits for n <= 9 and comma-separated from n = 10."""
+    count, n = words.shape
+    if not count:
+        return []
+    # every word of a shape has the same block sizes, so one format string
+    # places the elements that a stable sort groups by block
+    sizes = np.bincount(words[0])
+    fmt = "|".join(("" if n <= 9 else ",").join(["{}"] * size) for size in sizes)
+    elements = np.argsort(words, axis=1, kind="stable") + 1
+    return [fmt.format(*row) for row in elements.tolist()]
 
 
 @dataclass(frozen=True, order=True)
@@ -287,7 +278,7 @@ class OrderedSetPartition:
         return IntegerPartition(tuple(len(b) for b in self.blocks))
 
     def label(self) -> str:
-        return "|".join(_format_block(b, self.n) for b in self.blocks)
+        return block_labels(np.array([self.row_word]))[0]
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]]) -> "OrderedSetPartition":
@@ -364,176 +355,46 @@ def enumerate_ordered_set_partitions(
 
 
 @lru_cache(maxsize=64)
-def _osp_index_map(gamma: IntegerPartition) -> dict[tuple[int, ...], int]:
-    return {
-        osp.row_word: i
-        for i, osp in enumerate(enumerate_ordered_set_partitions(gamma))
-    }
-
-
-def osp_index(osp: OrderedSetPartition) -> int:
-    """Index of an ordered set partition in the canonical order of its shape."""
-    return _osp_index_map(osp.shape)[osp.row_word]
-
-
-def act(p: Permutation, osp: OrderedSetPartition) -> OrderedSetPartition:
-    """Apply a permutation to the elements: j in block i maps to p(j) in block i."""
-    if p.n != osp.n:
-        raise ValidationError("permutation and set partition sizes differ")
-    row_word = [0] * osp.n
-    for j in range(1, osp.n + 1):
-        row_word[p(j) - 1] = osp.row_word[j - 1]
-    return OrderedSetPartition(tuple(row_word))
-
-
-@lru_cache(maxsize=64)
-def reduced_representatives(gamma: IntegerPartition) -> tuple[OrderedSetPartition, ...]:
-    """One canonical representative per orbit under permuting equal-size blocks:
-    the row words whose equal-size blocks appear in order of increasing
-    minimum element, i.e. the least row word of each orbit.
-
-    There are exactly z of them; the reading-order partition is first.
-    """
+def reduced_row_words(gamma: IntegerPartition) -> np.ndarray:
+    """One canonical representative per orbit under permuting equal-size
+    blocks, as a read-only (z, n) int8 matrix: the row words whose equal-size
+    blocks appear in order of increasing minimum element, i.e. the least row
+    word of each orbit, in canonical order.  The reading-order partition's
+    word is first."""
     words = row_word_matrix(gamma)
     keep = np.ones(len(words), dtype=bool)
     for r in range(len(gamma) - 1):
         if gamma.parts[r] == gamma.parts[r + 1]:
             # argmax finds the first element of each row
             keep &= (words == r).argmax(axis=1) < (words == r + 1).argmax(axis=1)
-    reps = tuple(OrderedSetPartition(tuple(w)) for w in words[keep].tolist())
-    assert len(reps) == multiplicity_constants(gamma).z
-    assert reps[0] == reading_order_partition(gamma)
-    return reps
+    reduced = words[keep]
+    reduced.setflags(write=False)
+    assert len(reduced) == multiplicity_constants(gamma).z
+    assert np.array_equal(reduced[0], words[0])
+    return reduced
 
 
-def equal_block_orbit(osp: OrderedSetPartition) -> tuple[OrderedSetPartition, ...]:
-    """All reorderings of the blocks that permute equal-size blocks only."""
-    from itertools import permutations as iperm
-
-    blocks = osp.blocks
-    sizes = [len(b) for b in blocks]
-    # contiguous bands of equal size
-    bands: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(blocks) + 1):
-        if i == len(blocks) or sizes[i] != sizes[start]:
-            bands.append((start, i))
-            start = i
-    orbit: list[OrderedSetPartition] = []
-
-    def rec(i: int, order: list[int]) -> None:
-        if i == len(bands):
-            orbit.append(
-                OrderedSetPartition.from_blocks([blocks[j] for j in order])
-            )
-            return
-        lo, hi = bands[i]
-        for perm in iperm(range(lo, hi)):
-            rec(i + 1, order + list(perm))
-
-    rec(0, [])
-    return tuple(orbit)
+@lru_cache(maxsize=64)
+def reduced_representatives(gamma: IntegerPartition) -> tuple[OrderedSetPartition, ...]:
+    """The rows of :func:`reduced_row_words` as objects."""
+    return tuple(OrderedSetPartition(tuple(w)) for w in reduced_row_words(gamma).tolist())
 
 
-def standard_ordered_set_partitions(
-    gamma: IntegerPartition,
-) -> tuple[OrderedSetPartition, ...]:
-    """Partitions whose sorted blocks also increase down every column.
-
-    These are in bijection with standard Young tableaux, so there are exactly
-    d of them.
-    """
-    out = []
-    for osp in enumerate_ordered_set_partitions(gamma):
-        blocks = osp.blocks
-        ok = True
-        for r in range(1, len(blocks)):
-            for c in range(len(blocks[r])):
-                if blocks[r][c] <= blocks[r - 1][c]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(osp)
-    assert len(out) == hook_dimension(gamma)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# column-strict tableaux and Kostka numbers
-
-
-@dataclass(frozen=True)
-class ColumnStrictTableau:
-    """Filling of `shape` with gamma_r copies of r (1-based), rows weakly
-    increasing and columns strictly increasing."""
-
-    shape: IntegerPartition
-    content: IntegerPartition
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        counts = [0] * (len(self.content) + 1)
-        for r, row in enumerate(self.rows):
-            if len(row) != self.shape.parts[r]:
-                raise ValidationError("tableau rows do not match shape")
-            for c, v in enumerate(row):
-                counts[v] += 1
-                if c > 0 and row[c - 1] > v:
-                    raise ValidationError("row not weakly increasing")
-                if r > 0 and c < len(self.rows[r - 1]) and self.rows[r - 1][c] >= v:
-                    raise ValidationError("column not strictly increasing")
-        if counts[1:] != list(self.content.parts):
-            raise ValidationError("tableau content mismatch")
-
-
-@lru_cache(maxsize=256)
-def kostka(
-    gamma: IntegerPartition, nu: IntegerPartition
-) -> tuple[int, tuple[ColumnStrictTableau, ...]]:
-    """Kostka number K[gamma, nu] with the witnessing column-strict tableaux of
-    shape nu and content gamma.  Zero unless nu weakly dominates gamma."""
-    if gamma.n != nu.n:
-        raise ValidationError("content and shape partition different n")
-    if not weakly_dominates(nu, gamma):
-        return 0, ()
-
-    shape = nu.parts
-    remaining = list(gamma.parts)
-    grid = [[0] * shape[r] for r in range(len(shape))]
-    found: list[ColumnStrictTableau] = []
-
-    def cell_after(r: int, c: int) -> tuple[int, int] | None:
-        if c + 1 < shape[r]:
-            return r, c + 1
-        if r + 1 < len(shape):
-            return r + 1, 0
-        return None
-
-    def rec(r: int, c: int) -> None:
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[r][c] = v
-            nxt = cell_after(r, c)
-            if nxt is None:
-                found.append(
-                    ColumnStrictTableau(nu, gamma, tuple(tuple(row) for row in grid))
-                )
-            else:
-                rec(*nxt)
-            grid[r][c] = 0
-            remaining[v - 1] += 1
-
-    rec(0, 0)
-    return len(found), tuple(found)
+def standard_row_words(gamma: IntegerPartition) -> np.ndarray:
+    """The d row words whose sorted blocks also increase down every column,
+    in canonical order, as a (d, n) int8 matrix.  These are the standard Young
+    tableaux: a word is one exactly when each of its prefixes holds at least
+    as many elements of every row as of the row below it."""
+    words = row_word_matrix(gamma)
+    keep = np.ones(len(words), dtype=bool)
+    above = np.cumsum(words == 0, axis=1, dtype=np.int8)
+    for r in range(1, len(gamma)):
+        below = np.cumsum(words == r, axis=1, dtype=np.int8)
+        keep &= (below <= above).all(axis=1)
+        above = below
+    standard = words[keep]
+    assert len(standard) == hook_dimension(gamma)
+    return standard
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The tight Parseval frame transform: analysis coefficients, synthesis,
-energy decompositions, isotypic projections, graph Fourier transform, the
-transpose-shape sign trick, and the projected-indicator baseline.
+energy decompositions, isotypic projections, graph Fourier transform and the
+transpose-shape sign trick.
 
 Analysis never materializes length-n! atoms or index maps.  Each coefficient
 is computed on the Schreier graph side: accumulate the signal's nonzeros onto
@@ -28,21 +28,19 @@ from .combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
     Permutation,
+    block_labels,
     check_dense_n,
-    enumerate_ordered_set_partitions,
     lex_rank,
     partitions_of,
     rank_signs,
     reduced_representatives,
+    reduced_row_words,
     sign_vector,
-    standard_ordered_set_partitions,
 )
 from .errors import ResourceLimitError, ValidationError
-from .schreier import characteristic_column_map
+from .schreier import MAX_MATERIALIZE_N, characteristic_column_map
 from .spectral import key_to_value, reflected_key
 
-MAX_MATERIALIZE_N = 8
-MAX_MALLOWS_N = 6
 # Synthesis walks the n! ranks in blocks of this many, so that a block's
 # working arrays (decoded words, step table, keys, maps, accumulator rows:
 # about 2.4 MB at n = 9) stay near a core's L2 cache.  Measured on a 2-vCPU
@@ -218,7 +216,7 @@ class CoefficientTable:
         for b in self.blocks:
             if index < b.alphas.size:
                 r, t = divmod(index, b.z)
-                rep = reduced_representatives(b.shape)[t]
+                rep = OrderedSetPartition(tuple(reduced_row_words(b.shape)[t].tolist()))
                 return AtomId(b.shape, int(b.keys[r]), int(b.ks[r]), rep), float(b.alphas[r, t])
             index -= b.alphas.size
         raise IndexError("row index past the end of the table")
@@ -228,6 +226,7 @@ class CoefficientTable:
         shapes: Sequence[IntegerPartition] | None = None,
         max_eigs: int | None = None,
     ) -> "CoefficientTable":
+        _check_max_eigs(max_eigs)
         keep = set(shapes) if shapes is not None else None
         blocks = []
         for b in self.blocks:
@@ -258,7 +257,7 @@ class CoefficientTable:
         lines = ["shape,lambda,k,partition,alpha\n"]
         for b in self.blocks:
             shape = _csv_field(b.shape.label())
-            parts = [_csv_field(rep.label()) for rep in reduced_representatives(b.shape)]
+            parts = [_csv_field(label) for label in block_labels(reduced_row_words(b.shape))]
             for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
                 head = f"{shape},{key_to_value(key):.6f},{k},"
                 lines.extend(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas))
@@ -273,7 +272,7 @@ class CoefficientTable:
         rows = []
         for b in self.blocks:
             shape = json.dumps(b.shape.label())
-            parts = [json.dumps(rep.label()) for rep in reduced_representatives(b.shape)]
+            parts = [json.dumps(label) for label in block_labels(reduced_row_words(b.shape))]
             for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
                 head = (
                     f'  {{\n   "shape": {shape},\n   "lambda": {round(key_to_value(key), 6)!r},'
@@ -297,10 +296,15 @@ def _resolve_shapes(
         return list(cache.shapes)
     out = []
     for s in shapes:
-        part = s if isinstance(s, IntegerPartition) else IntegerPartition(tuple(s))
+        part = IntegerPartition.of(s)
         cache.bundle(part)  # raises when absent
         out.append(part)
     return sorted(set(out), key=lambda s: s.parts, reverse=True)
+
+
+def _check_max_eigs(max_eigs: int | None) -> None:
+    if max_eigs is not None and max_eigs < 1:
+        raise ValidationError(f"max_eigs={max_eigs} must be at least 1")
 
 
 def _check_signal(cache: FrameCache, signal: Signal) -> None:
@@ -373,6 +377,7 @@ def analyze(
     requested eigenvector.  ``max_eigs`` keeps only the first
     min(max_eigs, d) eigenvectors per shape (eigenvalues ascending).
     """
+    _check_max_eigs(max_eigs)
     _check_signal(cache, signal)
     blocks, _ = _analyze_blocks(cache, signal, _resolve_shapes(cache, shapes), max_eigs)
     return _table(cache.n, blocks, dataset, max_eigs)
@@ -517,22 +522,13 @@ def atom(cache: FrameCache, atom_id: AtomId) -> np.ndarray:
             f"no eigenvector with key {atom_id.eigen_key}, k={atom_id.k} "
             f"in shape {atom_id.shape.parts}"
         )
-    if atom_id.lifting not in bundle.reduced():
+    if atom_id.lifting not in reduced_representatives(bundle.shape):
         raise ValidationError(
             f"{atom_id.lifting.label()} is not a reduced lifting of "
             f"{atom_id.shape.parts}"
         )
     v = bundle.spectrum.vectors[:, col]
     return bundle.c_bar * v[characteristic_column_map(atom_id.shape, atom_id.lifting)]
-
-
-def all_atom_ids(cache: FrameCache, shape: IntegerPartition) -> list[AtomId]:
-    bundle = cache.bundle(shape)
-    return [
-        AtomId(shape, key, k, rep)
-        for (_lam, key, k) in bundle.spectrum.eigenvector_rows()
-        for rep in bundle.reduced()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +553,7 @@ def energy_table(table: CoefficientTable) -> EnergyTable:
 
 def isotypic_project(cache: FrameCache, signal: Signal, shape) -> Signal:
     """Orthogonal projection onto one cached symmetry type."""
-    part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
-    return synthesize(cache, analyze(cache, signal, shapes=[part]))
+    return synthesize(cache, analyze(cache, signal, shapes=[IntegerPartition.of(shape)]))
 
 
 def graph_fourier(cache: FrameCache, signal: Signal) -> list[tuple[int, float]]:
@@ -583,78 +578,8 @@ def graph_fourier(cache: FrameCache, signal: Signal) -> list[tuple[int, float]]:
     return [(key, float(np.sqrt(e))) for key, e in sorted(energies.items())]
 
 
-def conjugate_shape_energy(
-    cache: FrameCache, signal: Signal, shape
-) -> list[tuple[int, float]]:
-    """Eigenvalue-resolved energies for a shape recovered through its
-    transpose: analyze the sign-flipped signal on the transposed shape and
-    reflect each eigenvalue across half the spectral range."""
-    part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
-    _check_signal(cache, signal)
-    if part in set(cache.shapes):
-        table = analyze(cache, signal, shapes=[part])
-        return [(key, e) for _shape, key, e in table.energy_rows()]
-    conj = part.transpose()
-    if conj not in set(cache.shapes):
-        raise ValidationError(
-            f"neither {part.parts} nor its transpose {conj.parts} is cached"
-        )
-    _direct, flipped = analyze_with_conjugates(cache, signal, shapes=[conj])
-    return sorted((key, e) for _shape, key, e in conjugate_energy_rows(flipped))
-
-
 # ---------------------------------------------------------------------------
-# baselines and checks
-
-
-def mallows_baseline(
-    cache: FrameCache, signal: Signal, shape
-) -> tuple[tuple[OrderedSetPartition, ...], np.ndarray]:
-    """Inner products of the signal with the projected pair-indicator spanning
-    set of one symmetry type.
-
-    Entry (p, q) is the inner product of the signal's isotypic projection with
-    the indicator of rankings placing the candidate blocks of partition p into
-    the slot blocks of partition q.  Validation feature; the m^2 coefficient
-    count confines it to small n.
-    """
-    part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
-    if cache.n > MAX_MALLOWS_N:
-        raise ResourceLimitError(
-            f"projected-indicator baseline refused for n={cache.n} (> {MAX_MALLOWS_N})"
-        )
-    projected = isotypic_project(cache, signal, part).values
-    osps = enumerate_ordered_set_partitions(part)
-    m = len(osps)
-    coeffs = np.empty((m, m))
-    for p, pi in enumerate(osps):
-        cmap = characteristic_column_map(part, pi)
-        coeffs[p, :] = np.bincount(cmap, weights=projected, minlength=m)
-    return osps, coeffs
-
-
-def standard_basis_check(cache: FrameCache, shape, eigen_key: int, k: int) -> bool:
-    """True when the atoms lifted through the standard ordered set partitions
-    span a space of the full irreducible dimension."""
-    part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
-    if cache.n > MAX_MATERIALIZE_N:
-        raise ResourceLimitError(f"standard basis check refused for n={cache.n}")
-    bundle = cache.bundle(part)
-    col = None
-    for idx, (_lam, key, kk) in enumerate(bundle.spectrum.eigenvector_rows()):
-        if key == eigen_key and kk == k:
-            col = idx
-            break
-    if col is None:
-        raise ValidationError(f"no eigenvector with key {eigen_key}, k={k}")
-    v = bundle.spectrum.vectors[:, col]
-    columns = [
-        v[characteristic_column_map(part, osp)]
-        for osp in standard_ordered_set_partitions(part)
-    ]
-    mat = np.column_stack(columns)
-    rank = np.linalg.matrix_rank(mat, tol=1e-10)
-    return bool(rank == bundle.d)
+# projections onto one graph
 
 
 def schreier_projection(
@@ -663,7 +588,7 @@ def schreier_projection(
     """The signal accumulated onto one Schreier graph through an arbitrary
     lifting (not restricted to the reduced representatives); entry per vertex
     in canonical order."""
-    part = shape if isinstance(shape, IntegerPartition) else IntegerPartition(tuple(shape))
+    part = IntegerPartition.of(shape)
     _check_signal(cache, signal)
     m = cache.bundle(part).m
     cmap = characteristic_column_map(part, lifting)

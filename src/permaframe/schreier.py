@@ -30,6 +30,7 @@ from .combinatorics import (
     multiplicity_constants,
     reading_order_partition,
     reduced_representatives,
+    reduced_row_words,
     unrank_words,
     row_word_matrix,
     word_table,
@@ -240,32 +241,37 @@ def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
     Swapping the elements of an inverted adjacent pair preserves the
     increasing-minimum ordering of equal-size blocks, so the search restricted
     to reduced representatives still finds paths that are minimal in the full
-    graph: each lifting's depth is its inversion count.  Ties break toward the
-    lowest canonical index.
+    graph: each lifting's depth is its inversion count.  Each level visits its
+    liftings in canonical order and their swaps in increasing order, and a
+    lifting's parent is the first that reaches it.
     """
-    n = shape.n
-    reps = reduced_representatives(shape)
-    rep_index = {rep.row_word: t for t, rep in enumerate(reps)}
-    parent = np.full(len(reps), -1, dtype=np.int64)
-    swap = np.zeros(len(reps), dtype=np.int64)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for t in sorted(frontier):
-            rw = reps[t].row_word
-            for s in range(1, n):
-                if rw[s - 1] == rw[s]:
-                    continue
-                u = rep_index.get(rw[: s - 1] + (rw[s], rw[s - 1]) + rw[s + 1 :])
-                if u is None or u in seen:
-                    continue
-                seen.add(u)
-                parent[u] = t
-                swap[u] = s
-                next_frontier.append(u)
+    reps = reduced_row_words(shape)
+    z, n = reps.shape
+    weights = key_powers(shape)
+    keys = reps.astype(np.intp) @ weights  # ascending: the rows are sorted
+    left = reps[:, :-1].astype(np.intp)
+    right = reps[:, 1:].astype(np.intp)
+    # the reduced lifting that swap s + 1 reaches from each one, -1 for none
+    swapped = keys[:, None] + (right - left) * (weights[:-1] - weights[1:])
+    found = np.minimum(np.searchsorted(keys, swapped), z - 1)
+    reach = np.where((keys[found] == swapped) & (left != right), found, -1)
+    parent = np.full(z, -1, dtype=np.int64)
+    swap = np.zeros(z, dtype=np.int64)
+    seen = np.zeros(z, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        # row-major over (lifting, swap): the first edge into a new lifting wins
+        edges = reach[frontier]
+        t, s = np.nonzero(edges >= 0)
+        fresh = ~seen[edges[t, s]]
+        t, s = t[fresh], s[fresh]
+        next_frontier, first = np.unique(edges[t, s], return_index=True)
+        parent[next_frontier] = frontier[t[first]]
+        swap[next_frontier] = s[first] + 1
+        seen[next_frontier] = True
         frontier = next_frontier
-    if len(seen) != len(reps):
+    if not seen.all():
         raise NumericalError(f"reduced representatives not reachable for {shape.parts}")
     parent.setflags(write=False)
     swap.setflags(write=False)

@@ -33,15 +33,14 @@ from .combinatorics import (
     multiplicity_constants,
     partitions_of,
     row_word_matrix,
-    standard_ordered_set_partitions,
+    standard_row_words,
 )
-from .errors import NumericalError, ResourceLimitError, ValidationError
+from .errors import NumericalError, ValidationError
 from .schreier import key_powers, vertex_table
 
 EIG_CLUSTER_TOL = 1e-8
 EIG_KEY_GRID = 1e-6
 SIGN_TOL = 1e-8
-DENSE_ORACLE_MAX = 5040
 
 
 def eigenvalue_key(lam: float) -> int:
@@ -274,9 +273,8 @@ def polytabloid_matrix(shape: IntegerPartition) -> np.ndarray:
         inversions = np.triu(perm[:, :, None] > perm[:, None, :]).sum(axis=(1, 2))
         moved[:, [i for i, cell in enumerate(cells) if cell[1] == c]] = perm[pick]
         signs *= (1 - 2 * (inversions % 2))[pick]
-    elements = np.array(
-        [[e - 1 for block in t.blocks for e in block] for t in standard_ordered_set_partitions(shape)]
-    )
+    # each standard tableau's elements in reading order (0-based)
+    elements = np.argsort(standard_row_words(shape), axis=1, kind="stable")
     vertices = vertex_table(shape)[moved @ key_powers(shape)[elements].T]
     basis = np.zeros((multiplicity_constants(shape).m, len(elements)))
     basis[vertices, np.arange(len(elements))] = signs[:, None]
@@ -307,20 +305,7 @@ deflate_and_solve = specht_spectrum
 
 
 # ---------------------------------------------------------------------------
-# oracles and global checks
-
-
-def dense_oracle(laplacian) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition for cross-checks; desk scale only."""
-    import scipy.linalg
-    import scipy.sparse
-
-    lap = laplacian.toarray() if scipy.sparse.issparse(laplacian) else np.asarray(laplacian)
-    if lap.shape[0] > DENSE_ORACLE_MAX:
-        raise ResourceLimitError(
-            f"dense oracle refused for {lap.shape[0]} vertices (> {DENSE_ORACLE_MAX})"
-        )
-    return scipy.linalg.eigh(0.5 * (lap + lap.T))
+# global checks
 
 
 @dataclass

@@ -4,6 +4,9 @@ checked against; test scale only."""
 import csv
 import io
 import json
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations as iperm
 from math import factorial
 from typing import Iterator, Mapping
 
@@ -12,31 +15,46 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from permaframe.combinatorics import (
-    ColumnStrictTableau,
     Permutation,
     IntegerPartition,
     OrderedSetPartition,
+    check_exact_n,
     dominates,
     enumerate_ordered_set_partitions,
     hook_dimension,
-    kostka,
     multiplicity_constants,
     partitions_of,
     rank_words,
     reading_order_partition,
+    reduced_representatives,
     row_word_matrix,
+    weakly_dominates,
     word_table,
 )
 from permaframe.ballots import BallotFile, word_dtype
 from permaframe.cache import FrameCache
 from permaframe.errors import NumericalError, ResourceLimitError, ValidationError
-from permaframe.frame import CoefficientTable, Signal, sign_flip
+from permaframe.frame import (
+    AtomId,
+    _check_signal,
+    CoefficientTable,
+    Signal,
+    analyze,
+    analyze_with_conjugates,
+    conjugate_energy_rows,
+    isotypic_project,
+    sign_flip,
+)
 from permaframe.schreier import (
     MAX_MATERIALIZE_N,
     CharacteristicMatrix,
     build_schreier,
+    characteristic_column_map,
 )
 from permaframe.spectral import ShapeSpectrum, _finalize_spectrum
+
+MAX_MALLOWS_N = 6
+DENSE_ORACLE_MAX = 5040
 
 
 def reference_parse_ballots(text: str) -> tuple[int, list[tuple[Permutation, int]]]:
@@ -93,6 +111,130 @@ def ballot_file(
     words = np.array([r.word for r, _c in records], dtype=word_dtype(n)).reshape(-1, n)
     counts = np.array([c for _r, c in records], dtype=np.int64)
     return BallotFile(n, words, counts, label)
+
+
+# ---------------------------------------------------------------------------
+# permutations acting on set partitions, one object at a time
+
+
+def adjacent_transposition(n: int, i: int) -> Permutation:
+    """The transposition (i, i+1) as a permutation of 1..n."""
+    if not 1 <= i <= n - 1:
+        raise ValidationError(f"adjacent transposition index {i} out of range for n={n}")
+    word = list(range(1, n + 1))
+    word[i - 1], word[i] = word[i], word[i - 1]
+    return Permutation(tuple(word))
+
+
+def lex_unrank(index: int, n: int) -> Permutation:
+    check_exact_n(n)
+    if not 0 <= index < factorial(n):
+        raise ValidationError(f"rank {index} out of range for n={n}")
+    remaining = list(range(1, n + 1))
+    word = []
+    for j in range(n - 1, -1, -1):
+        q, index = divmod(index, factorial(j))
+        word.append(remaining.pop(q))
+    return Permutation(tuple(word))
+
+
+def act(p: Permutation, osp: OrderedSetPartition) -> OrderedSetPartition:
+    """Apply a permutation to the elements: j in block i maps to p(j) in block i."""
+    if p.n != osp.n:
+        raise ValidationError("permutation and set partition sizes differ")
+    row_word = [0] * osp.n
+    for j in range(1, osp.n + 1):
+        row_word[p(j) - 1] = osp.row_word[j - 1]
+    return OrderedSetPartition(tuple(row_word))
+
+
+def equal_block_orbit(osp: OrderedSetPartition) -> tuple[OrderedSetPartition, ...]:
+    """All reorderings of the blocks that permute equal-size blocks only."""
+    blocks = osp.blocks
+    sizes = [len(b) for b in blocks]
+    # contiguous bands of equal size
+    bands: list[tuple[int, int]] = []
+    start = 0
+    for i in range(1, len(blocks) + 1):
+        if i == len(blocks) or sizes[i] != sizes[start]:
+            bands.append((start, i))
+            start = i
+    orbit: list[OrderedSetPartition] = []
+
+    def rec(i: int, order: list[int]) -> None:
+        if i == len(bands):
+            orbit.append(
+                OrderedSetPartition.from_blocks([blocks[j] for j in order])
+            )
+            return
+        lo, hi = bands[i]
+        for perm in iperm(range(lo, hi)):
+            rec(i + 1, order + list(perm))
+
+    rec(0, [])
+    return tuple(orbit)
+
+
+def standard_ordered_set_partitions(
+    gamma: IntegerPartition,
+) -> tuple[OrderedSetPartition, ...]:
+    """Partitions whose sorted blocks also increase down every column.
+
+    These are in bijection with standard Young tableaux, so there are exactly
+    d of them.
+    """
+    out = []
+    for osp in enumerate_ordered_set_partitions(gamma):
+        blocks = osp.blocks
+        ok = True
+        for r in range(1, len(blocks)):
+            for c in range(len(blocks[r])):
+                if blocks[r][c] <= blocks[r - 1][c]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(osp)
+    assert len(out) == hook_dimension(gamma)
+    return tuple(out)
+
+
+def reference_label(osp: OrderedSetPartition) -> str:
+    """The block label of one set partition, block by block."""
+    sep = "" if osp.n <= 9 else ","
+    return "|".join(sep.join(str(e) for e in block) for block in osp.blocks)
+
+
+def reference_bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
+    """The swap tree's (parent, swap) arrays from a breadth-first search over
+    the reduced representatives as objects: each level in canonical order,
+    each lifting's swaps in increasing order, the first edge into a lifting
+    kept."""
+    n = shape.n
+    reps = reduced_representatives(shape)
+    rep_index = {rep.row_word: t for t, rep in enumerate(reps)}
+    parent = np.full(len(reps), -1, dtype=np.int64)
+    swap = np.zeros(len(reps), dtype=np.int64)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        next_frontier: list[int] = []
+        for t in sorted(frontier):
+            rw = reps[t].row_word
+            for s in range(1, n):
+                if rw[s - 1] == rw[s]:
+                    continue
+                u = rep_index.get(rw[: s - 1] + (rw[s], rw[s - 1]) + rw[s + 1 :])
+                if u is None or u in seen:
+                    continue
+                seen.add(u)
+                parent[u] = t
+                swap[u] = s
+                next_frontier.append(u)
+        frontier = next_frontier
+    assert len(seen) == len(reps)
+    return parent, swap
 
 
 def reference_csv_text(table: CoefficientTable) -> str:
@@ -189,6 +331,108 @@ def reference_synthesize(
     if flipped is not None:
         accs[0] += sign_flip(Signal(cache.n, accs[1])).values
     return Signal(cache.n, accs[0])
+
+
+# ---------------------------------------------------------------------------
+# atoms, baselines and checks built on the transform
+
+
+def all_atom_ids(cache: FrameCache, shape: IntegerPartition) -> list[AtomId]:
+    bundle = cache.bundle(shape)
+    return [
+        AtomId(shape, key, k, rep)
+        for (_lam, key, k) in bundle.spectrum.eigenvector_rows()
+        for rep in reduced_representatives(shape)
+    ]
+
+
+def conjugate_shape_energy(
+    cache: FrameCache, signal: Signal, shape
+) -> list[tuple[int, float]]:
+    """Eigenvalue-resolved energies for a shape recovered through its
+    transpose: analyze the sign-flipped signal on the transposed shape and
+    reflect each eigenvalue across half the spectral range."""
+    part = IntegerPartition.of(shape)
+    _check_signal(cache, signal)
+    if part in set(cache.shapes):
+        table = analyze(cache, signal, shapes=[part])
+        return [(key, e) for _shape, key, e in table.energy_rows()]
+    conj = part.transpose()
+    if conj not in set(cache.shapes):
+        raise ValidationError(
+            f"neither {part.parts} nor its transpose {conj.parts} is cached"
+        )
+    _direct, flipped = analyze_with_conjugates(cache, signal, shapes=[conj])
+    return sorted((key, e) for _shape, key, e in conjugate_energy_rows(flipped))
+
+
+def mallows_baseline(
+    cache: FrameCache, signal: Signal, shape
+) -> tuple[tuple[OrderedSetPartition, ...], np.ndarray]:
+    """Inner products of the signal with the projected pair-indicator spanning
+    set of one symmetry type.
+
+    Entry (p, q) is the inner product of the signal's isotypic projection with
+    the indicator of rankings placing the candidate blocks of partition p into
+    the slot blocks of partition q.  Validation feature; the m^2 coefficient
+    count confines it to small n.
+    """
+    part = IntegerPartition.of(shape)
+    if cache.n > MAX_MALLOWS_N:
+        raise ResourceLimitError(
+            f"projected-indicator baseline refused for n={cache.n} (> {MAX_MALLOWS_N})"
+        )
+    projected = isotypic_project(cache, signal, part).values
+    osps = enumerate_ordered_set_partitions(part)
+    m = len(osps)
+    coeffs = np.empty((m, m))
+    for p, pi in enumerate(osps):
+        cmap = characteristic_column_map(part, pi)
+        coeffs[p, :] = np.bincount(cmap, weights=projected, minlength=m)
+    return osps, coeffs
+
+
+def standard_basis_check(cache: FrameCache, shape, eigen_key: int, k: int) -> bool:
+    """True when the atoms lifted through the standard ordered set partitions
+    span a space of the full irreducible dimension."""
+    part = IntegerPartition.of(shape)
+    if cache.n > MAX_MATERIALIZE_N:
+        raise ResourceLimitError(f"standard basis check refused for n={cache.n}")
+    bundle = cache.bundle(part)
+    col = None
+    for idx, (_lam, key, kk) in enumerate(bundle.spectrum.eigenvector_rows()):
+        if key == eigen_key and kk == k:
+            col = idx
+            break
+    if col is None:
+        raise ValidationError(f"no eigenvector with key {eigen_key}, k={k}")
+    v = bundle.spectrum.vectors[:, col]
+    columns = [
+        v[characteristic_column_map(part, osp)]
+        for osp in standard_ordered_set_partitions(part)
+    ]
+    mat = np.column_stack(columns)
+    rank = np.linalg.matrix_rank(mat, tol=1e-10)
+    return bool(rank == bundle.d)
+
+
+def dense_oracle(laplacian) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition for cross-checks; desk scale only."""
+    lap = laplacian.toarray() if sp.issparse(laplacian) else np.asarray(laplacian)
+    if lap.shape[0] > DENSE_ORACLE_MAX:
+        raise ResourceLimitError(
+            f"dense oracle refused for {lap.shape[0]} vertices (> {DENSE_ORACLE_MAX})"
+        )
+    return scipy.linalg.eigh(0.5 * (lap + lap.T))
+
+
+def serialize_ballots(ballots: BallotFile) -> str:
+    lines = [f"n={ballots.n}"]
+    lines.extend(
+        " ".join(map(str, word)) + f",{count}"
+        for word, count in zip(ballots.words.tolist(), ballots.counts.tolist())
+    )
+    return "\n".join(lines) + "\n"
 
 
 def invert_index_map(vec: np.ndarray) -> np.ndarray:
@@ -341,8 +585,81 @@ def lift(col_of: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the deflation eigensolver: lifting dominators' eigenvectors through Kostka
-# tableaux, then solving on the orthogonal complement of their span
+# column-strict tableaux, Kostka numbers, and the deflation eigensolver:
+# lifting dominators' eigenvectors through Kostka tableaux, then solving on
+# the orthogonal complement of their span
+
+
+@dataclass(frozen=True)
+class ColumnStrictTableau:
+    """Filling of `shape` with gamma_r copies of r (1-based), rows weakly
+    increasing and columns strictly increasing."""
+
+    shape: IntegerPartition
+    content: IntegerPartition
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        counts = [0] * (len(self.content) + 1)
+        for r, row in enumerate(self.rows):
+            if len(row) != self.shape.parts[r]:
+                raise ValidationError("tableau rows do not match shape")
+            for c, v in enumerate(row):
+                counts[v] += 1
+                if c > 0 and row[c - 1] > v:
+                    raise ValidationError("row not weakly increasing")
+                if r > 0 and c < len(self.rows[r - 1]) and self.rows[r - 1][c] >= v:
+                    raise ValidationError("column not strictly increasing")
+        if counts[1:] != list(self.content.parts):
+            raise ValidationError("tableau content mismatch")
+
+
+@lru_cache(maxsize=256)
+def kostka(
+    gamma: IntegerPartition, nu: IntegerPartition
+) -> tuple[int, tuple[ColumnStrictTableau, ...]]:
+    """Kostka number K[gamma, nu] with the witnessing column-strict tableaux of
+    shape nu and content gamma.  Zero unless nu weakly dominates gamma."""
+    if gamma.n != nu.n:
+        raise ValidationError("content and shape partition different n")
+    if not weakly_dominates(nu, gamma):
+        return 0, ()
+
+    shape = nu.parts
+    remaining = list(gamma.parts)
+    grid = [[0] * shape[r] for r in range(len(shape))]
+    found: list[ColumnStrictTableau] = []
+
+    def cell_after(r: int, c: int) -> tuple[int, int] | None:
+        if c + 1 < shape[r]:
+            return r, c + 1
+        if r + 1 < len(shape):
+            return r + 1, 0
+        return None
+
+    def rec(r: int, c: int) -> None:
+        lo = 1
+        if c > 0:
+            lo = max(lo, grid[r][c - 1])
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, len(remaining) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            grid[r][c] = v
+            nxt = cell_after(r, c)
+            if nxt is None:
+                found.append(
+                    ColumnStrictTableau(nu, gamma, tuple(tuple(row) for row in grid))
+                )
+            else:
+                rec(*nxt)
+            grid[r][c] = 0
+            remaining[v - 1] += 1
+
+    rec(0, 0)
+    return len(found), tuple(found)
 
 
 def tableau_to_set_partition(t: ColumnStrictTableau) -> OrderedSetPartition:

@@ -25,13 +25,11 @@ from permaframe.combinatorics import (
     enumerate_ordered_set_partitions,
     h_shapes,
     hook_dimension,
-    kostka,
     multiplicity_constants,
     partitions_of,
 )
 from permaframe.frame import (
     Signal,
-    all_atom_ids,
     analyze,
     atom,
     sign_flip,
@@ -44,13 +42,12 @@ from permaframe.schreier import (
     minimal_paths,
 )
 from permaframe.spectral import (
-    dense_oracle,
     eigenvalue_key,
     key_to_value,
     verify_dominance_conjecture,
 )
 
-from oracles import inversion_count
+from oracles import all_atom_ids, dense_oracle, inversion_count, kostka
 
 
 def shape(*parts):
@@ -184,8 +181,8 @@ def test_criterion_4_structural_identities(cache4_all, cache5_all):
 
     # left action permutes the rows of the lifting matrix onto other liftings
     rng = np.random.default_rng(5)
-    from permaframe.combinatorics import act, lex_rank, lex_unrank, reading_order_partition
-    from oracles import invert_index_map
+    from permaframe.combinatorics import lex_rank, reading_order_partition
+    from oracles import act, invert_index_map, lex_unrank
 
     for g in [shape(2, 2), shape(3, 1, 1)]:
         n = g.n

@@ -11,14 +11,13 @@ from permaframe.ballots import (
     BallotFile,
     load_candidate_names,
     parse_ballots,
-    serialize_ballots,
     tally,
 )
 from permaframe.combinatorics import Permutation, lex_rank
 from permaframe.errors import ResourceLimitError, ValidationError
 from permaframe.frame import Signal
 
-from oracles import ballot_file, reference_parse_ballots
+from oracles import ballot_file, reference_parse_ballots, serialize_ballots
 
 
 def test_parse_minimal_file():

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from math import factorial
+from math import factorial, floor, log10, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from permaframe.cache import FrameCache, SchreierBundle, read_array, write_array
 from permaframe.cli import main
 from permaframe.combinatorics import (
     IntegerPartition,
-    osp_index,
     partitions_of,
     reduced_representatives,
 )
@@ -27,7 +26,9 @@ from permaframe.schreier import (
     build_characteristic,
     build_schreier,
     characteristic_column_map,
+    key_powers,
     minimal_paths,
+    vertex_table,
 )
 
 from oracles import deflation_spectra
@@ -300,7 +301,7 @@ def test_cache_with_legacy_path_files_loads(tmp_path, rng):
             "col_of": build_characteristic(g).col_of,
             "bfs_parent": parent,
             "bfs_swap": swap,
-            "reduced_vertex": np.array([osp_index(p.target) for p in paths]),
+            "reduced_vertex": vertex_table(g)[np.array([p.target.row_word for p in paths]) @ key_powers(g)],
             "swaps": np.array([s for p in paths for s in p.swaps], dtype=np.int64),
             "swap_offsets": np.cumsum([0] + [len(p.swaps) for p in paths]),
         }
@@ -427,6 +428,17 @@ def workdir(tmp_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def write_random_votes(path: Path, n: int, records: int, seed: int) -> Path:
+    """A ballot file of uniform random rankings with counts 1..8."""
+    rng = np.random.default_rng(seed)
+    lines = [f"n={n}"] + [
+        " ".join(map(str, rng.permutation(n) + 1)) + f",{rng.integers(1, 9)}"
+        for _ in range(records)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -665,6 +677,73 @@ def test_cli_max_eigs_counts(workdir, capsys):
         "--out", out, "--max-eigs", 2,
     )
     assert len(out.read_text().splitlines()) == 1 + 15  # min(2, d) * z per shape
+
+
+@pytest.mark.parametrize("command, flag", [("analyze", "--max-eigs"), ("top", "--count")])
+@pytest.mark.parametrize("value", [0, -1, -3])
+def test_cli_rejects_counts_below_one(workdir, capsys, command, flag, value):
+    cache_dir = workdir / "cache"
+    run_cli("setup", "--n", 4, "--cache", cache_dir)
+    capsys.readouterr()
+    out = workdir / "out.csv"
+    argv = [command, "--cache", cache_dir, "--ballots", workdir / "votes.txt", "--out", out]
+    assert run_cli(*argv, flag, value) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_truncated_reconstruction_error_matches_the_captured_fraction(tmp_path, capsys):
+    # a top-K cache reconstructs the projection onto its shapes and their
+    # transposes, so the error is sqrt(1 - the transpose-completed fraction)
+    votes = write_random_votes(tmp_path / "votes.txt", 6, 300, seed=11)
+    cache_dir = tmp_path / "cache"
+    assert run_cli("setup", "--n", 6, "--shapes", 3, "--cache", cache_dir) == 0
+    capsys.readouterr()
+    argv = ["--cache", cache_dir, "--ballots", votes]
+    assert run_cli("analyze", *argv, "--out", tmp_path / "coeffs.csv") == 0
+    completed = float(capsys.readouterr().out.split()[-1])
+    assert run_cli("reconstruct", *argv) == 0
+    err = float(capsys.readouterr().out.split()[-1])
+    want = sqrt(1.0 - completed)
+    # the error is printed to 4 significant digits, the fraction to 9 decimals
+    tol = 0.5 * 10.0 ** (floor(log10(err)) - 3) + 0.5e-9 / (2 * want)
+    assert abs(err - want) <= tol
+
+
+def test_commands_build_no_set_partition_objects(tmp_path):
+    # liftings travel as row-word matrices: only parsing a --blocks argument
+    # and printing top's rows build OrderedSetPartition objects
+    votes = write_random_votes(tmp_path / "votes.txt", 6, 200, seed=12)
+    data = ["--cache", "cache", "--ballots", str(votes)]
+    commands = [
+        ["setup", "--n", "6", "--cache", "cache"],
+        ["setup", "--n", "6", "--cache", "cache"],
+        ["analyze", *data, "--out", "coeffs.csv"],
+        ["analyze", *data, "--format", "json", "--out", "coeffs.json"],
+        ["energy", *data, "--out", "energy.csv"],
+        ["gft", *data, "--out", "gft.csv"],
+        ["reconstruct", *data],
+    ]
+    script = (
+        "from permaframe.cli import main\n"
+        "from permaframe.combinatorics import OrderedSetPartition\n"
+        "def refuse(self):\n"
+        "    raise AssertionError(f'built OrderedSetPartition{self.row_word}')\n"
+        "OrderedSetPartition.__post_init__ = refuse\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "verified; nothing to do" in proc.stdout
+    assert "relative reconstruction error" in proc.stdout
+    for name in ("coeffs.csv", "coeffs.json", "energy.csv", "gft.csv"):
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_cli_hook_fastpath_is_accepted_and_ignored(workdir, capsys):

@@ -8,37 +8,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permaframe.combinatorics import (
-    ColumnStrictTableau,
     IntegerPartition,
+    block_labels,
     OrderedSetPartition,
     Permutation,
-    act,
     dominates,
     enumerate_ordered_set_partitions,
-    equal_block_orbit,
     h_shapes,
     hook_dimension,
-    kostka,
     lex_rank,
-    lex_unrank,
     multiplicity_constants,
     partitions_of,
     rank_signs,
     rank_words,
     reading_order_partition,
     reduced_representatives,
+    reduced_row_words,
     row_word_matrix,
     sign,
     sign_vector,
-    standard_ordered_set_partitions,
+    standard_row_words,
     word_table,
 )
 from permaframe.errors import ResourceLimitError, ValidationError
+from permaframe.schreier import bfs_tree_arrays
 
 from oracles import (
+    ColumnStrictTableau,
+    act,
+    equal_block_orbit,
     inversion_count,
     is_reduced_representative,
+    kostka,
+    lex_unrank,
+    reference_bfs_tree_arrays,
     reference_enumeration,
+    reference_label,
+    standard_ordered_set_partitions,
     tableau_to_set_partition,
 )
 
@@ -206,7 +212,20 @@ def test_enumeration_matches_the_object_reference(n):
         assert np.array_equal(words, np.array([o.row_word for o in osps]).reshape(len(osps), n))
         if n <= 7:  # the objects are built from the matrix
             assert enumerate_ordered_set_partitions(g) == osps
-        assert reduced_representatives(g) == tuple(filter(is_reduced_representative, osps))
+        reps = tuple(filter(is_reduced_representative, osps))
+        assert reduced_representatives(g) == reps
+        reduced = reduced_row_words(g)
+        assert reduced.dtype == np.int8 and not reduced.flags.writeable
+        assert reduced.tolist() == [list(o.row_word) for o in reps]
+        standard = standard_row_words(g)
+        assert standard.dtype == np.int8
+        assert standard.tolist() == [list(o.row_word) for o in standard_ordered_set_partitions(g)]
+        assert block_labels(words) == [reference_label(o) for o in osps]
+        assert block_labels(reduced) == [reference_label(o) for o in reps]
+        parent, swap = bfs_tree_arrays(g)
+        want_parent, want_swap = reference_bfs_tree_arrays(g)
+        assert parent.dtype == swap.dtype == np.int64
+        assert np.array_equal(parent, want_parent) and np.array_equal(swap, want_swap)
 
 
 def test_orbit_reconstruction_covers_everything():

@@ -21,19 +21,15 @@ from permaframe.frame import (
     AtomId,
     CoefficientTable,
     Signal,
-    all_atom_ids,
     analyze,
     analyze_with_conjugates,
     atom,
-    conjugate_shape_energy,
     energy_table,
     graph_fourier,
     isotypic_project,
-    mallows_baseline,
     reconstruct,
     schreier_projection,
     sign_flip,
-    standard_basis_check,
     synthesize,
 )
 from permaframe.schreier import (
@@ -41,9 +37,19 @@ from permaframe.schreier import (
     build_schreier,
     characteristic_column_map,
 )
-from permaframe.spectral import dense_oracle, eigenvalue_key, key_to_value
+from permaframe.spectral import eigenvalue_key, key_to_value
 
-from oracles import lift, reference_csv_text, reference_json_text, reference_synthesize
+from oracles import (
+    all_atom_ids,
+    conjugate_shape_energy,
+    dense_oracle,
+    lift,
+    mallows_baseline,
+    reference_csv_text,
+    reference_json_text,
+    reference_synthesize,
+    standard_basis_check,
+)
 
 
 def shape(*parts):
@@ -200,6 +206,19 @@ def test_max_eigs_row_counts(cache5_all, cache6_all):
         assert table.row_count == expected
 
 
+@pytest.mark.parametrize("max_eigs", [0, -1, -3])
+def test_analyze_rejects_max_eigs_below_one(cache4_all, max_eigs):
+    with pytest.raises(ValidationError, match="must be at least 1"):
+        analyze(cache4_all, Signal.constant(4), max_eigs=max_eigs)
+
+
+@pytest.mark.parametrize("max_eigs", [0, -1, -3])
+def test_filter_rejects_max_eigs_below_one(cache4_all, max_eigs):
+    table = analyze(cache4_all, Signal.constant(4))
+    with pytest.raises(ValidationError, match="must be at least 1"):
+        table.filter(max_eigs=max_eigs)
+
+
 # ---------------------------------------------------------------------------
 # synthesis and projections
 
@@ -213,6 +232,19 @@ def test_round_trip_small(n, cache4_all, cache5_all, rng):
     rec = synthesize(cache, table)
     err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("n, top_k", [(6, 3), (7, 4), (7, 2)])
+def test_truncated_reconstruction_error_is_the_missing_energy(n, top_k, rng):
+    # a top-K cache reconstructs the orthogonal projection onto its shapes
+    # and their transposes, so the relative error is sqrt(1 - the captured,
+    # transpose-completed energy fraction)
+    cache = build_cache(n, "h", top_k=top_k)
+    f = Signal.random(n, rng)
+    direct, flipped = analyze_with_conjugates(cache, f)
+    captured = (direct.total_energy() + flipped.total_energy()) / f.norm2()
+    err = np.linalg.norm(reconstruct(cache, f).values - f.values) / np.linalg.norm(f.values)
+    assert abs(err - sqrt(1.0 - captured)) <= 1e-13
 
 
 def test_filtered_synthesis_is_projection(cache4_all, rng):

@@ -7,11 +7,8 @@ from permaframe.combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
     Permutation,
-    act,
-    adjacent_transposition,
     enumerate_ordered_set_partitions,
     lex_rank,
-    lex_unrank,
     multiplicity_constants,
     partitions_of,
     reading_order_partition,
@@ -22,13 +19,18 @@ from permaframe.schreier import (
     build_schreier,
     build_schreier_direct,
     characteristic_column_map,
+    key_powers,
     minimal_paths,
+    vertex_table,
 )
 
 from oracles import (
+    act,
+    adjacent_transposition,
     characteristic_by_block_recursion,
     inversion_count,
     invert_index_map,
+    lex_unrank,
     lift,
     project,
     recursive_schreier,
@@ -235,8 +237,6 @@ def test_paths_stay_in_reduced_set_and_land_on_target():
         for path in minimal_paths(g):
             current = reading_order_partition(g)
             for s in path.swaps:
-                from permaframe.combinatorics import adjacent_transposition
-
                 current = act(adjacent_transposition(n, s), current)
                 assert is_reduced_representative(current)
             assert current == path.target
@@ -310,13 +310,12 @@ def test_project_constant_and_delta():
     ones = np.ones(120)
     assert np.allclose(project(base.col_of, ones, m), 120 / m)
     sigma = Permutation((2, 5, 1, 3, 4))
-    from permaframe.combinatorics import lex_rank, osp_index
-
     delta = np.zeros(120)
     delta[lex_rank(sigma)] = 1.0
     proj = project(base.col_of, delta, m)
     expected = np.zeros(m)
-    expected[osp_index(act(sigma.inverse(), reading_order_partition(g)))] = 1.0
+    target = act(sigma.inverse(), reading_order_partition(g))
+    expected[vertex_table(g)[np.array(target.row_word) @ key_powers(g)]] = 1.0
     assert np.array_equal(proj, expected)
 
 

@@ -10,13 +10,11 @@ from permaframe.combinatorics import (
     IntegerPartition,
     h_shapes,
     hook_dimension,
-    kostka,
     partitions_of,
 )
 from permaframe.errors import NumericalError
 from permaframe.schreier import build_schreier
 from permaframe.spectral import (
-    dense_oracle,
     eigenvalue_key,
     hook_wedge_eigenvectors,
     key_to_value,
@@ -31,6 +29,8 @@ from permaframe.spectral import (
 from oracles import (
     deflate_and_solve,
     deflation_spectra,
+    dense_oracle,
+    kostka,
     lift_between_shapes,
     lift_map_mask,
     tableau_to_set_partition,
