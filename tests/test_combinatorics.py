@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from permaframe.combinatorics import (
     IntegerPartition,
-    block_labels,
     OrderedSetPartition,
     Permutation,
+    block_labels,
     dominates,
     enumerate_ordered_set_partitions,
     h_shapes,
