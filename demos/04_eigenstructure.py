@@ -42,11 +42,11 @@ print("  setup       :", np.round(two_block.eigenvalues, 4))
 
 # route 1b: wedge products for a deeper hook
 hook = IntegerPartition((n - 2, 1, 1))
-lap = build_schreier(hook).laplacian.toarray()
+graph = build_schreier(hook)
 print(f"\nwedge eigenvectors on the hook shape {hook.label()}:")
 for subset in list(combinations(range(1, n), 2))[:4]:
     lam, vec = hook_wedge_eigenvectors(n, 2, subset)
-    residual = np.linalg.norm(lap @ vec - lam * vec)
+    residual = np.linalg.norm(graph.apply_laplacian(vec) - lam * vec)
     print(f"  indices {subset}: eigenvalue {lam:.4f}, residual {residual:.1e}")
 
 # route 2: the standard polytabloids of a non-hook shape span the eigenvectors

@@ -167,7 +167,11 @@ def _check_record(lineno: int, line: str, n: int) -> None:
 
 def read_ballot_file(path: str | Path) -> BallotFile:
     path = Path(path)
-    return parse_ballots(path.read_text(), label=path.name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read ballot file {path}: {exc}") from exc
+    return parse_ballots(text, label=path.name)
 
 
 def tally(ballots: BallotFile) -> Signal:
@@ -180,9 +184,9 @@ def tally(ballots: BallotFile) -> Signal:
 
 def load_candidate_names(path: str | Path) -> dict[int, str]:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(raw, dict):
+            return {int(k): str(v) for k, v in raw.items()}
+    except (OSError, ValueError) as exc:  # bad UTF-8, JSON or key: a ValueError
         raise ValidationError(f"cannot read names file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"names file {path} must hold a JSON object")
-    return {int(k): str(v) for k, v in raw.items()}
+    raise ValidationError(f"names file {path} must hold a JSON object")

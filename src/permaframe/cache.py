@@ -22,9 +22,9 @@ further files (older caches stored the column map and swap tree) still load.
 
 ``load_cache`` is the one validator: it checks the stored row words against
 graphs built as setup builds them and the stored eigenvectors against those
-graphs' Laplacians, applied through their neighbor tables, so loading needs
-numpy alone; ``verify_cache`` reports what it rejects, and ``setup``
-rebuilds such a cache.
+graphs' Laplacians, applied through their neighbor tables as setup's
+eigensolve applies them; ``verify_cache`` reports what it rejects, and
+``setup`` rebuilds such a cache.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ from .schreier import (
     lifting_keys,
     vertex_table,
 )
-from .spectral import ShapeSpectrum, check_residuals, eigenvalue_key, specht_spectrum
+from .spectral import (
+    ShapeSpectrum, check_key_separation, check_residuals, eigenvalue_key, specht_spectrum,
+)
 
 ARRAY_MAGIC = b"PFARRAY1"
 ARRAY_VERSION = 1
@@ -267,7 +269,8 @@ def build_cache(
     emit(f"phase 1 (graphs): {report.phase_seconds['graphs']:.2f}s")
 
     t0 = time.perf_counter()
-    spectra = {shape: specht_spectrum(shape, graphs[shape].laplacian) for shape in shape_list}
+    spectra = {shape: specht_spectrum(shape, graphs[shape].apply_laplacian) for shape in shape_list}
+    check_key_separation(n, spectra.values())
     report.phase_seconds["spectra"] = time.perf_counter() - t0
     emit(f"phase 2 (eigensolves): {report.phase_seconds['spectra']:.2f}s")
 
@@ -472,11 +475,17 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
         raise CacheFormatError(f"{base}: malformed cache ({detail})") from exc
 
 
-def verify_cache(root: str | Path, n: int) -> list[str]:
-    """The problems ``load_cache`` finds in a cache: empty when it loads, else
-    its one error message."""
+def verify_cache(
+    root: str | Path, n: int, shapes: Sequence[IntegerPartition] | None = None
+) -> list[str]:
+    """The problems ``load_cache`` finds in a cache, or, when ``shapes`` is
+    given, a shape list other than it: empty when the cache loads and holds
+    exactly those shapes, else one message."""
     try:
-        load_cache(root, n)
+        cache = load_cache(root, n)
     except CacheFormatError as exc:
         return [str(exc)]
+    if shapes is not None and set(cache.shapes) != set(shapes):
+        have, want = ([s.label() for s in group] for group in (cache.shapes, shapes))
+        return [f"cache holds shapes {have}, not the requested {want}"]
     return []

@@ -127,7 +127,8 @@ def cmd_setup(args) -> int:
         )
     base = cache_mod.cache_dir(args.cache, n)
     if base.exists() and not args.force:
-        problems = cache_mod.verify_cache(args.cache, n)
+        shapes, _ = cache_mod.resolve_shape_list(n, "h", args.shapes)
+        problems = cache_mod.verify_cache(args.cache, n, shapes)
         if not problems:
             print(f"cache at {base} verified; nothing to do")
             return EXIT_OK
@@ -181,7 +182,7 @@ def cmd_energy(args) -> int:
     rows.sort(key=lambda r: (tuple(-p for p in r[0].parts), r[1]))
     out = ["shape,lambda,energy"]
     for shape, key, energy in rows:
-        out.append(f'"{shape.label()}",{key_to_value(key):.6f},{energy!r}')
+        out.append(f'"{shape.label()}",{key_to_value(key):.9f},{energy!r}')
     _write_text(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 
@@ -213,7 +214,7 @@ def cmd_top(args) -> int:
             (
                 rank,
                 atom_id.shape.label(),
-                f"{atom_id.eigenvalue:.6f}",
+                f"{atom_id.eigenvalue:.9f}",
                 atom_id.k,
                 atom_id.lifting.label(),
                 named,
@@ -245,7 +246,7 @@ def cmd_gft(args) -> int:
     signal, _ = _load_signal(args, cache)
     rows = frame.graph_fourier(cache, signal)
     out = ["lambda,norm"]
-    out.extend(f"{key_to_value(key):.6f},{norm!r}" for key, norm in rows)
+    out.extend(f"{key_to_value(key):.9f},{norm!r}" for key, norm in rows)
     _write_text(args.out, "\n".join(out) + "\n")
     return EXIT_OK
 

@@ -259,7 +259,7 @@ class CoefficientTable:
             shape = _csv_field(b.shape.label())
             parts = [_csv_field(label) for label in block_labels(reduced_row_words(b.shape))]
             for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
-                head = f"{shape},{key_to_value(key):.6f},{k},"
+                head = f"{shape},{key_to_value(key):.9f},{k},"
                 lines.extend(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas))
         return "".join(lines)
 
@@ -275,7 +275,7 @@ class CoefficientTable:
             parts = [json.dumps(label) for label in block_labels(reduced_row_words(b.shape))]
             for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
                 head = (
-                    f'  {{\n   "shape": {shape},\n   "lambda": {round(key_to_value(key), 6)!r},'
+                    f'  {{\n   "shape": {shape},\n   "lambda": {round(key_to_value(key), 9)!r},'
                     f'\n   "k": {k},\n   "partition": '
                 )
                 rows.extend(f'{head}{p},\n   "alpha": {a!r}\n  }}' for p, a in zip(parts, alphas))

@@ -51,9 +51,8 @@ class SchreierGraph:
     ``neighbors[u, s]`` is the vertex that swapping positions s and s+1 of
     u's row word reaches, u itself when the swap stays inside one row (a
     loop), so every vertex has degree n - 1 counting loops.  The Laplacian
-    ignores the loops.  ``adjacency`` and ``laplacian`` are the sparse
-    matrices of setup's eigensolve and import scipy; ``apply_laplacian``
-    needs numpy alone.
+    ignores the loops.  ``apply_laplacian`` applies it through this table;
+    setup's eigensolve and the loader's residual check both use it.
     """
 
     shape: IntegerPartition
@@ -68,36 +67,8 @@ class SchreierGraph:
     def m(self) -> int:
         return self.row_words.shape[0]
 
-    @property
-    def loops(self) -> np.ndarray:
-        """(m,) int32 loop count per vertex."""
-        return (self.neighbors == np.arange(self.m)[:, None]).sum(axis=1, dtype=np.int32)
-
-    @property
-    def adjacency(self):
-        """Symmetric CSR matrix (int32) with 0/1 off-diagonal entries and the
-        loop counts on the diagonal."""
-        import scipy.sparse
-
-        loops = self.neighbors == np.arange(self.m)[:, None]
-        u, s = np.nonzero(~loops)
-        rows = np.concatenate([u, np.arange(self.m)])
-        cols = np.concatenate([self.neighbors[u, s], np.arange(self.m)])
-        vals = np.concatenate(
-            [np.ones(len(u), dtype=np.int32), loops.sum(axis=1, dtype=np.int32)]
-        )
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.m, self.m))
-
-    @property
-    def laplacian(self):
-        """The Laplacian as a CSR matrix (float64)."""
-        adjacency = self.adjacency
-        lap = -adjacency.astype(np.float64)
-        lap.setdiag((self.n - 1) - adjacency.diagonal().astype(np.float64))
-        return lap.tocsr()
-
     def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
-        """``laplacian @ x`` for an (m, k) array, as (n-1) x minus the sum of
+        """The Laplacian times an (m, k) array, as (n-1) x minus the sum of
         x over each swap's neighbors; a loop's term cancels its share of the
         degree."""
         out = (self.n - 1) * x

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, sqrt
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,13 +38,15 @@ from .combinatorics import (
 from .errors import NumericalError, ValidationError
 from .schreier import key_powers, vertex_table
 
+# clusters of one shape lie over 1e-8 = 10 grid steps apart, so never share a key
 EIG_CLUSTER_TOL = 1e-8
-EIG_KEY_GRID = 1e-6
+EIG_KEY_GRID = 1e-9
+KEY_MIN_GAP = 4  # grid steps between the keys of distinct eigenvalues
 SIGN_TOL = 1e-8
 
 
 def eigenvalue_key(lam: float) -> int:
-    """Canonical integer key on a 1e-6 grid, shared across shapes so equal
+    """Canonical integer key on a 1e-9 grid, shared across shapes so equal
     eigenvalues aggregate exactly."""
     return int(round(lam / EIG_KEY_GRID))
 
@@ -200,7 +202,7 @@ def _finalize_spectrum(
     shape: IntegerPartition,
     raw_values: np.ndarray,
     raw_vectors: np.ndarray,
-    laplacian,
+    apply_laplacian: Callable[[np.ndarray], np.ndarray],
 ) -> ShapeSpectrum:
     order = np.argsort(raw_values, kind="stable")
     raw_values = raw_values[order]
@@ -216,14 +218,10 @@ def _finalize_spectrum(
         keys.append(eigenvalue_key(lam))
         kappas.append(hi - lo)
         blocks.append(basis)
-    if len(set(keys)) != len(keys):
-        raise NumericalError(
-            f"distinct eigenvalue clusters of {shape.parts} collide on the key grid"
-        )
     vectors = np.column_stack(blocks) if blocks else np.zeros((raw_vectors.shape[0], 0))
     del blocks, raw_vectors  # before the residual check's (m, d) temporaries
     spectrum = ShapeSpectrum(shape, tuple(eigenvalues), tuple(keys), tuple(kappas), vectors)
-    check_residuals(spectrum, lambda x: laplacian @ x)
+    check_residuals(spectrum, apply_laplacian)
     return spectrum
 
 
@@ -281,8 +279,11 @@ def polytabloid_matrix(shape: IntegerPartition) -> np.ndarray:
     return basis
 
 
-def specht_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
-    """Eigenpairs of the new irreducible piece of one Schreier graph.
+def specht_spectrum(
+    shape: IntegerPartition, apply_laplacian: Callable[[np.ndarray], np.ndarray]
+) -> ShapeSpectrum:
+    """Eigenpairs of the new irreducible piece of one Schreier graph, whose
+    Laplacian ``apply_laplacian`` applies to an (m, k) array.
 
     That piece is the Specht module, spanned by the standard polytabloids.
     The Laplacian lies in the group algebra, so it preserves the module: its
@@ -293,11 +294,9 @@ def specht_spectrum(shape: IntegerPartition, laplacian) -> ShapeSpectrum:
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-8 * diag.max():
         raise NumericalError(f"standard polytabloids of {shape.parts} lost rank")
-    import scipy.linalg  # setup only: analysis processes never load it
-
-    block = q.T @ (laplacian @ q)
-    values, coeffs = scipy.linalg.eigh(0.5 * (block + block.T))
-    return _finalize_spectrum(shape, values, q @ coeffs, laplacian)
+    block = q.T @ apply_laplacian(q)
+    values, coeffs = np.linalg.eigh(0.5 * (block + block.T))
+    return _finalize_spectrum(shape, values, q @ coeffs, apply_laplacian)
 
 
 # the benchmark's tracer (perfbench/trace_cli.py) binds this older name
@@ -306,6 +305,19 @@ deflate_and_solve = specht_spectrum
 
 # ---------------------------------------------------------------------------
 # global checks
+
+
+def check_key_separation(n: int, spectra: Iterable[ShapeSpectrum]) -> None:
+    """Raise ``NumericalError`` when two distinct keys among the spectra's
+    eigenvalues and their reflections 2(n-1) - lambda lie fewer than
+    ``KEY_MIN_GAP`` grid steps apart: either equal eigenvalues rounded to
+    neighboring keys, or distinct ones too close for the grid to keep apart.
+    Either way rows that ``gft`` and ``energy`` group by key would be wrong."""
+    keys = np.unique([k for s in spectra for key in s.keys for k in (key, reflected_key(n, key))])
+    gaps = np.diff(keys)
+    if len(gaps) and gaps.min() < KEY_MIN_GAP:
+        i = int(gaps.argmin())
+        raise NumericalError(f"keys {keys[i]} and {keys[i + 1]} are {gaps[i]} grid steps apart")
 
 
 @dataclass

@@ -48,10 +48,11 @@ from permaframe.frame import (
 from permaframe.schreier import (
     MAX_MATERIALIZE_N,
     CharacteristicMatrix,
+    SchreierGraph,
     build_schreier,
     characteristic_column_map,
 )
-from permaframe.spectral import ShapeSpectrum, _finalize_spectrum
+from permaframe.spectral import ShapeSpectrum, _finalize_spectrum, polytabloid_matrix
 
 MAX_MALLOWS_N = 6
 DENSE_ORACLE_MAX = 5040
@@ -246,7 +247,7 @@ def reference_csv_text(table: CoefficientTable) -> str:
         writer.writerow(
             [
                 atom.shape.label(),
-                f"{atom.eigenvalue:.6f}",
+                f"{atom.eigenvalue:.9f}",
                 atom.k,
                 atom.lifting.label(),
                 repr(alpha),
@@ -260,7 +261,7 @@ def reference_json_text(table: CoefficientTable) -> str:
     rows = [
         {
             "shape": atom.shape.label(),
-            "lambda": round(atom.eigenvalue, 6),
+            "lambda": round(atom.eigenvalue, 9),
             "k": atom.k,
             "partition": atom.lifting.label(),
             "alpha": alpha,
@@ -533,6 +534,33 @@ def _assemble_recursive(comp: tuple[int, ...], n: int):
     return verts, edges, loops
 
 
+def loop_counts(graph: SchreierGraph) -> np.ndarray:
+    """(m,) loop count per vertex, from its row word: the adjacent positions
+    whose elements share a row."""
+    return (graph.row_words[:, :-1] == graph.row_words[:, 1:]).sum(axis=1)
+
+
+def csr_adjacency(graph: SchreierGraph) -> sp.csr_matrix:
+    """Symmetric CSR matrix (int32) of the graph's neighbor table, with 0/1
+    off-diagonal entries and the loop counts on the diagonal."""
+    m = graph.m
+    loops = graph.neighbors == np.arange(m)[:, None]
+    u, s = np.nonzero(~loops)
+    rows = np.concatenate([u, np.arange(m)])
+    cols = np.concatenate([graph.neighbors[u, s], np.arange(m)])
+    vals = np.concatenate([np.ones(len(u), dtype=np.int32), loops.sum(axis=1, dtype=np.int32)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def csr_laplacian(graph: SchreierGraph) -> sp.csr_matrix:
+    """The graph's Laplacian as a CSR matrix (float64): n - 1 less the loop
+    count on the diagonal, minus the edges off it."""
+    adjacency = csr_adjacency(graph)
+    lap = -adjacency.astype(np.float64)
+    lap.setdiag((graph.n - 1) - adjacency.diagonal().astype(np.float64))
+    return lap.tocsr()
+
+
 def recursive_schreier(shape: IntegerPartition) -> tuple[np.ndarray, sp.csr_matrix]:
     """The Schreier graph assembled recursively over the row holding the
     largest element, then reindexed to canonical order: (row words, CSR
@@ -781,7 +809,7 @@ def deflate_and_solve(
     block = 0.5 * (block + block.T)
     values, coeffs = scipy.linalg.eigh(block)
     vectors = complement @ coeffs
-    return _finalize_spectrum(shape, values, vectors, lap)
+    return _finalize_spectrum(shape, values, vectors, lambda x: lap @ x)
 
 
 def deflation_spectra(shapes) -> dict[IntegerPartition, ShapeSpectrum]:
@@ -791,5 +819,15 @@ def deflation_spectra(shapes) -> dict[IntegerPartition, ShapeSpectrum]:
     spectra: dict[IntegerPartition, ShapeSpectrum] = {}
     for g in sorted(closed, key=lambda s: s.parts, reverse=True):
         doms = {nu: spec for nu, spec in spectra.items() if dominates(nu, g)}
-        spectra[g] = deflate_and_solve(g, build_schreier(g).laplacian, doms)
+        spectra[g] = deflate_and_solve(g, csr_laplacian(build_schreier(g)), doms)
     return spectra
+
+
+def reference_specht_spectrum(shape: IntegerPartition) -> ShapeSpectrum:
+    """The Specht-module solve through a CSR Laplacian and ``scipy.linalg.eigh``,
+    with the package's finalization and residual check."""
+    lap = csr_laplacian(build_schreier(shape))
+    q, _ = np.linalg.qr(polytabloid_matrix(shape))
+    block = q.T @ (lap @ q)
+    values, coeffs = scipy.linalg.eigh(0.5 * (block + block.T))
+    return _finalize_spectrum(shape, values, q @ coeffs, lambda x: lap @ x)

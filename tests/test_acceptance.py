@@ -47,7 +47,7 @@ from permaframe.spectral import (
     verify_dominance_conjecture,
 )
 
-from oracles import all_atom_ids, dense_oracle, inversion_count, kostka
+from oracles import all_atom_ids, csr_laplacian, dense_oracle, inversion_count, kostka
 
 
 def shape(*parts):
@@ -94,7 +94,7 @@ def test_criterion_1_parseval_and_reconstruction(cache4_all, cache5_all, cache6_
 def test_criterion_2_oracle_equivalence(n, cache4_all, cache5_all):
     cache = cache4_all if n == 4 else cache5_all
     ones = (1,) * n
-    lap = build_schreier(IntegerPartition(ones)).laplacian
+    lap = csr_laplacian(build_schreier(IntegerPartition(ones)))
     w, _ = dense_oracle(lap)
     # cluster the dense spectrum at 1e-8 before keying
     observed: dict[int, int] = {}

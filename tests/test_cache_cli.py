@@ -460,13 +460,19 @@ def verified_cache(tmp_path_factory):
         ["gft", "--out", "gft.csv"],
         ["project", "--shape", "2,2", "--blocks", "13|24", "--out", "proj.csv"],
         ["setup", "--n", "4"],
+        ["setup", "--n", "5"],
     ],
-    ids=["analyze", "analyze_json", "energy", "top", "reconstruct", "gft", "project", "setup"],
+    ids=[
+        "analyze", "analyze_json", "energy", "top", "reconstruct", "gft", "project", "setup",
+        "setup_build",
+    ],
 )
 def test_cli_commands_do_not_load_scipy(verified_cache, tmp_path, command):
-    # scipy is setup's eigensolver alone: every command that only reads a
-    # verified cache, setup included, runs on numpy
-    argv = [*command, "--cache", str(verified_cache / "cache")]
+    # every command runs on numpy alone: those that read the verified n = 4
+    # cache, and a setup that builds an n = 5 cache
+    building = command == ["setup", "--n", "5"]
+    root = tmp_path / "fresh" if building else verified_cache / "cache"
+    argv = [*command, "--cache", str(root)]
     if command[0] != "setup":
         argv += ["--ballots", str(verified_cache / "votes.txt")]
     script = (
@@ -484,7 +490,7 @@ def test_cli_commands_do_not_load_scipy(verified_cache, tmp_path, command):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
     if command[0] == "setup":
-        assert "verified; nothing to do" in proc.stdout
+        assert ("cache written" if building else "verified; nothing to do") in proc.stdout
     if "--out" in command:
         assert (tmp_path / command[command.index("--out") + 1]).stat().st_size > 0
 
@@ -659,6 +665,73 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing", "cannot read ballot file"),
+        ("directory", "cannot read ballot file"),
+        ("not-utf8", "cannot read ballot file"),
+        ("names-key", "cannot read names file"),
+    ],
+)
+def test_cli_unreadable_input_files_exit_2(workdir, capsys, case, message):
+    cache_dir = workdir / "cache"
+    run_cli("setup", "--n", 4, "--cache", cache_dir)
+    capsys.readouterr()
+    ballots, names = workdir / "votes.txt", workdir / "names.json"
+    if case == "missing":
+        ballots = workdir / "absent.txt"
+    elif case == "directory":
+        ballots = workdir
+    elif case == "not-utf8":
+        ballots = workdir / "latin1.txt"
+        ballots.write_bytes("n=4\n# Zo\u00eb\n1 2 3 4,5\n".encode("latin-1"))
+    else:
+        names.write_text(json.dumps({"x": "Shrimp"}))
+    argv = ["top", "--cache", cache_dir, "--ballots", ballots, "--names", names]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_setup_rebuilds_a_cache_of_another_shape_list(tmp_path, capsys, monkeypatch):
+    votes = write_random_votes(tmp_path / "votes.txt", 5, 40, seed=5)
+    cache_dir = tmp_path / "cache"
+    assert run_cli("setup", "--n", 5, "--shapes", 2, "--cache", cache_dir) == 0
+    capsys.readouterr()
+    assert run_cli("setup", "--n", 5, "--cache", cache_dir) == 0
+    out, err = capsys.readouterr()
+    assert "cache written" in out and "nothing to do" not in out
+    assert "cache holds shapes ['5', '4,1'], not the requested" in err
+    assert run_cli("gft", "--cache", cache_dir, "--ballots", votes) == 0
+    capsys.readouterr()
+    # an intact cache of the requested list is loaded once, and kept
+    loads = []
+    load = cache_mod.load_cache
+    monkeypatch.setattr(cache_mod, "load_cache", lambda *a: loads.append(a) or load(*a))
+    assert run_cli("setup", "--n", 5, "--cache", cache_dir) == 0
+    assert "verified; nothing to do" in capsys.readouterr().out
+    assert len(loads) == 1
+    assert run_cli("setup", "--n", 5, "--shapes", 2, "--cache", cache_dir) == 0
+    assert "cache written" in capsys.readouterr().out
+
+
+def test_cache_keyed_on_the_old_grid_is_rebuilt(workdir, capsys):
+    # caches written with 1e-6 eigenvalue keys fail to load, and setup
+    # replaces them
+    base = save_cache(build_cache(4, "h"), workdir / "cache")
+    manifest = json.loads((base / "manifest.json").read_text())
+    for entry in manifest["shapes"]:
+        entry["eigen_keys"] = [round(lam / 1e-6) for lam in entry["eigenvalues"]]
+    (base / "manifest.json").write_text(json.dumps(manifest))
+    analyze = ["analyze", "--cache", workdir / "cache", "--ballots", workdir / "votes.txt"]
+    assert run_cli(*analyze) == 2
+    assert "eigenvalue keys disagree" in capsys.readouterr().err
+    assert run_cli("setup", "--n", 4, "--cache", workdir / "cache") == 0
+    assert "cache written" in capsys.readouterr().out
+    assert run_cli(*analyze) == 0
 
 
 def test_cli_resource_refusals(workdir, capsys):

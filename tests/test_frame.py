@@ -42,6 +42,7 @@ from permaframe.spectral import eigenvalue_key, key_to_value
 from oracles import (
     all_atom_ids,
     conjugate_shape_energy,
+    csr_laplacian,
     dense_oracle,
     lift,
     mallows_baseline,
@@ -100,7 +101,7 @@ def test_equal_norms_with_full_frame_scaling(cache4_all):
 
 
 def test_atoms_are_laplacian_eigenvectors(cache4_all):
-    lap = build_schreier(shape(1, 1, 1, 1)).laplacian
+    lap = csr_laplacian(build_schreier(shape(1, 1, 1, 1)))
     for g in cache4_all.shapes:
         for a in all_atom_ids(cache4_all, g):
             vec = atom(cache4_all, a)
@@ -109,7 +110,7 @@ def test_atoms_are_laplacian_eigenvectors(cache4_all):
 
 
 def test_atom_smoothness_quotient(cache4_all):
-    lap = build_schreier(shape(1, 1, 1, 1)).laplacian
+    lap = csr_laplacian(build_schreier(shape(1, 1, 1, 1)))
     for g in cache4_all.shapes:
         for a in all_atom_ids(cache4_all, g):
             vec = atom(cache4_all, a)
@@ -459,7 +460,7 @@ def test_gft_constant_all_at_zero(cache4_all):
 
 def test_gft_matches_dense_eigenspace_projections(cache4_all, rng):
     f = Signal.random(4, rng)
-    w, vecs = dense_oracle(build_schreier(shape(1, 1, 1, 1)).laplacian)
+    w, vecs = dense_oracle(csr_laplacian(build_schreier(shape(1, 1, 1, 1))))
     expected: dict[int, float] = {}
     for lam, col in zip(w, vecs.T):
         key = eigenvalue_key(lam)
@@ -674,7 +675,7 @@ def test_schreier_projection_sums_to_total(cache5_all, rng):
 def test_z_space_dimensions_match_oracle_intersections(cache4_all):
     # dim(W_shape ∩ U_lambda) computed from the dense eigendecomposition equals
     # d * kappa for every cached (shape, eigenvalue) pair
-    w, vecs = dense_oracle(build_schreier(shape(1, 1, 1, 1)).laplacian)
+    w, vecs = dense_oracle(csr_laplacian(build_schreier(shape(1, 1, 1, 1))))
     keys = np.array([eigenvalue_key(v) for v in w])
     for g in cache4_all.shapes:
         spectrum = cache4_all.bundles[g].spectrum

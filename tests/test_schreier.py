@@ -28,10 +28,13 @@ from oracles import (
     act,
     adjacent_transposition,
     characteristic_by_block_recursion,
+    csr_adjacency,
+    csr_laplacian,
     inversion_count,
     invert_index_map,
     lex_unrank,
     lift,
+    loop_counts,
     project,
     recursive_schreier,
     relabeled_swap_maps,
@@ -53,35 +56,35 @@ def test_recursive_matches_direct_edge_rule(n):
         row_words, adjacency = recursive_schreier(g)
         direct = build_schreier(g)
         assert np.array_equal(row_words, direct.row_words)
-        assert (adjacency != direct.adjacency).nnz == 0
+        assert (adjacency != csr_adjacency(direct)).nnz == 0
 
 
 def test_graph_3_2_shape():
     g = build_schreier(shape(3, 2))
     assert g.m == 10
-    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
+    degrees = np.asarray(csr_adjacency(g).sum(axis=1)).ravel()
     assert np.all(degrees == 4)  # n - 1 edge slots, loops included
-    assert g.loops.sum() > 0
+    assert loop_counts(g).sum() > 0
 
 
 def test_permutahedron_has_no_loops():
     g = build_schreier(shape(1, 1, 1, 1))
     assert g.m == 24
-    assert np.all(g.loops == 0)
-    degrees = np.asarray(g.adjacency.sum(axis=1)).ravel()
+    assert np.all(loop_counts(g) == 0)
+    degrees = np.asarray(csr_adjacency(g).sum(axis=1)).ravel()
     assert np.all(degrees == 3)
 
 
 def test_single_row_shape_is_one_vertex():
     g = build_schreier(shape(5))
     assert g.m == 1
-    assert g.loops[0] == 4
+    assert loop_counts(g)[0] == 4
 
 
 def test_laplacian_rows_sum_to_zero_and_psd():
     for parts in [(3, 2), (2, 2, 1), (1, 1, 1, 1)]:
         g = build_schreier(IntegerPartition(parts))
-        lap = g.laplacian.toarray()
+        lap = csr_laplacian(g).toarray()
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.linalg.eigvalsh(lap).min() > -1e-10
 
@@ -92,8 +95,8 @@ def test_apply_laplacian_matches_the_sparse_laplacian(n):
     for g in partitions_of(n):
         graph = build_schreier(g)
         x = rng.standard_normal((graph.m, 3))
-        assert np.abs(graph.apply_laplacian(x) - graph.laplacian @ x).max() <= 1e-13
-        assert np.array_equal(graph.loops, graph.adjacency.diagonal())
+        assert np.abs(graph.apply_laplacian(x) - csr_laplacian(graph) @ x).max() <= 1e-13
+        assert np.array_equal(loop_counts(graph), csr_adjacency(graph).diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +161,8 @@ def test_intertwining_with_permutahedron_laplacian():
     for parts in [(3, 1), (2, 2), (2, 1, 1)]:
         g = IntegerPartition(parts)
         b = build_characteristic(g).dense()
-        lap_full = build_schreier(shape(1, 1, 1, 1)).laplacian.toarray()
-        lap_small = build_schreier(g).laplacian.toarray()
+        lap_full = csr_laplacian(build_schreier(shape(1, 1, 1, 1))).toarray()
+        lap_small = csr_laplacian(build_schreier(g)).toarray()
         assert np.allclose(lap_full @ b, b @ lap_small)
 
 
@@ -198,7 +201,7 @@ def test_equitable_partition_and_quotient_isomorphism():
         cmap = characteristic_column_map(g, pi)
         perm_graph = build_schreier(shape(1, 1, 1, 1))
         small = build_schreier(g)
-        adj = perm_graph.adjacency.toarray()
+        adj = csr_adjacency(perm_graph).toarray()
         m = small.m
         counts = np.zeros((m, m), dtype=np.int64)
         quotient = np.full((m, m), -1, dtype=np.int64)
@@ -208,13 +211,13 @@ def test_equitable_partition_and_quotient_isomorphism():
             for v in np.nonzero(adj[u])[0]:
                 if v != u:
                     row[cmap[v]] += adj[u, v]
-            row[cu] += perm_graph.loops[u]
+            row[cu] += loop_counts(perm_graph)[u]
             if quotient[cu, cu] == -1:
                 quotient[cu] = row
             else:
                 assert np.array_equal(quotient[cu], row)  # equitable
             counts[cu] = row
-        assert np.array_equal(counts, small.adjacency.toarray())
+        assert np.array_equal(counts, csr_adjacency(small).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +336,8 @@ def test_lift_is_adjoint_of_project(rng):
 def test_lifted_eigenvector_is_permutahedron_eigenvector():
     g = shape(2, 2)
     base = build_characteristic(g)
-    lap_small = build_schreier(g).laplacian.toarray()
-    lap_full = build_schreier(shape(1, 1, 1, 1)).laplacian.toarray()
+    lap_small = csr_laplacian(build_schreier(g)).toarray()
+    lap_full = csr_laplacian(build_schreier(shape(1, 1, 1, 1))).toarray()
     w, v = np.linalg.eigh(lap_small)
     for i in range(len(w)):
         lifted = lift(base.col_of, v[:, i])
@@ -342,11 +345,11 @@ def test_lifted_eigenvector_is_permutahedron_eigenvector():
 
 
 def test_intertwining_n5():
-    lap_full = build_schreier(shape(1, 1, 1, 1, 1)).laplacian.toarray()
+    lap_full = csr_laplacian(build_schreier(shape(1, 1, 1, 1, 1))).toarray()
     for parts in [(3, 2), (2, 2, 1)]:
         g = IntegerPartition(parts)
         b = build_characteristic(g).dense()
-        lap_small = build_schreier(g).laplacian.toarray()
+        lap_small = csr_laplacian(build_schreier(g)).toarray()
         assert np.allclose(lap_full @ b, b @ lap_small)
 
 
@@ -356,7 +359,7 @@ def test_quotient_isomorphism_n5():
     cmap = characteristic_column_map(g, pi)
     perm_graph = build_schreier(shape(1, 1, 1, 1, 1))
     small = build_schreier(g)
-    adj = perm_graph.adjacency.toarray()
+    adj = csr_adjacency(perm_graph).toarray()
     m = small.m
     quotient = np.zeros((m, m), dtype=np.int64)
     for u in range(120):
@@ -365,6 +368,6 @@ def test_quotient_isomorphism_n5():
         for v in np.nonzero(adj[u])[0]:
             if v != u:
                 row[cmap[v]] += adj[u, v]
-        row[cu] += perm_graph.loops[u]
+        row[cu] += loop_counts(perm_graph)[u]
         quotient[cu] = row
-    assert np.array_equal(quotient, small.adjacency.toarray())
+    assert np.array_equal(quotient, csr_adjacency(small).toarray())

@@ -15,6 +15,9 @@ from permaframe.combinatorics import (
 from permaframe.errors import NumericalError
 from permaframe.schreier import build_schreier
 from permaframe.spectral import (
+    KEY_MIN_GAP,
+    ShapeSpectrum,
+    check_key_separation,
     eigenvalue_key,
     hook_wedge_eigenvectors,
     key_to_value,
@@ -27,12 +30,15 @@ from permaframe.spectral import (
 )
 
 from oracles import (
+    csr_laplacian,
     deflate_and_solve,
     deflation_spectra,
     dense_oracle,
     kostka,
     lift_between_shapes,
     lift_map_mask,
+    loop_counts,
+    reference_specht_spectrum,
     tableau_to_set_partition,
 )
 
@@ -101,7 +107,7 @@ def test_specht_solver_matches_the_deflation_oracle(n):
     shapes = partitions_of(n) if n < 7 else h_shapes(n)
     oracle = deflation_spectra(shapes)
     for g in shapes:
-        got = specht_spectrum(g, build_schreier(g).laplacian)
+        got = specht_spectrum(g, build_schreier(g).apply_laplacian)
         want = oracle[g]
         assert got.keys == want.keys and got.kappas == want.kappas
         assert np.abs(np.subtract(got.eigenvalues, want.eigenvalues)).max() <= 1e-12
@@ -120,9 +126,21 @@ def test_polytabloids_span_an_invariant_subspace(parts):
     assert set(np.unique(basis)) <= {-1.0, 0.0, 1.0}
     assert np.all(np.count_nonzero(basis, axis=0) == group)
     assert np.linalg.matrix_rank(basis) == hook_dimension(g)
-    image = build_schreier(g).laplacian @ basis
+    image = csr_laplacian(build_schreier(g)) @ basis
     coeffs = np.linalg.lstsq(basis, image, rcond=None)[0]
     assert np.abs(basis @ coeffs - image).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_setup_solve_matches_the_csr_scipy_reference(n):
+    # the neighbor-table Laplacian and numpy's eigh against a CSR Laplacian
+    # and scipy's; measured: 2.0e-13 on the vectors through n = 7
+    for g in partitions_of(n):
+        got = specht_spectrum(g, build_schreier(g).apply_laplacian)
+        want = reference_specht_spectrum(g)
+        assert got.keys == want.keys and got.kappas == want.kappas
+        assert np.abs(np.subtract(got.eigenvalues, want.eigenvalues)).max() <= 1e-12
+        assert np.abs(got.vectors - want.vectors).max() <= 1e-12
 
 
 def test_specht_solver_refuses_a_rank_deficient_basis(monkeypatch):
@@ -131,12 +149,13 @@ def test_specht_solver_refuses_a_rank_deficient_basis(monkeypatch):
     deficient[:, -1] = deficient[:, 0]
     monkeypatch.setattr(spectral, "polytabloid_matrix", lambda _shape: deficient)
     with pytest.raises(NumericalError, match="lost rank"):
-        specht_spectrum(g, build_schreier(g).laplacian)
+        specht_spectrum(g, build_schreier(g).apply_laplacian)
 
 
 def test_full_n9_list_keeps_its_keys():
-    # the keys and multiplicities of every shape of the transpose-reduced
-    # n = 9 list, as the deflation solver found them
+    # the eigenvalues and multiplicities of every shape of the
+    # transpose-reduced n = 9 list, as the deflation solver found them; the
+    # file keeps that solver's keys, on the earlier 1e-6 grid
     from permaframe import build_cache
 
     want = json.loads((DATA / "n9_h_keys.json").read_text())
@@ -145,7 +164,8 @@ def test_full_n9_list_keeps_its_keys():
     for g, bundle in cache.bundles.items():
         spectrum = bundle.spectrum
         assert sum(spectrum.kappas) == spectrum.d == hook_dimension(g)
-        assert list(spectrum.keys) == want[g.label()]["keys"]
+        assert [round(lam / 1e-6) for lam in spectrum.eigenvalues] == want[g.label()]["keys"]
+        assert list(spectrum.keys) == [eigenvalue_key(lam) for lam in spectrum.eigenvalues]
         assert list(spectrum.kappas) == want[g.label()]["kappas"]
 
 
@@ -180,7 +200,7 @@ def test_multiplicities_sum_to_dimension(n, cache4_all, cache5_all):
 def test_completeness_against_dense_oracle(cache5_all):
     # union over shapes with multiplicity d per eigenvector reproduces the
     # dense permutahedron spectrum
-    perm_lap = build_schreier(shape(1, 1, 1, 1, 1)).laplacian
+    perm_lap = csr_laplacian(build_schreier(shape(1, 1, 1, 1, 1)))
     w, _ = dense_oracle(perm_lap)
     expected: dict[int, int] = {}
     for g in partitions_of(5):
@@ -200,7 +220,7 @@ def test_completeness_against_dense_oracle(cache5_all):
 def test_deflation_rank_error_detected(cache4_all):
     from permaframe.errors import ValidationError
 
-    lap = build_schreier(shape(2, 2)).laplacian
+    lap = csr_laplacian(build_schreier(shape(2, 2)))
     with pytest.raises(ValidationError):
         deflate_and_solve(shape(2, 2), lap, {})
 
@@ -245,7 +265,7 @@ def test_sign_convention_fallback_vertex(cache5_all):
 
 def test_lift_between_shapes_preserves_eigenvalue(cache6_all):
     for g in [shape(4, 2), shape(3, 2, 1), shape(2, 2, 2)]:
-        lap = cache6_all.bundles[g].graph.laplacian.toarray()
+        lap = csr_laplacian(cache6_all.bundles[g].graph).toarray()
         for nu in partitions_of(6):
             count, tableaux = kostka(g, nu)
             if nu == g or count == 0:
@@ -293,7 +313,7 @@ def test_lift_to_bigger_schreier_n10():
     from permaframe.schreier import build_schreier
 
     nu, g = shape(9, 1), shape(8, 2)
-    lap = build_schreier(g).laplacian.toarray()
+    lap = csr_laplacian(build_schreier(g)).toarray()
     lambdas, vectors = path_eigenpairs(10)
     rw = build_schreier(nu).row_words
     singles = np.argmax(rw == 1, axis=1)
@@ -325,7 +345,7 @@ def test_wedge_k1_matches_path():
 def test_wedge_k2_eigencheck_n4():
     lam, vec = hook_wedge_eigenvectors(4, 2, (1, 2))
     assert lam == pytest.approx(0.5858 + 2.0, abs=5e-4)
-    lap = build_schreier(shape(2, 1, 1)).laplacian.toarray()
+    lap = csr_laplacian(build_schreier(shape(2, 1, 1))).toarray()
     assert np.linalg.norm(lap @ vec - lam * vec) < 1e-9
 
 
@@ -354,14 +374,14 @@ def test_wedge_span_matches_deflation(n, cache4_all, cache5_all, cache6_all):
 
 
 def test_dense_oracle_permutahedron_extremes():
-    lap = build_schreier(shape(1, 1, 1, 1)).laplacian
+    lap = csr_laplacian(build_schreier(shape(1, 1, 1, 1)))
     w, _ = dense_oracle(lap)
     assert np.count_nonzero(np.abs(w) < 1e-9) == 1
     assert np.count_nonzero(np.abs(w - 6.0) < 1e-9) == 1
 
 
 def test_dense_oracle_two_two_multiset():
-    lap = build_schreier(shape(2, 2)).laplacian
+    lap = csr_laplacian(build_schreier(shape(2, 2)))
     w, _ = dense_oracle(lap)
     expected = sorted([0.0, 0.5858, 2.0, 3.4142, 1.2679, 4.7321])
     assert np.allclose(sorted(w), expected, atol=5e-5)
@@ -371,9 +391,9 @@ def test_trace_identity():
     for parts in [(3, 2), (2, 2, 1), (4, 1)]:
         g = IntegerPartition(parts)
         graph = build_schreier(g)
-        w, _ = dense_oracle(graph.laplacian)
+        w, _ = dense_oracle(csr_laplacian(graph))
         n, m = g.n, graph.m
-        assert w.sum() == pytest.approx((n - 1) * m - graph.loops.sum(), abs=1e-8)
+        assert w.sum() == pytest.approx((n - 1) * m - loop_counts(graph).sum(), abs=1e-8)
 
 
 def test_dense_oracle_size_guard():
@@ -409,6 +429,56 @@ def test_reflection_matches_direct_spectra(cache5_all, cache5_h):
 def test_reflected_key_round_trip():
     key = eigenvalue_key(0.8226)
     assert key_to_value(reflected_key(5, key)) == pytest.approx(8 - 0.8226)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (3.9758686904, 3.9758692391),  # both in (4,4,1,1)
+        (9.1033556250, 9.1033556947),  # the other three pairs span two shapes
+        (9.2757360075, 9.2757361303),
+        (10.1100056508, 10.1100058700),
+    ],
+)
+def test_close_n10_eigenvalues_get_distinct_keys(lo, hi):
+    # distinct eigenvalues of the full n = 10 list that one 1e-6 grid step
+    # merged; their reflections stay apart as well
+    assert round(lo / 1e-6) == round(hi / 1e-6)
+    assert eigenvalue_key(hi) - eigenvalue_key(lo) >= KEY_MIN_GAP
+    assert reflected_key(10, eigenvalue_key(lo)) - reflected_key(10, eigenvalue_key(hi)) >= KEY_MIN_GAP
+
+
+def _keyed_spectrum(parts, keys):
+    return ShapeSpectrum(
+        IntegerPartition(parts), tuple(map(key_to_value, keys)), tuple(keys),
+        (1,) * len(keys), np.zeros((1, len(keys))),
+    )
+
+
+def test_key_separation_refuses_keys_a_few_steps_apart():
+    base = eigenvalue_key(2.5)
+    apart = [_keyed_spectrum((3, 1), [base]), _keyed_spectrum((2, 2), [base + KEY_MIN_GAP])]
+    check_key_separation(4, apart)
+    # equal eigenvalues across shapes share a key
+    check_key_separation(4, apart + [_keyed_spectrum((2, 1, 1), [base])])
+    with pytest.raises(NumericalError, match="grid steps apart"):
+        check_key_separation(4, apart + [_keyed_spectrum((2, 1, 1), [base + 1])])
+    # the reflection 2(n-1) - lambda of one shape lands next to another's key
+    mirror = reflected_key(4, base) + 2
+    with pytest.raises(NumericalError, match="grid steps apart"):
+        check_key_separation(4, apart + [_keyed_spectrum((2, 1, 1), [mirror])])
+
+
+def test_n10_shape_with_close_eigenvalues_sets_up():
+    # these two eigenvalues of (4,4,1,1) once shared a key, so that setup
+    # refused the shape and with it the full n = 10 list
+    from permaframe import build_cache
+
+    g = shape(4, 4, 1, 1)
+    spectrum = build_cache(10, [g]).bundle(g).spectrum
+    found = [lam for lam in spectrum.eigenvalues if abs(lam - 3.97587) < 1e-5]
+    assert found == pytest.approx([3.9758686904, 3.9758692391], abs=1e-10)
+    assert len(set(spectrum.keys)) == len(spectrum.keys)
 
 
 def test_new_piece_orthogonal_to_all_lifted_dominators(cache6_all):
