@@ -9,8 +9,10 @@ of ranks, from one depth-first walk of the swap tree
 (R rows in the shape) from the reading-order lifting's, adds each tree edge's
 key difference on the way down and subtracts it on backtrack, and reads
 vertices from the shape's key -> vertex table.  Analysis walks over the
-signal's nonzeros; synthesis walks all n! ranks in fixed blocks, one walk per
-block and shape.
+signal's nonzeros; synthesis walks only one rank per block of
+``frame.SUFFIX_LENGTH``! consecutive ranks (the rest of the block follows from
+it through ``schreier.suffix_action``), a fixed number of such ranks at a
+time, one walk per such set and shape.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic

@@ -9,9 +9,12 @@ with the stored eigenvectors, scaled by the frame constant.  One walk of the
 swap tree per shape yields those maps; shapes whose transpose is not cached
 are completed by carrying the sign-flipped nonzeros through the same walk
 (:func:`analyze_with_conjugates`).  Synthesis combines each lifting's
-eigenvectors once per shape and spreads the result back over all n! ranks,
-walking them in fixed blocks of ``SYNTHESIS_BLOCK`` ranks, one shape at a
-time.  Atom materialization exists only for tests and small-n inspection.
+eigenvectors once per shape and spreads the result back over all n! ranks.
+It walks only one ranking per block of k! = ``SUFFIX_LENGTH``! consecutive
+ranks, whose rankings differ only in their last k entries, and expands each
+walked vertex to its block through the shape's suffix action table
+(:func:`~permaframe.schreier.suffix_action`).  Atom materialization exists
+only for tests and small-n inspection.
 """
 
 from __future__ import annotations
@@ -38,14 +41,17 @@ from .combinatorics import (
     sign_vector,
 )
 from .errors import ResourceLimitError, ValidationError
-from .schreier import MAX_MATERIALIZE_N, characteristic_column_map
+from .schreier import MAX_MATERIALIZE_N, characteristic_column_map, suffix_action
 from .spectral import key_to_value, reflected_key
 
-# Synthesis walks the n! ranks in blocks of this many, so that a block's
-# working arrays (decoded words, step table, keys, maps, accumulator rows:
-# about 2.4 MB at n = 9) stay near a core's L2 cache.  Measured on a 2-vCPU
-# Xeon VM (2 MB L2 per core), 2**14 beat 2**12, 2**13, 2**15, 2**16 and
-# whole-n! blocks at n = 8 and n = 9.
+# Synthesis walks one ranking per block of SUFFIX_LENGTH! consecutive ranks
+# (see synthesize), SYNTHESIS_BLOCK // SUFFIX_LENGTH! of them at a time, so
+# that a block's working arrays (the walk's words, steps and keys, the
+# expanded vertices, gathered weights and accumulator rows: about 0.7 MB at
+# n = 9) stay inside a core's L2 cache.  Measured on a 2-vCPU Xeon VM (2 MB L2
+# per core), suffix length 4 beat 3 and 5, and 2**14 ranks per block beat
+# 2**13, 2**15 and 2**16, at n = 8 and n = 9.
+SUFFIX_LENGTH = 4
 SYNTHESIS_BLOCK = 1 << 14
 
 
@@ -455,11 +461,16 @@ def synthesize(
     onto the selected shape-eigenvalue spaces.
 
     Shape by shape, each lifting's weights (all its eigenvectors combined, one
-    column per table holding the shape) are computed once; then the n! ranks
-    are walked in blocks of ``SYNTHESIS_BLOCK``, and each lifting's map over a
-    block gathers its weights into that block's rows of an (n!, tables)
-    accumulator.  Every ranking sums shapes in table order and liftings in
-    walk order, so the result does not depend on the block size.
+    column per table holding the shape) are computed once.  With k =
+    min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k! (its
+    block's leader) with its last k entries permuted by the j-th permutation
+    of k items, so its vertex is ``suffix_action(shape, k)[leader's vertex,
+    j]``.  The swap tree is walked over the n!/k! leaders only, in blocks of
+    SYNTHESIS_BLOCK // k!, and each lifting's map, expanded through the
+    action, gathers its weights into those leaders' rows of an (n!/k!, k!,
+    tables) accumulator.  Every ranking sums shapes in table order and
+    liftings in walk order, so the result depends on neither k nor the block
+    size.
     """
     tables = [table] if flipped is None else [table, flipped]
     if any(tab.n != cache.n for tab in tables):
@@ -469,25 +480,30 @@ def synthesize(
         for block in tab.blocks:
             vectors = _check_synthesis_block(cache, block)
             jobs.setdefault(block.shape, []).append((j, vectors, block))
-    total = factorial(cache.n)
-    acc = np.zeros((total, len(tables)))
+    k = min(SUFFIX_LENGTH, cache.n)
+    leaders = factorial(cache.n) // factorial(k)
+    per_block = max(1, SYNTHESIS_BLOCK // factorial(k))
+    acc = np.zeros((leaders, factorial(k), len(tables)))
     for shape, shape_jobs in jobs.items():
         bundle = cache.bundle(shape)
         weights = np.empty((bundle.z, bundle.m, len(shape_jobs)))
         for i, (_j, vectors, block) in enumerate(shape_jobs):
             for t in range(bundle.z):
                 weights[t, :, i] = block.c_bar * (vectors @ block.alphas[:, t])
+        action = suffix_action(shape, k)
         columns = [j for j, _vectors, _block in shape_jobs]
         every_table = columns == list(range(len(tables)))
-        for start in range(0, total, SYNTHESIS_BLOCK):
-            rows = acc[start : start + SYNTHESIS_BLOCK]
-            ranks = np.arange(start, start + len(rows))
+        for start in range(0, leaders, per_block):
+            rows = acc[start : start + per_block]
+            ranks = np.arange(start, start + len(rows)) * factorial(k)
             for t, col in cache.iter_lifting_maps(shape, ranks):
+                vert = action.take(col, axis=0)
                 if every_table:
-                    rows += weights[t].take(col, axis=0)
+                    rows += weights[t].take(vert, axis=0)
                 else:
                     for i, j in enumerate(columns):
-                        rows[:, j] += weights[t, :, i].take(col)
+                        rows[:, :, j] += weights[t, :, i].take(vert)
+    acc = acc.reshape(-1, len(tables))
     if flipped is not None:
         acc[:, 0] += sign_flip(Signal(cache.n, acc[:, 1])).values
     return Signal(cache.n, np.ascontiguousarray(acc[:, 0]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from permaframe import build_cache, frame
+from permaframe.cache import FrameCache
 from permaframe.combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
@@ -316,19 +317,42 @@ def test_one_walk_sign_trick_matches_separate_passes(cache5_h, rng):
         assert np.array_equal(reconstruct(cache, f).values, expected)
 
 
-# 7 divides 7!, so n = 7 takes 1000 for a ragged last block (and 720 blocks
-# of 7 would take seconds per synthesis)
-@pytest.mark.parametrize(
-    "n, block", [(4, 7), (4, 50), (5, 7), (5, 50), (6, 7), (6, 50), (7, 50), (7, 1000)]
-)
+# (n, ranks per block).  At the default suffix length 4, n = 5, 6 and 7 each
+# have a case whose last block of leaders is ragged (5 leaders 2 a block at
+# n = 5; 30 leaders 4 a block at n = 6; 210 leaders 41 a block at n = 7);
+# n <= 4 has one leader.  Blocks of 7 ranks at n = 7 would take seconds per
+# synthesis at suffix length 1.
+SYNTHESIS_CASES = [
+    (1, 7), (2, 1), (3, 4), (4, 7), (4, 50), (5, 7), (5, 50),
+    (6, 7), (6, 50), (6, 100), (7, 50), (7, 1000),
+]
+
+
+def ragged_leader_blocks(n, block, k):
+    leaders = factorial(n) // factorial(min(k, n))
+    per_block = max(1, block // factorial(min(k, n)))
+    return leaders > per_block and leaders % per_block != 0
+
+
+def test_synthesis_cases_have_ragged_leader_blocks():
+    k = frame.SUFFIX_LENGTH
+    for n in (5, 6, 7):
+        assert any(ragged_leader_blocks(n, b, k) for m, b in SYNTHESIS_CASES if m == n)
+    for k in range(1, 5):
+        assert any(ragged_leader_blocks(n, b, k) for n, b in SYNTHESIS_CASES if n >= k)
+
+
+@pytest.mark.parametrize("n, block", SYNTHESIS_CASES)
 def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
-    # the rank blocks (several, the last ragged) change no bit: every ranking
-    # sums the same terms in the same order as one walk over all n! ranks
+    # neither the leader blocks (several, the last ragged) nor the suffix
+    # length (1 walks every rank; it is clipped to n) changes a bit: every
+    # ranking sums the same terms in the same order as one walk over all n!
+    # ranks
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", block)
     cache = build_cache(n, "h")
     f = Signal.random(n, rng)
     direct, flipped = analyze_with_conjugates(cache, f)
-    assert flipped.blocks and len(direct.blocks) > 1
+    assert n < 3 or (flipped.blocks and len(direct.blocks) > 1)
     top = [b.shape for b in direct.blocks[:2]]
     cases = [
         (direct,),
@@ -337,12 +361,32 @@ def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
         (direct.filter(shapes=top[1:]), flipped),  # some shapes in one table only
         (direct.filter(max_eigs=2), flipped.filter(max_eigs=1)),
     ]
-    for tables in cases:
-        got = synthesize(cache, *tables).values
-        assert np.array_equal(got, reference_synthesize(cache, *tables).values)
+    expected = [reference_synthesize(cache, *tables).values for tables in cases]
     g = cache.shapes[-1]
-    expected = reference_synthesize(cache, analyze(cache, f, shapes=[g]))
-    assert np.array_equal(isotypic_project(cache, f, g).values, expected.values)
+    projection = reference_synthesize(cache, analyze(cache, f, shapes=[g])).values
+    for k in range(1, 5):
+        monkeypatch.setattr(frame, "SUFFIX_LENGTH", k)
+        for tables, want in zip(cases, expected):
+            assert np.array_equal(synthesize(cache, *tables).values, want)
+        assert np.array_equal(isotypic_project(cache, f, g).values, projection)
+
+
+def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
+    # the swap tree is walked over the n!/4! block leaders of each shape,
+    # never over every rank, however the leaders are split into blocks
+    monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
+    cache = build_cache(6, "h")
+    direct, flipped = analyze_with_conjugates(cache, Signal.random(6, rng))
+    walked: dict[IntegerPartition, int] = {}
+    walk = FrameCache.iter_lifting_maps
+
+    def counting_walk(self, shape, ranks):
+        walked[shape] = walked.get(shape, 0) + len(ranks)
+        return walk(self, shape, ranks)
+
+    monkeypatch.setattr(FrameCache, "iter_lifting_maps", counting_walk)
+    synthesize(cache, direct, flipped)
+    assert walked == {g: factorial(6) // factorial(4) for g in cache.shapes}
 
 
 def test_synthesis_rejects_malformed_blocks(cache4_all, rng):

@@ -8,6 +8,7 @@ from permaframe.combinatorics import (
     OrderedSetPartition,
     Permutation,
     enumerate_ordered_set_partitions,
+    h_shapes,
     lex_rank,
     multiplicity_constants,
     partitions_of,
@@ -21,8 +22,10 @@ from permaframe.schreier import (
     characteristic_column_map,
     key_powers,
     minimal_paths,
+    suffix_action,
     vertex_table,
 )
+from permaframe.cache import FrameCache, SchreierBundle
 
 from oracles import (
     act,
@@ -263,6 +266,34 @@ def test_bfs_deterministic():
     a = minimal_paths(shape(3, 2, 1))
     b = minimal_paths(shape(3, 2, 1))
     assert [p.swaps for p in a] == [p.swaps for p in b]
+
+
+# ---------------------------------------------------------------------------
+# the suffix action
+
+
+@pytest.mark.parametrize(
+    "g", [g for n in range(1, 7) for g in partitions_of(n)] + list(h_shapes(7)),
+    ids=IntegerPartition.label,
+)
+def test_suffix_action_expands_leader_maps_to_every_rank(g):
+    n = g.n
+    graph = build_schreier(g)
+    # the walk reads only the shape's swap tree, so no eigensolve is needed
+    cache = FrameCache(n, {g: SchreierBundle(g, graph, None)})
+    full = dict(cache.iter_lifting_maps(g, np.arange(factorial(n))))
+    for k in range(1, min(4, n) + 1):
+        action = suffix_action(g, k)
+        assert action.shape == (graph.m, factorial(k)) and action.dtype == np.intp
+        assert np.array_equal(action[:, 0], np.arange(graph.m))
+        assert np.array_equal(np.sort(action, axis=0), np.repeat(
+            np.arange(graph.m)[:, None], factorial(k), axis=1
+        ))
+        if k >= 2:  # tau_1 swaps the last two positions
+            assert np.array_equal(action[:, 1], graph.neighbors[:, n - 2])
+        leaders = np.arange(factorial(n) // factorial(k)) * factorial(k)
+        for t, leader_map in cache.iter_lifting_maps(g, leaders):
+            assert np.array_equal(action.take(leader_map, axis=0).ravel(), full[t])
 
 
 # ---------------------------------------------------------------------------
