@@ -8,11 +8,13 @@ of ranks, from one depth-first walk of the swap tree
 (``FrameCache.iter_lifting_maps``): it carries one base-R vertex key per rank
 (R rows in the shape) from the reading-order lifting's, adds each tree edge's
 key difference on the way down and subtracts it on backtrack, and reads
-vertices from the shape's key -> vertex table.  Analysis walks over the
-signal's nonzeros; synthesis walks only one rank per block of
-``frame.SUFFIX_LENGTH``! consecutive ranks (the rest of the block follows from
-it through ``schreier.suffix_action``), a fixed number of such ranks at a
-time, one walk per such set and shape.
+vertices from the shape's key -> vertex table, which a caller that walks
+one shape several times builds once.  Both operators walk block leaders: one
+rank per block of k! consecutive ranks, whose other ranks follow from it
+through ``schreier.suffix_action``.  Synthesis walks every leader at k =
+``frame.SUFFIX_LENGTH``, a fixed number of them at a time; analysis walks
+the leaders of the blocks a signal's nonzeros touch, at a k chosen from its
+support (k = 1 walks the nonzeros themselves), once per shape.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic
@@ -37,6 +39,7 @@ import shutil
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from math import factorial
 from typing import Callable, Iterator, Sequence
@@ -158,24 +161,19 @@ class FrameCache:
     # -- lifting column maps -----------------------------------------------
 
     def iter_lifting_maps(
-        self, shape: IntegerPartition, ranks: np.ndarray
+        self, shape: IntegerPartition, ranks: np.ndarray, *, table: np.ndarray | None = None
     ) -> Iterator[tuple[int, np.ndarray]]:
         """(t, vertex per rank of ``ranks`` under the t-th reduced lifting)
         pairs in depth-first order over the swap tree; every lifting appears
         exactly once, and each map equals the column map of row t of
         ``reduced_row_words(shape)`` at ``ranks``, as a fresh intp array.
-        Each tree edge costs O(len(ranks)) down and again on backtrack."""
+        Each tree edge costs O(len(ranks)) down and again on backtrack.
+        ``table`` is the shape's ``vertex_table``, built here when not given:
+        a caller that walks one shape over several sets of ranks builds it
+        once."""
         bundle = self.bundle(shape)
-        parent, swap = bfs_tree_arrays(bundle.shape)
+        children, rise, swaps = _swap_tree(bundle.shape)
         rows = reduced_row_words(bundle.shape)
-        children: list[list[int]] = [[] for _ in rows]
-        for t in range(1, len(rows)):
-            children[int(parent[t])].append(t)
-        # the edge into lifting t swaps positions swap[t] - 1 and swap[t] of
-        # its row word; rise[t] is the row difference across them
-        at = np.arange(len(rows))
-        rise = (rows[at, swap - 1].astype(np.intp) - rows[at, swap]).tolist()
-        swaps = swap.tolist()
         words = unrank_words(self.n, ranks)
         key = lifting_keys(bundle.shape, rows[0], words)
         # steps[c] = w[c] - w[c+1], where w[c] = R**(n-1-position of c): the
@@ -188,7 +186,8 @@ class FrameCache:
         for c in range(1, self.n):
             steps[c - 1] -= steps[c]
         delta = np.empty_like(key)
-        table = vertex_table(bundle.shape)
+        if table is None:
+            table = vertex_table(bundle.shape)
 
         def move(t: int, sign: int) -> None:
             # the edge into lifting t, forward (+1) or back (-1); most edges
@@ -218,6 +217,23 @@ class FrameCache:
         shape, as a list; the transform streams ``iter_lifting_maps``, the
         benchmark's tracer binds this name."""
         return list(self.iter_lifting_maps(shape, np.arange(factorial(self.n))))
+
+
+@lru_cache(maxsize=64)
+def _swap_tree(
+    shape: IntegerPartition,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The walk's view of ``bfs_tree_arrays``: per reduced lifting t, its
+    children, the swap s on the edge into it, which exchanges positions s - 1
+    and s of its row word, and the row difference (rise) across them."""
+    parent, swap = bfs_tree_arrays(shape)
+    rows = reduced_row_words(shape)
+    children: list[list[int]] = [[] for _ in rows]
+    for t in range(1, len(rows)):
+        children[int(parent[t])].append(t)
+    at = np.arange(len(rows))
+    rise = rows[at, swap - 1].astype(np.intp) - rows[at, swap]
+    return tuple(map(tuple, children)), tuple(rise.tolist()), tuple(swap.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,24 @@ MAX_EXACT_N = 16
 MAX_DENSE_N = 12
 
 
+def _check_positive_n(n: int) -> None:
+    # no ranking of fewer than one candidate exists: invalid input, not a
+    # resource refusal
+    if n < 1:
+        raise ValidationError(f"n={n} must be at least 1")
+
+
 def check_exact_n(n: int) -> None:
-    if not 1 <= n <= MAX_EXACT_N:
+    _check_positive_n(n)
+    if n > MAX_EXACT_N:
         raise ResourceLimitError(
             f"n={n} outside the supported exact range 1..{MAX_EXACT_N}"
         )
 
 
 def check_dense_n(n: int) -> None:
-    if not 1 <= n <= MAX_DENSE_N:
+    _check_positive_n(n)
+    if n > MAX_DENSE_N:
         raise ResourceLimitError(
             f"n={n} requires dense length-n! arrays; supported only for n <= {MAX_DENSE_N}"
         )

@@ -2,19 +2,22 @@
 energy decompositions, isotypic projections, graph Fourier transform and the
 transpose-shape sign trick.
 
-Analysis never materializes length-n! atoms or index maps.  Each coefficient
-is computed on the Schreier graph side: accumulate the signal's nonzeros onto
-the graph through the lifting's column map over them, and take inner products
-with the stored eigenvectors, scaled by the frame constant.  One walk of the
-swap tree per shape yields those maps; shapes whose transpose is not cached
-are completed by carrying the sign-flipped nonzeros through the same walk
-(:func:`analyze_with_conjugates`).  Synthesis combines each lifting's
-eigenvectors once per shape and spreads the result back over all n! ranks.
-It walks only one ranking per block of k! = ``SUFFIX_LENGTH``! consecutive
-ranks, whose rankings differ only in their last k entries, and expands each
-walked vertex to its block through the shape's suffix action table
-(:func:`~permaframe.schreier.suffix_action`).  Atom materialization exists
-only for tests and small-n inspection.
+Both directions walk the swap tree of each shape over block leaders.  The
+rank b*k! leads the k! consecutive ranks from it on, whose rankings differ
+from its own only in their last k entries, so under every lifting their
+vertices follow from the leader's through the shape's suffix action table
+(:func:`~permaframe.schreier.suffix_action`).  Synthesis combines each
+lifting's eigenvectors once per shape and spreads the result back over all
+n! ranks, walking every leader at k = ``SUFFIX_LENGTH``.  Analysis walks the
+leaders of the blocks that the signal's nonzeros touch, at a k chosen from
+the support (k = 1 walks the nonzeros themselves), accumulates the signal
+onto the graph through each lifting's column map, and takes inner products
+with the stored eigenvectors, scaled by the frame constant.  It sums each
+vertex's even and odd rankings apart, which also yields the sign-flipped
+signal's accumulation: that completes the shapes whose transpose is not
+cached (:func:`analyze_with_conjugates`).  Neither direction materializes
+length-n! atoms or index maps; atoms exist only for tests and small-n
+inspection.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ from .combinatorics import (
     sign_vector,
 )
 from .errors import ResourceLimitError, ValidationError
-from .schreier import MAX_MATERIALIZE_N, characteristic_column_map, suffix_action
+from .schreier import (
+    MAX_MATERIALIZE_N, characteristic_column_map, suffix_action, vertex_table,
+)
 from .spectral import key_to_value, reflected_key
 
 # Synthesis walks one ranking per block of SUFFIX_LENGTH! consecutive ranks
@@ -53,6 +58,15 @@ from .spectral import key_to_value, reflected_key
 # 2**13, 2**15 and 2**16, at n = 8 and n = 9.
 SUFFIX_LENGTH = 4
 SYNTHESIS_BLOCK = 1 << 14
+# Analysis walks one ranking per k!-block of ranks that the signal's nonzeros
+# touch, for the largest k <= SUFFIX_LENGTH whose touched blocks hold at most
+# ANALYSIS_FILL times as many ranks as there are nonzeros (see _walked_blocks).
+# Measured on the same VM with uniformly random supports (n = 8, full list;
+# n = 9, top 5 shapes): k = 4 at 1.25x took 0.21-0.26 s against 0.48-0.58 s
+# for k = 1, and it still won at 2x, but k = 2 lost to k = 1 from about 1.4x.
+# A touched 2-block never holds more than 2 ranks, so a bound near 2 would put
+# every sparse tally on k = 2; 1.25 keeps them on k = 1.
+ANALYSIS_FILL = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +270,8 @@ class CoefficientTable:
     # -- serialization ----------------------------------------------------
     # Labels are formatted once per block and lambda/k once per row; each
     # alpha is the repr of a Python float, which is what csv and json write.
+    # The csv joins each row's lines first, so it never holds one string
+    # object per atom besides the text.
 
     def to_csv_text(self) -> str:
         """One line per atom: shape, lambda, k, partition, alpha; labels
@@ -266,7 +282,7 @@ class CoefficientTable:
             parts = [_csv_field(label) for label in block_labels(reduced_row_words(b.shape))]
             for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
                 head = f"{shape},{key_to_value(key):.9f},{k},"
-                lines.extend(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas))
+                lines.append("".join(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas)))
         return "".join(lines)
 
     def to_json_text(self) -> str:
@@ -320,6 +336,24 @@ def _check_signal(cache: FrameCache, signal: Signal) -> None:
         )
 
 
+def _walked_blocks(n: int, support: np.ndarray) -> tuple[int, np.ndarray]:
+    """(k, blocks): the largest suffix length k <= min(``SUFFIX_LENGTH``, n)
+    whose k!-blocks touched by the sorted ``support`` hold at most
+    ``ANALYSIS_FILL`` times as many ranks as it, and the indices of those
+    blocks, ascending.  A block's ranks b*k!..b*k! + k! - 1 all fall in one
+    touched (k+1)!-block, so the ratio only grows with k."""
+    k, blocks = 1, support
+    for j in range(2, min(SUFFIX_LENGTH, n) + 1):
+        coarse = support // factorial(j)
+        first = np.ones(len(coarse), dtype=bool)
+        np.not_equal(coarse[1:], coarse[:-1], out=first[1:])
+        touched = coarse[first]
+        if len(touched) * factorial(j) > ANALYSIS_FILL * len(support):
+            break
+        k, blocks = j, touched
+    return k, blocks
+
+
 def _analyze_blocks(
     cache: FrameCache,
     signal: Signal,
@@ -328,31 +362,62 @@ def _analyze_blocks(
     flipped_shapes: Sequence[IntegerPartition] = (),
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
-    ``flipped_shapes`` (a subset), from one tree walk per shape over the
-    signal's nonzeros, in rank order so the sums match a dense pass bit for
-    bit.  Each signal gets its own accumulation and product per lifting, so
-    its coefficients do not depend on whether the other is computed alongside."""
+    ``flipped_shapes`` (a subset), from one tree walk per shape.
+
+    The walk visits one ranking, the leader, per k!-block of ranks that the
+    signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 walks the
+    nonzeros themselves) and expands it to its block through
+    ``suffix_action(shape, k)``, as synthesis does.  Each rank goes to bin
+    2v + p, v its vertex and p the parity of its ranking, which is the
+    leader's parity xor that of its suffix permutation.  So one ``bincount``
+    sums each vertex's even and odd ranks apart, each in rank order, and the
+    ranks a block holds outside the support add exact zeros: with E and O
+    those sums, the signal's projection is E + O and its sign flip's is E - O,
+    bit for bit the same for every k.  Analyzing ``sign_flip(signal)`` swaps
+    O for -O exactly, so the flipped blocks equal its direct ones."""
     support = np.flatnonzero(signal.values)
-    values = signal.values[support]
-    flipped_values = values * rank_signs(signal.n, support) if flipped_shapes else None
+    k, blocks = _walked_blocks(signal.n, support)
+    walked = blocks * factorial(k)
+    odd = (rank_signs(signal.n, walked) < 0).astype(np.intp)
+    if k == 1:
+        values = signal.values[support]
+    else:
+        values = signal.values.reshape(-1, factorial(k))[blocks].reshape(-1)
+        # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
+        parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
+        spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
     direct: list[ShapeBlock] = []
     flipped: list[ShapeBlock] = []
     for shape in shape_list:
         bundle = cache.bundle(shape)
         rows = bundle.spectrum.eigenvector_rows()
         r_used = len(rows) if max_eigs is None else min(len(rows), max_eigs)
-        vectors = bundle.spectrum.vectors[:, :r_used]
-        jobs = [(values, np.empty((r_used, bundle.z)), direct)]
+        vectors_t = bundle.spectrum.vectors[:, :r_used].T
+        jobs = [(np.add, np.empty((r_used, bundle.z)), direct)]
         if shape in flipped_shapes:
-            jobs.append((flipped_values, np.empty((r_used, bundle.z)), flipped))
-        for t, col in cache.iter_lifting_maps(shape, support):
-            for f, alphas, _out in jobs:
-                g = np.bincount(col, weights=f, minlength=bundle.m)
-                alphas[:, t] = vectors.T @ g
+            jobs.append((np.subtract, np.empty((r_used, bundle.z)), flipped))
+        table = vertex_table(shape)
+        if k > 1:
+            # row 2v + p: the bins of a block whose leader is at v with parity p
+            action = suffix_action(shape, k, table)
+            expand = (2 * action[:, None, :] + parity).reshape(2 * bundle.m, -1)
+        projection, bin_count = np.empty(bundle.m), 2 * bundle.m
+        for t, col in cache.iter_lifting_maps(shape, walked, table=table):
+            bins = np.multiply(col, 2, out=col)
+            bins += odd
+            if k > 1:
+                # the indices are in range; "clip" lets take write into
+                # spread directly, where "raise" would buffer
+                bins = expand.take(bins, axis=0, out=spread, mode="clip").reshape(-1)
+            sums = np.bincount(bins, weights=values, minlength=bin_count)
+            for combine, alphas, _out in jobs:
+                combine(sums[0::2], sums[1::2], out=projection)
+                alphas[:, t] = vectors_t @ projection
+        del table  # one shape's key table at a time
         lam = np.array([row[0] for row in rows[:r_used]])
         keys = np.array([row[1] for row in rows[:r_used]], dtype=np.int64)
         ks = np.array([row[2] for row in rows[:r_used]], dtype=np.int64)
-        for _f, alphas, out in jobs:
+        for _combine, alphas, out in jobs:
             alphas *= bundle.c_bar
             out.append(ShapeBlock(shape, bundle.c_bar, lam, keys, ks, alphas))
     return direct, flipped
@@ -490,19 +555,21 @@ def synthesize(
         for i, (_j, vectors, block) in enumerate(shape_jobs):
             for t in range(bundle.z):
                 weights[t, :, i] = block.c_bar * (vectors @ block.alphas[:, t])
-        action = suffix_action(shape, k)
+        table = vertex_table(shape)
+        action = suffix_action(shape, k, table)
         columns = [j for j, _vectors, _block in shape_jobs]
         every_table = columns == list(range(len(tables)))
         for start in range(0, leaders, per_block):
             rows = acc[start : start + per_block]
             ranks = np.arange(start, start + len(rows)) * factorial(k)
-            for t, col in cache.iter_lifting_maps(shape, ranks):
+            for t, col in cache.iter_lifting_maps(shape, ranks, table=table):
                 vert = action.take(col, axis=0)
                 if every_table:
                     rows += weights[t].take(vert, axis=0)
                 else:
                     for i, j in enumerate(columns):
                         rows[:, :, j] += weights[t, :, i].take(vert)
+        del table  # one shape's key table at a time
     acc = acc.reshape(-1, len(tables))
     if flipped is not None:
         acc[:, 0] += sign_flip(Signal(cache.n, acc[:, 1])).values

@@ -149,21 +149,24 @@ def vertex_table(shape: IntegerPartition) -> np.ndarray:
     return table
 
 
-def suffix_action(shape: IntegerPartition, k: int) -> np.ndarray:
+def suffix_action(
+    shape: IntegerPartition, k: int, table: np.ndarray | None = None
+) -> np.ndarray:
     """(m, k!) intp table: entry [v, j] is the vertex whose row word is v's
     with its last k positions permuted by tau_j, the j-th lexicographic
     permutation of k items (position n-k+i takes v's entry at n-k+tau_j[i]).
 
     The ranking of lexicographic rank b*k! + j is that of rank b*k! with its
     last k entries permuted by tau_j, so under any lifting its vertex is
-    ``suffix_action[vertex of rank b*k!, j]``."""
+    ``suffix_action[vertex of rank b*k!, j]``.  ``table`` is the shape's
+    :func:`vertex_table`, built here when not given."""
     n = shape.n
     words = row_word_matrix(shape).astype(np.intp)
     weights = key_powers(shape)
     taus = unrank_words(k, np.arange(factorial(k))).astype(np.intp)  # (k, k!)
     prefix = words[:, : n - k] @ weights[: n - k]
     keys = sum((words[:, n - k + taus[i]] * weights[n - k + i] for i in range(k)), prefix[:, None])
-    return vertex_table(shape)[keys]
+    return (vertex_table(shape) if table is None else table)[keys]
 
 
 def lifting_keys(

@@ -740,6 +740,14 @@ def test_cli_resource_refusals(workdir, capsys):
     assert "--shapes" in err
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_cli_setup_rejects_n_below_one(workdir, capsys, n):
+    # no ranking exists: a validation error (exit 2), not a resource refusal
+    assert run_cli("setup", f"--n={n}", "--cache", workdir / "c") == 2
+    assert f"n={n} must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "c").exists()
+
+
 def test_cli_max_eigs_counts(workdir, capsys):
     cache_dir = workdir / "cache"
     run_cli("setup", "--n", 4, "--cache", cache_dir)

@@ -14,6 +14,7 @@ from permaframe.combinatorics import (
     enumerate_ordered_set_partitions,
     hook_dimension,
     multiplicity_constants,
+    rank_words,
     reduced_representatives,
     word_table,
 )
@@ -25,6 +26,7 @@ from permaframe.frame import (
     analyze,
     analyze_with_conjugates,
     atom,
+    conjugate_energy_rows,
     energy_table,
     graph_fourier,
     isotypic_project,
@@ -371,22 +373,101 @@ def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
         assert np.array_equal(isotypic_project(cache, f, g).values, projection)
 
 
+def count_walked_ranks(monkeypatch) -> dict[IntegerPartition, int]:
+    """From now on, the ranks the swap tree is walked over, summed per shape."""
+    walked: dict[IntegerPartition, int] = {}
+    walk = FrameCache.iter_lifting_maps
+
+    def counting_walk(self, shape, ranks, **kwargs):
+        walked[shape] = walked.get(shape, 0) + len(ranks)
+        return walk(self, shape, ranks, **kwargs)
+
+    monkeypatch.setattr(FrameCache, "iter_lifting_maps", counting_walk)
+    return walked
+
+
 def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
     # the swap tree is walked over the n!/4! block leaders of each shape,
     # never over every rank, however the leaders are split into blocks
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
     cache = build_cache(6, "h")
     direct, flipped = analyze_with_conjugates(cache, Signal.random(6, rng))
-    walked: dict[IntegerPartition, int] = {}
-    walk = FrameCache.iter_lifting_maps
-
-    def counting_walk(self, shape, ranks):
-        walked[shape] = walked.get(shape, 0) + len(ranks)
-        return walk(self, shape, ranks)
-
-    monkeypatch.setattr(FrameCache, "iter_lifting_maps", counting_walk)
+    walked = count_walked_ranks(monkeypatch)
     synthesize(cache, direct, flipped)
     assert walked == {g: factorial(6) // factorial(4) for g in cache.shapes}
+
+
+def analysis_signals(n, rng):
+    """Float and integer signals, dense and sparse: a dense one with every
+    rank nonzero, one with about a third of its ranks zero, and a sparse one
+    whose touched 4!-blocks are a few whole ones, a few partly filled ones
+    and the first and last block, each with one rank."""
+    size = factorial(n)
+    whole = np.zeros(size, dtype=bool)
+    blocks = max(1, size // 24)
+    for b in rng.choice(blocks, size=min(blocks, 3), replace=False):
+        whole[b * 24 : (b + 1) * 24] = True
+    sparse = whole.copy()
+    sparse[rng.choice(size, size=max(1, size // 50), replace=False)] = True
+    sparse[[0, size - 1]] = True
+    out = [rng.standard_normal(size), rng.integers(1, 9, size=size).astype(float)]
+    out.append(np.where(rng.random(size) < 0.35, 0.0, rng.standard_normal(size)))
+    out.append(np.where(rng.random(size) < 0.35, 0.0, rng.integers(1, 9, size=size)))
+    out.append(np.where(sparse, rng.standard_normal(size), 0.0))
+    out.append(np.where(sparse, rng.integers(1, 9, size=size), 0).astype(float))
+    return [Signal(n, v) for v in out]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_analysis_suffix_lengths_match_the_reference(n, monkeypatch, rng):
+    # walking one leader per k!-block and expanding it through the suffix
+    # action changes no bit against walking every nonzero (k = 1): each bin
+    # sums its even and its odd ranks in rank order, and the ranks a block
+    # holds outside the support add exact zeros
+    cache = build_cache(n, "h")
+    shapes = [cache.shapes[0], cache.shapes[-1]]
+    conj = [s for s in cache.shapes if s.transpose() not in set(cache.shapes)]
+    assert n < 5 or conj
+
+    def analyses(f):
+        direct, flipped = analyze_with_conjugates(cache, f)
+        assert same_blocks(direct, analyze(cache, f))
+        assert same_blocks(flipped, analyze(cache, sign_flip(f), shapes=conj))
+        return [
+            direct,
+            flipped,
+            analyze(cache, f, shapes=shapes),
+            analyze(cache, f, max_eigs=2),
+            analyze(cache, sign_flip(f), shapes=shapes[1:], max_eigs=1),
+        ]
+
+    signals = analysis_signals(n, rng)
+    monkeypatch.setattr(frame, "SUFFIX_LENGTH", 1)
+    expected = [analyses(f) for f in signals]
+    monkeypatch.setattr(frame, "ANALYSIS_FILL", float("inf"))
+    for k in range(2, 5):
+        monkeypatch.setattr(frame, "SUFFIX_LENGTH", k)
+        for f, want in zip(signals, expected):
+            assert frame._walked_blocks(n, np.flatnonzero(f.values))[0] == min(k, n)
+            for got, table in zip(analyses(f), want):
+                assert same_blocks(got, table)
+
+
+def test_analysis_walks_leaders_of_dense_tallies_and_nonzeros_of_sparse_ones(
+    monkeypatch, rng
+):
+    # a tally that fills its 4!-blocks is walked once per block, n!/4! ranks
+    # per shape, even with a few zero counts; a sparse one walks its nonzeros
+    cache = build_cache(6, "h")
+    dense = rng.integers(1, 9, size=factorial(6)).astype(float)
+    dense[rng.choice(factorial(6), size=20, replace=False)] = 0.0
+    sparse = np.zeros(factorial(6))
+    sparse[rng.choice(factorial(6), size=40, replace=False)] = 1.0
+    for values, ranks in ((dense, factorial(6) // factorial(4)), (sparse, 40)):
+        walked = count_walked_ranks(monkeypatch)
+        analyze_with_conjugates(cache, Signal(6, values))
+        analyze(cache, Signal(6, values), max_eigs=1)
+        assert walked == {g: 2 * ranks for g in cache.shapes}
 
 
 def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
@@ -442,6 +523,43 @@ def relabeled(f: Signal, sigma: np.ndarray) -> Signal:
     return Signal(f.n, out)
 
 
+def reversed_positions(f: Signal) -> Signal:
+    """The signal of the same ballots with every ranking read backwards: the
+    right action of the longest permutation."""
+    words = word_table(f.n)
+    out = np.empty_like(f.values)
+    out[rank_words(words[:, ::-1])] = f.values
+    return Signal(f.n, out)
+
+
+@pytest.mark.parametrize("name", ["cache4_all", "cache5_h", "cache6_all"])
+def test_energies_are_invariant_under_position_reversal(name, request, rng):
+    # reading rankings backwards maps the permutahedron onto itself (swap s
+    # becomes swap n - s) and commutes with renaming candidates, so it keeps
+    # every isotypic component and every Laplacian eigenspace, and with them
+    # each (shape, eigenvalue) energy
+    cache = request.getfixturevalue(name)
+    for f in (
+        Signal.random(cache.n, rng),
+        Signal(cache.n, rng.integers(0, 9, size=factorial(cache.n)).astype(float)),
+    ):
+        g = reversed_positions(f)
+        assert not np.array_equal(f.values, g.values)
+        tol = 1e-12 * f.norm2()
+        (direct_f, flipped_f), (direct_g, flipped_g) = (
+            analyze_with_conjugates(cache, h) for h in (f, g)
+        )
+        for rows_f, rows_g in (
+            (direct_f.energy_rows(), direct_g.energy_rows()),
+            (conjugate_energy_rows(flipped_f), conjugate_energy_rows(flipped_g)),
+        ):
+            assert [r[:2] for r in rows_f] == [r[:2] for r in rows_g]
+            assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
+        gft_f, gft_g = graph_fourier(cache, f), graph_fourier(cache, g)
+        assert [k for k, _ in gft_f] == [k for k, _ in gft_g]
+        assert np.allclose([e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("name", ["cache4_all", "cache5_h", "cache6_all"])
 def test_energies_are_invariant_under_candidate_relabeling(name, request, rng):
     # each (shape, eigenvalue) space is closed under renaming candidates,
@@ -459,6 +577,24 @@ def test_energies_are_invariant_under_candidate_relabeling(name, request, rng):
         assert np.allclose(
             [e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol
         )
+
+
+def test_dense_analysis_walks_no_rank_length_table():
+    # n=9 top-5 with every rank nonzero: beyond the support and its values
+    # (about 6 MB), the walk holds one index and one value per rank and
+    # (n, n!/4!) arrays over the leaders; walking every rank would hold an
+    # (n, n!) intp step table, 26 MB
+    cache = build_cache(9, "h", top_k=5)
+    rng = np.random.default_rng(5)
+    f = Signal(9, rng.integers(1, 9, size=factorial(9)).astype(float))
+    analyze_with_conjugates(cache, f)
+    tracemalloc.start()
+    try:
+        analyze_with_conjugates(cache, f)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_sparse_analysis_allocates_no_rank_length_array():
