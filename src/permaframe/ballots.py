@@ -14,17 +14,18 @@ rejected.  An optional JSON sidecar maps candidate numbers to display names,
 e.g. ``{"1": "Shrimp"}``.
 
 A parsed file is a ``BallotFile`` of two arrays in file order: ``words``, one
-ranking per row, and ``counts``.  ``parse_ballots`` converts every distinct
-token once and checks all rankings in one vectorized test; only when that
-test fails does it go over the records one by one, to name the first bad
+ranking per row, and ``counts``.  A file of plain bytes (ASCII digits, blanks,
+commas and line breaks, besides its header and its ``#`` comments) is parsed
+in one numpy pass over its bytes; any other file, and any file with a line
+that pass cannot read, is parsed line by line, which also names the first bad
 line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,19 @@ from .frame import Signal
 
 # the most candidates that an empty words array can have columns for
 MAX_CANDIDATES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
+# Byte classes of the plain pass, in the order its checks compare them.  Any
+# ASCII byte may sit in a comment except those that str.splitlines breaks
+# lines at: they would end the comment, so they go line by line.
+BLANK, EOL, COMMA, DIGIT, TEXT, HASH, OTHER = range(7)
+BYTE_CLASS = np.full(256, OTHER, dtype=np.uint8)
+BYTE_CLASS[:128] = TEXT
+BYTE_CLASS[[0x0B, 0x0C, 0x1C, 0x1D, 0x1E]] = OTHER
+BYTE_CLASS[list(b" \t")] = BLANK
+BYTE_CLASS[list(b"\n\r")] = EOL
+BYTE_CLASS[ord(",")] = COMMA
+BYTE_CLASS[ord("0") : ord("9") + 1] = DIGIT
+BYTE_CLASS[ord("#")] = HASH
 
 
 def word_dtype(n: int) -> type:
@@ -67,18 +81,118 @@ class BallotFile:
 def parse_ballots(text: str, label: str = "ballots") -> BallotFile:
     """The records of a ballot file's text; ``ValidationError`` naming the
     first bad line otherwise."""
-    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
-    linenos = [i for i, line in enumerate(lines, start=1) if line]
-    if not linenos:
+    ballots = _parse_plain(text.encode("ascii"), label) if text.isascii() else None
+    return ballots if ballots is not None else _parse_lines(text, label)
+
+
+def _parse_plain(data: bytes, label: str) -> BallotFile | None:
+    """The records of a ballot file's bytes, read in one numpy pass; None when
+    the file is not plain or has a line that is not blank, the header or a
+    well-formed record, and the line-by-line parse must decide.
+
+    Every byte is classed through ``BYTE_CLASS``, and a comment, from '#' to
+    the next CR or LF, reads as blanks.  The first nonblank line must be
+    'n=<digits>'.  After it, the body's digit runs, commas and line breaks
+    must line up as records of n runs, a comma and one run, one per line.
+    Then the runs, read by ``np.fromstring``, fill a (records, n + 1) grid
+    whose candidates are range-checked before they are narrowed."""
+    if not data:
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    kind = BYTE_CLASS[codes]
+    if kind.max() == OTHER:
+        return None
+    eols = np.flatnonzero(kind == EOL)
+    if b"#" in data:
+        # the first '#' of a line up to its end: +1 at the one, -1 at the other
+        hashes = np.flatnonzero(kind == HASH)
+        ends = np.append(eols, len(kind))[np.searchsorted(eols, hashes)]
+        first = np.ones(len(hashes), dtype=bool)
+        np.not_equal(ends[1:], ends[:-1], out=first[1:])
+        edges = np.zeros(len(kind) + 1, dtype=np.int8)
+        edges[hashes[first]] = 1
+        edges[ends[first]] = -1
+        kind[np.cumsum(edges[:-1], dtype=np.int8).view(bool)] = BLANK
+    start = int(np.argmax(kind >= COMMA))
+    if kind[start] < COMMA:
+        return None  # no header
+    at = np.searchsorted(eols, start)
+    stop = int(eols[at]) if at < len(eols) else len(kind)
+    header = re.fullmatch(rb"n=([0-9]+)", data[start:stop].split(b"#", 1)[0].rstrip(b" \t"))
+    if header is None or not 1 <= int(header[1]) <= MAX_CANDIDATES:
+        return None
+    n = int(header[1])
+    body = kind[stop:]  # from the header's line break on
+    if body.size and body.max() > DIGIT:
+        return None
+    digit = body == DIGIT
+    # the body's events in file order: the first digit of every run, every
+    # comma and every line break
+    events = digit.copy()
+    events[1:] &= ~digit[:-1]
+    events |= body == EOL
+    events |= body == COMMA
+    seq = body[events]
+    # each array is dropped once done with, so that the peak stays a few
+    # times the file's size besides the parsed values
+    del events, kind, body, eols
+    # each line holds no event, or n runs, a comma and one run: with as many
+    # commas as such lines, one at the right place in each, the rest are runs
+    breaks = np.flatnonzero(seq == EOL)
+    lengths = np.diff(breaks, append=len(seq)) - 1
+    lines = breaks[lengths > 0] + 1
+    records = len(lines)
+    if (
+        np.any(lengths[lengths > 0] != n + 2)
+        or np.count_nonzero(seq == COMMA) != records
+        or np.any(seq[lines + n] != COMMA)
+    ):
+        return None
+    del seq, breaks, lengths, lines
+    if not records:
+        return BallotFile(n, np.zeros((0, n), word_dtype(n)), np.zeros(0, np.int64), label)
+    # n comes from the header; from here on it is bounded by the text's size
+    # the conversion reads a number on past the end of its buffer, so one
+    # more blank ends the last one
+    digits = np.full(len(digit) + 1, ord(" "), dtype=np.uint8)
+    np.copyto(digits[:-1], codes[stop:], where=digit)
+    del digit
+    values = np.fromstring(digits, np.int64, count=records * (n + 1), sep=" ")
+    del digits
+    # a run past int64 reads as its largest value: the exact path keeps it
+    if values.max() == np.iinfo(np.int64).max:
+        return None
+    grid = values.reshape(records, n + 1)
+    if grid[:, :n].min() < 1 or grid[:, :n].max() > n:
+        return None
+    words = grid[:, :n].astype(word_dtype(n))
+    if not np.all(np.sort(words, axis=1) == np.arange(1, n + 1)):
+        return None
+    return BallotFile(n, words, grid[:, n].copy(), label)
+
+
+def _parse_lines(text: str, label: str) -> BallotFile:
+    """The records of a ballot file's text, read line by line; the
+    ``ValidationError`` naming the first bad line otherwise."""
+    n = None
+    words, counts = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n is None:
+            n = _parse_header(lineno, line)
+            continue
+        word, count = _parse_record(lineno, line, n)
+        words.append(word)
+        counts.append(count)
+    if n is None:
         raise ValidationError("empty ballot file (no 'n=<N>' header)")
-    n = _parse_header(linenos[0], lines[linenos[0] - 1])
-    body = [lines[i - 1] for i in linenos[1:]]
+    words = np.array(words, dtype=word_dtype(n)).reshape(len(counts), n)
     try:
-        words, counts = _parse_records(body, n)
-    except ValueError:
-        for lineno in linenos[1:]:
-            _check_record(lineno, lines[lineno - 1], n)
-        raise
+        counts = np.array(counts, dtype=np.int64)
+    except OverflowError:
+        counts = np.array(counts, dtype=object)  # exact, as the file states them
     return BallotFile(n, words, counts, label)
 
 
@@ -96,51 +210,9 @@ def _parse_header(lineno: int, line: str) -> int:
     return n
 
 
-def _parse_records(body: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, counts) of the record lines; ``ValueError`` when any line is
-    malformed.
-
-    A well-formed line splits into n candidate tokens, a comma and a count.
-    With the commas split off as tokens of their own and a ';' token after
-    every line, the records form a grid of n + 3 tokens per line, whose
-    columns are read off by slicing; a malformed line shifts a ',' or ';'
-    out of its column or into a number's."""
-    width, size = n + 3, len(body)
-    if not size:
-        return np.zeros((0, n), word_dtype(n)), np.zeros(0, np.int64)
-    tokens = " ; ".join(body + [""]).replace(",", " , ").split()
-    # n comes from the header; from here on it is bounded by the text's size
-    if len(tokens) != size * width:
-        raise ValueError("a record is not n candidates, a comma and a count")
-    columns = [tokens[j::width] for j in range(width)]
-    if columns[n].count(",") != size or columns[n + 2].count(";") != size:
-        raise ValueError("a record is not n candidates, a comma and a count")
-    # few distinct tokens: int() parses each once, as the per-line check does,
-    # and each is range-checked before it is narrowed to the words' dtype
-    values = {token: int(token) for token in set(chain.from_iterable(columns[:n]))}
-    if not all(1 <= v <= n for v in values.values()):
-        raise ValueError("a candidate is out of range")
-    words = np.fromiter(
-        map(values.__getitem__, chain.from_iterable(columns[:n])),
-        dtype=word_dtype(n),
-        count=size * n,
-    )
-    words = np.ascontiguousarray(words.reshape(n, size).T)
-    if not np.all(np.sort(words, axis=1) == np.arange(1, n + 1)):
-        raise ValueError("a ranking is not a permutation")
-    counts = list(map(int, columns[n + 1]))
-    try:
-        counts = np.array(counts, dtype=np.int64)
-    except OverflowError:
-        counts = np.array(counts, dtype=object)  # exact, as the file states them
-    if np.any(counts < 0):
-        raise ValueError("a count is negative")
-    return words, counts
-
-
-def _check_record(lineno: int, line: str, n: int) -> None:
-    """Raise the ``ValidationError`` that names what is wrong with one record
-    line, if anything."""
+def _parse_record(lineno: int, line: str, n: int) -> tuple[tuple[int, ...], int]:
+    """(word, count) of one record line; the ``ValidationError`` that names
+    what is wrong with it otherwise."""
     if "," not in line:
         raise ValidationError(f"line {lineno}: missing ',<count>'")
     ranking_text, count_text = line.rsplit(",", 1)
@@ -163,15 +235,18 @@ def _check_record(lineno: int, line: str, n: int) -> None:
         raise ValidationError(f"line {lineno}: bad count {count_text!r}") from exc
     if count < 0:
         raise ValidationError(f"line {lineno}: negative count {count}")
+    return word, count
 
 
 def read_ballot_file(path: str | Path) -> BallotFile:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        ballots = _parse_plain(data, path.name)
+        text = data.decode("utf-8") if ballots is None else ""
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read ballot file {path}: {exc}") from exc
-    return parse_ballots(text, label=path.name)
+    return ballots if ballots is not None else _parse_lines(text, path.name)
 
 
 def tally(ballots: BallotFile) -> Signal:

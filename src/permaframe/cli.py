@@ -16,6 +16,7 @@ import csv
 import os
 import sys
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -106,11 +107,18 @@ def _shape_subset(cache, count: int | None):
     return list(cache.shapes[:count])
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_out(path: str | None, write: Callable[[TextIO], object]) -> None:
+    """Call ``write`` on standard output, or on the file at ``path``, opened
+    only now that the result is complete; a path that cannot be written is a
+    ``ValidationError``."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        write(sys.stdout)
+        return
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +163,7 @@ def cmd_analyze(args) -> int:
             max_eigs=args.max_eigs,
             dataset=label,
         )
-    text = table.to_json_text() if args.format == "json" else table.to_csv_text()
-    _write_text(args.out, text)
+    _write_out(args.out, table.write_json if args.format == "json" else table.write_csv)
     energy = signal.norm2()
     direct = table.total_energy() / energy if energy > 0 else 1.0
     summary = (
@@ -180,10 +187,10 @@ def cmd_energy(args) -> int:
     else:
         rows = frame.analyze(cache, signal, shapes=shapes).energy_rows()
     rows.sort(key=lambda r: (tuple(-p for p in r[0].parts), r[1]))
-    out = ["shape,lambda,energy"]
+    out = ["shape,lambda,energy\n"]
     for shape, key, energy in rows:
-        out.append(f'"{shape.label()}",{key_to_value(key):.9f},{energy!r}')
-    _write_text(args.out, "\n".join(out) + "\n")
+        out.append(f'"{shape.label()}",{key_to_value(key):.9f},{energy!r}\n')
+    _write_out(args.out, lambda fh: fh.writelines(out))
     return EXIT_OK
 
 
@@ -201,7 +208,7 @@ def cmd_top(args) -> int:
     # a stable sort keeps report order among equal magnitudes
     alphas = np.concatenate([b.alphas.ravel() for b in table.blocks])
     ranked = np.argsort(-np.abs(alphas), kind="stable")[: args.count]
-    out_rows = []
+    out_rows = [("rank", "shape", "lambda", "k", "partition", "names", "alpha")]
     for rank, index in enumerate(ranked, start=1):
         atom_id, alpha = table.row(int(index))
         named = ""
@@ -221,13 +228,7 @@ def cmd_top(args) -> int:
                 repr(alpha),
             )
         )
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "shape", "lambda", "k", "partition", "names", "alpha"])
-    writer.writerows(out_rows)
-    _write_text(args.out, buf.getvalue())
+    _write_out(args.out, lambda fh: csv.writer(fh, lineterminator="\n").writerows(out_rows))
     return EXIT_OK
 
 
@@ -245,9 +246,9 @@ def cmd_gft(args) -> int:
     cache = _load_cache(args)
     signal, _ = _load_signal(args, cache)
     rows = frame.graph_fourier(cache, signal)
-    out = ["lambda,norm"]
-    out.extend(f"{key_to_value(key):.9f},{norm!r}" for key, norm in rows)
-    _write_text(args.out, "\n".join(out) + "\n")
+    out = ["lambda,norm\n"]
+    out.extend(f"{key_to_value(key):.9f},{norm!r}\n" for key, norm in rows)
+    _write_out(args.out, lambda fh: fh.writelines(out))
     return EXIT_OK
 
 
@@ -261,10 +262,10 @@ def cmd_project(args) -> int:
             f"blocks {args.blocks!r} do not form a partition of shape {shape.parts}"
         )
     values = frame.schreier_projection(cache, signal, shape, lifting)
-    out = ["vertex,value"]
+    out = ["vertex,value\n"]
     for label, value in zip(block_labels(cache.bundle(shape).graph.row_words), values):
-        out.append(f'"{label}",{float(value)!r}')
-    _write_text(args.out, "\n".join(out) + "\n")
+        out.append(f'"{label}",{float(value)!r}\n')
+    _write_out(args.out, lambda fh: fh.writelines(out))
     return EXIT_OK
 
 

@@ -22,10 +22,11 @@ inspection.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -50,14 +51,15 @@ from .schreier import (
 from .spectral import key_to_value, reflected_key
 
 # Synthesis walks one ranking per block of SUFFIX_LENGTH! consecutive ranks
-# (see synthesize), SYNTHESIS_BLOCK // SUFFIX_LENGTH! of them at a time, so
-# that a block's working arrays (the walk's words, steps and keys, the
-# expanded vertices, gathered weights and accumulator rows: about 0.7 MB at
-# n = 9) stay inside a core's L2 cache.  Measured on a 2-vCPU Xeon VM (2 MB L2
-# per core), suffix length 4 beat 3 and 5, and 2**14 ranks per block beat
-# 2**13, 2**15 and 2**16, at n = 8 and n = 9.
+# (see synthesize), SYNTHESIS_BLOCK // SUFFIX_LENGTH! of them at a time.  Per
+# lifting it builds one (m, SUFFIX_LENGTH!) weight table and gathers a block's
+# rows from it, so a larger block spreads that table over more rankings.
+# Measured on a 2-vCPU Xeon VM, suffix length 4 beat 3 and 5 (with per-rank
+# gathers).  With the suffix tables, in-process medians of 2**14, 2**15, 2**16
+# and 2**17 ranks per block were 0.31, 0.26, 0.20 and 0.21 s at n = 8 (full
+# list) and 0.19, 0.15, 0.16 and 0.20 s at n = 9 (top 5 shapes).
 SUFFIX_LENGTH = 4
-SYNTHESIS_BLOCK = 1 << 14
+SYNTHESIS_BLOCK = 1 << 16
 # Analysis walks one ranking per k!-block of ranks that the signal's nonzeros
 # touch, for the largest k <= SUFFIX_LENGTH whose touched blocks hold at most
 # ANALYSIS_FILL times as many ranks as there are nonzeros (see _walked_blocks).
@@ -268,43 +270,64 @@ class CoefficientTable:
         return CoefficientTable(self.n, blocks, provenance)
 
     # -- serialization ----------------------------------------------------
-    # Labels are formatted once per block and lambda/k once per row; each
-    # alpha is the repr of a Python float, which is what csv and json write.
-    # The csv joins each row's lines first, so it never holds one string
-    # object per atom besides the text.
+    # The writers stream the text to an open file one eigen-row at a time, so
+    # they hold one row's lines, never the table's text.  Labels are
+    # formatted once per block and lambda/k once per row; each alpha is the
+    # repr of a Python float, which is what csv and json write.
 
-    def to_csv_text(self) -> str:
+    def write_csv(self, fh: TextIO) -> None:
         """One line per atom: shape, lambda, k, partition, alpha; labels
         quoted by csv's minimal-quoting rule."""
-        lines = ["shape,lambda,k,partition,alpha\n"]
+        fh.write("shape,lambda,k,partition,alpha\n")
         for b in self.blocks:
             shape = _csv_field(b.shape.label())
             parts = [_csv_field(label) for label in block_labels(reduced_row_words(b.shape))]
-            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
+            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas):
                 head = f"{shape},{key_to_value(key):.9f},{k},"
-                lines.append("".join(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas)))
-        return "".join(lines)
+                fh.write("".join(f"{head}{p},{a!r}\n" for p, a in zip(parts, alphas.tolist())))
 
-    def to_json_text(self) -> str:
+    def write_json(self, fh: TextIO) -> None:
         """``{"n", "provenance", "rows"}`` as ``json.dumps(..., indent=1)``
         lays it out, one object per atom in ``rows``."""
         header = json.dumps(
             {"n": self.n, "provenance": self.provenance, "rows": []}, indent=1
         )
-        rows = []
+        rows = self._json_rows()
+        first = next(rows, None)
+        if first is None:
+            fh.write(header)
+            return
+        # the empty list closes the header: "rows": []\n}
+        fh.write(header[: -len("[]\n}")] + "[\n" + first)
+        for text in rows:
+            fh.write(",\n" + text)
+        fh.write("\n ]\n}")
+
+    def _json_rows(self) -> Iterator[str]:
+        """The objects of ``rows``, one eigen-row's at a time."""
         for b in self.blocks:
             shape = json.dumps(b.shape.label())
             parts = [json.dumps(label) for label in block_labels(reduced_row_words(b.shape))]
-            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas.tolist()):
+            for key, k, alphas in zip(b.keys.tolist(), b.ks.tolist(), b.alphas):
                 head = (
                     f'  {{\n   "shape": {shape},\n   "lambda": {round(key_to_value(key), 9)!r},'
                     f'\n   "k": {k},\n   "partition": '
                 )
-                rows.extend(f'{head}{p},\n   "alpha": {a!r}\n  }}' for p, a in zip(parts, alphas))
-        if not rows:
-            return header
-        # the empty list closes the header: "rows": []\n}
-        return "".join([header[: -len("[]\n}")], "[\n", ",\n".join(rows), "\n ]\n}"])
+                yield ",\n".join(
+                    f'{head}{p},\n   "alpha": {a!r}\n  }}' for p, a in zip(parts, alphas.tolist())
+                )
+
+    def to_csv_text(self) -> str:
+        """The text ``write_csv`` writes."""
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
+
+    def to_json_text(self) -> str:
+        """The text ``write_json`` writes."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +554,12 @@ def synthesize(
     block's leader) with its last k entries permuted by the j-th permutation
     of k items, so its vertex is ``suffix_action(shape, k)[leader's vertex,
     j]``.  The swap tree is walked over the n!/k! leaders only, in blocks of
-    SYNTHESIS_BLOCK // k!, and each lifting's map, expanded through the
-    action, gathers its weights into those leaders' rows of an (n!/k!, k!,
-    tables) accumulator.  Every ranking sums shapes in table order and
-    liftings in walk order, so the result depends on neither k nor the block
-    size.
+    SYNTHESIS_BLOCK // k!.  Per lifting and block, the lifting's weights are
+    laid out as an (m, k!, tables) table through the action, its rows at the
+    leaders' vertices are gathered through the lifting's map, and they are
+    added to those leaders' rows of an (n!/k!, k!, tables) accumulator.
+    Every ranking sums shapes in table order and liftings in walk order, so
+    the result depends on neither k nor the block size.
     """
     tables = [table] if flipped is None else [table, flipped]
     if any(tab.n != cache.n for tab in tables):
@@ -559,16 +583,24 @@ def synthesize(
         action = suffix_action(shape, k, table)
         columns = [j for j, _vectors, _block in shape_jobs]
         every_table = columns == list(range(len(tables)))
+        # per lifting, its weights at each vertex's k! suffix vertices, and
+        # those of a block's leaders gathered through the lifting's map
+        suffix = np.empty((bundle.m, factorial(k), len(shape_jobs)))
+        gathered = np.empty((min(per_block, leaders), factorial(k), len(shape_jobs)))
         for start in range(0, leaders, per_block):
             rows = acc[start : start + per_block]
             ranks = np.arange(start, start + len(rows)) * factorial(k)
+            block = gathered[: len(rows)]
             for t, col in cache.iter_lifting_maps(shape, ranks, table=table):
-                vert = action.take(col, axis=0)
+                # the indices are in range; "clip" lets take write into out=
+                # directly, where "raise" would buffer
+                weights[t].take(action, axis=0, out=suffix, mode="clip")
+                suffix.take(col, axis=0, out=block, mode="clip")
                 if every_table:
-                    rows += weights[t].take(vert, axis=0)
+                    np.add(rows, block, out=rows)
                 else:
                     for i, j in enumerate(columns):
-                        rows[:, :, j] += weights[t, :, i].take(vert)
+                        rows[:, :, j] += block[:, :, i]
         del table  # one shape's key table at a time
     acc = acc.reshape(-1, len(tables))
     if flipped is not None:

@@ -1,16 +1,21 @@
+import tempfile
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iperms
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from permaframe import ballots as ballots_mod
 from permaframe.ballots import (
     BallotFile,
     load_candidate_names,
     parse_ballots,
+    read_ballot_file,
     tally,
 )
 from permaframe.combinatorics import Permutation, lex_rank
@@ -190,19 +195,46 @@ def render(lines, newline):
     return newline.join(map(text, lines)) + newline
 
 
-@given(ballot_lines(), st.sampled_from(["\n", "\r\n"]))
-@example((3, ["n=3"], []), "\n")
-def test_parser_matches_the_reference(case, newline):
+def read_text_as_file(text: str) -> BallotFile:
+    """``read_ballot_file`` of the text written as UTF-8 bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "votes.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return read_ballot_file(path)
+
+
+# the text parsed as a string, and read back from a file
+PARSERS = [parse_ballots, read_text_as_file]
+
+
+def assert_parses_like_the_reference(text: str, n: int | None = None) -> None:
+    ref_n, records = reference_parse_ballots(text)
+    for parse in PARSERS:
+        ballots = parse(text)
+        assert ballots.n == ref_n == (n or ref_n)
+        assert ballots.words.shape == (len(records), ref_n)
+        assert ballots.words.tolist() == [list(r.word) for r, _c in records]
+        assert ballots.counts.tolist() == [c for _r, c in records]
+        assert ballots.total() == sum(c for _r, c in records)
+        assert ballots.records == records
+
+
+def assert_refused_like_the_reference(text: str) -> str:
+    with pytest.raises(ValidationError) as want:
+        reference_parse_ballots(text)
+    for parse in PARSERS:
+        with pytest.raises(ValidationError) as got:
+            parse(text)
+        assert str(got.value) == str(want.value)
+    return str(want.value)
+
+
+@given(ballot_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example((3, ["n=3"], []), "\n", True)
+def test_parser_matches_the_reference(case, newline, final_break):
     n, lines, _ = case
     text = render(lines, newline)
-    ballots = parse_ballots(text)
-    ref_n, records = reference_parse_ballots(text)
-    assert ballots.n == ref_n == n
-    assert ballots.words.shape == (len(records), n)
-    assert ballots.words.tolist() == [list(r.word) for r, _c in records]
-    assert ballots.counts.tolist() == [c for _r, c in records]
-    assert ballots.total() == sum(c for _r, c in records)
-    assert ballots.records == records
+    assert_parses_like_the_reference(text if final_break else text[: -len(newline)], n)
 
 
 def _corrupt(record, kind):
@@ -246,13 +278,8 @@ def test_parse_errors_match_the_reference(case, newline, data):
         if kind == "negative-count" and lines[at][4] == "0":
             kind = "bad-count"  # "-0" is a valid count
         lines[at] = _corrupt(lines[at], kind)
-    text = render(lines, newline)
-    with pytest.raises(ValidationError) as got:
-        parse_ballots(text)
-    with pytest.raises(ValidationError) as want:
-        reference_parse_ballots(text)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("line ")
+    message = assert_refused_like_the_reference(render(lines, newline))
+    assert message.startswith("line ")
 
 
 @pytest.mark.parametrize("kind", ERROR_KINDS)
@@ -317,3 +344,97 @@ def test_out_of_range_candidates_are_refused(token):
     with pytest.raises(ValidationError) as want:
         reference_parse_ballots(text)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n+1 2 3,4\n",  # a signed candidate
+        "n=3\n01 2 3,4\n2 1 3,007\n",  # leading zeros
+        "n=3\n1 2 3,-0\n",  # a count of minus zero
+        "n=10\n1_0 9 8 7 6 5 4 3 2 1,5\n",  # an underscore in a number
+        "n=3\n1\u00a02 3,4\n",  # a no-break space between candidates
+        "n=3\n\u0663 2 1,4\n",  # an Arabic-Indic three
+        "n=\u0663\n3 2 1,4\n",  # ... in the header
+        "n=3\n1 2 3,4\x0b2 1 3,5\n",  # a vertical tab ends a line
+        "n=3\n# c\x0b1 2 3,4\n",  # ... and a comment
+        "n=3\n1\x1f2 3,4\n",  # a separator that str.split takes as blank
+        "\u2028n=3\n1 2 3,4\u20282 1 3,1\n",  # a Unicode line separator
+        "# Zo\u00eb\nn=3\n1 2 3,4 # caf\u00e9\n",  # non-ASCII comments
+        "n=3\r1 2 3,4\r\r\n3 2 1,2",  # old Mac line breaks, no final one
+        "\n  # votes\n\n n=3 # header\n\t1 2 3 , 4\n",  # header after blanks
+    ],
+)
+def test_inputs_off_the_plain_alphabet_parse_like_the_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n1 2 3,4,5\n",
+        "n=3\n1 2 3,,4\n",
+        "n=3\n1 2 3,\n",
+        "n=3\n1 2 3 4\n",
+        "n=3\n1 2,3 4\n",
+        "n=3\n1 2 3,4\n, 1 2 3\n",
+        "n=3\n1 2 3,4 5\n",
+        "n=3 1 2 3,4\n",
+        "n=3\n1 2 3\u00a0,4\u00a05\n",
+        "n=3\n1 2 3,4\n1 2 3,4\x0c,5\n",
+        "# only\n\n# comments\n",
+        "n=0\n",
+        "n=-3\n",
+        "n= \n",
+    ],
+)
+def test_malformed_files_are_refused_like_the_reference(text):
+    assert_refused_like_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n",
+        "n=3",
+        "n=1\n1,0\n1,7",
+        "# votes\r\n\r\n  n=3  # three\r\n1 2 3,4\r\n\t3\t2 1 , 0012 # note\r\n\r\n",
+        "n=3\r1 2 3,4\r\r\n3 2 1,2",
+        "n=3\n# 1 2 3,4\n# x\x00\x7f #\n\n",
+        "n=3 # a # b\n1 2 3,4 ## c\n2 1 3,5 #\n",  # a comment ends at its line's end
+        "n=3 # a\r1 2 3,4 # b\r2 1 3,5",  # ... also a CR
+        "# c\nn=3\r\n1 2 3,5\r\n2 3 1,15",  # the last count ends the file
+        f"n=3\n1 2 3,{2**63 - 2}\n",
+        "n=12\n12 11 10 9 8 7 6 5 4 3 2 1,3\n",
+        "n=200\n" + " ".join(map(str, range(200, 0, -1))) + ",7\n",
+    ],
+)
+def test_plain_files_take_the_byte_pass(text, monkeypatch):
+    # the line-by-line path is only for files off the plain alphabet and for
+    # malformed ones; these must not reach it
+    def refuse(*args):
+        raise AssertionError("parsed line by line")
+
+    monkeypatch.setattr(ballots_mod, "_parse_lines", refuse)
+    assert_parses_like_the_reference(text)
+
+
+def test_reading_a_dense_file_holds_little_beyond_its_arrays(tmp_path):
+    # 40,000 records at n = 8 are 0.75 MB of text and 0.64 MB of arrays; a
+    # token or line per record as Python objects would take over 14 MB
+    rng = np.random.default_rng(8)
+    words = np.argsort(rng.random((40_000, 8)), axis=1) + 1
+    counts = rng.integers(1, 60, size=len(words))
+    path = tmp_path / "dense.txt"
+    path.write_text(
+        "n=8\n" + "".join(" ".join(map(str, w)) + f",{c}\n" for w, c in zip(words.tolist(), counts))
+    )
+    read_ballot_file(path)
+    tracemalloc.start()
+    try:
+        ballots = read_ballot_file(path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ballots.words, words) and np.array_equal(ballots.counts, counts)
+    assert peak < 8e6

@@ -495,6 +495,39 @@ def test_cli_commands_do_not_load_scipy(verified_cache, tmp_path, command):
         assert (tmp_path / command[command.index("--out") + 1]).stat().st_size > 0
 
 
+OUTPUT_COMMANDS = {
+    "analyze": ["analyze"],
+    "analyze_json": ["analyze", "--format", "json"],
+    "energy": ["energy"],
+    "top": ["top"],
+    "gft": ["gft"],
+    "project": ["project", "--shape", "2,2", "--blocks", "13|24"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS)
+def test_cli_output_to_stdout_equals_the_file(verified_cache, tmp_path, capsys, command):
+    argv = [*command, "--cache", verified_cache / "cache", "--ballots", verified_cache / "votes.txt"]
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "--out", out) == 0
+    summary = capsys.readouterr().out  # analyze's, printed after the table
+    assert run_cli(*argv, "--out", "-") == 0
+    assert capsys.readouterr().out == out.read_text() + summary
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS.values(), ids=OUTPUT_COMMANDS)
+def test_cli_unwritable_out_exits_2(verified_cache, tmp_path, capsys, command, where):
+    out = tmp_path / "absent" / "out.txt" if where == "missing-directory" else tmp_path
+    argv = [*command, "--cache", verified_cache / "cache", "--ballots", verified_cache / "votes.txt"]
+    assert run_cli(*argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+    assert not (tmp_path / "absent").exists()
+
+
 def test_cli_setup_and_idempotence(workdir, capsys):
     cache_dir = workdir / "cache"
     assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0

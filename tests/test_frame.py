@@ -979,3 +979,44 @@ def test_serialization_quotes_comma_labels_at_n10():
     assert_serializes_like_reference(table)
     text = table.to_csv_text()
     assert '\n"8,1,1",' in text and ',"1,2,3,4,5,6,7,8|9|10",' in text
+
+
+def test_streamed_tables_match_the_reference_writers(cache5_h, rng, tmp_path):
+    # every writer's bytes in a file: direct and flipped tables, a shape
+    # subset, truncated eigenvectors and an empty table
+    f = Signal.random(5, rng)
+    direct, flipped = analyze_with_conjugates(cache5_h, f, dataset="votes \u2013 2024")
+    tables = [
+        direct,
+        flipped,
+        direct.filter(shapes=[b.shape for b in direct.blocks[1:3]]),
+        analyze(cache5_h, f, max_eigs=2),
+        flipped.filter(max_eigs=1),
+        direct.filter(shapes=[]),
+    ]
+    for i, table in enumerate(tables):
+        for writer, reference in [
+            (table.write_csv, reference_csv_text), (table.write_json, reference_json_text)
+        ]:
+            path = tmp_path / f"{i}-{writer.__name__}"
+            with open(path, "w") as fh:
+                writer(fh)
+            assert path.read_bytes() == reference(table).encode()
+
+
+def test_streamed_tables_hold_a_row_not_the_text(tmp_path, rng):
+    # n = 7 with the full list: 6,987 rows, 0.36 MB of csv and 0.89 MB of
+    # json, written one eigen-row (at most 105 atoms) at a time
+    cache = build_cache(7, "h")
+    table = analyze(cache, Signal.random(7, rng))
+    for writer, size in [
+        (table.write_csv, len(table.to_csv_text())), (table.write_json, len(table.to_json_text()))
+    ]:
+        with open(tmp_path / "out", "w") as fh:
+            tracemalloc.start()
+            try:
+                writer(fh)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < size / 4
