@@ -38,7 +38,7 @@ import os
 import shutil
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from math import factorial
@@ -108,12 +108,6 @@ class SchreierBundle:
         return multiplicity_constants(self.shape).c_bar
 
 
-@dataclass
-class BuildReport:
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    atom_count: int = 0
-
-
 class FrameCache:
     """A set of shape bundles for one n plus the swap-tree walk that yields
     every reduced lifting's column map."""
@@ -125,7 +119,6 @@ class FrameCache:
         *,
         shape_source: str = "custom",
         top_k: int | None = None,
-        report: BuildReport | None = None,
     ) -> None:
         self.n = n
         self.bundles = bundles
@@ -134,7 +127,6 @@ class FrameCache:
         )
         self.shape_source = shape_source
         self.top_k = top_k
-        self.report = report or BuildReport()
 
     # -- lookups ---------------------------------------------------------
 
@@ -275,7 +267,6 @@ def build_cache(
     """
     check_dense_n(n)
     shape_list, source = resolve_shape_list(n, shapes, top_k)
-    report = BuildReport()
 
     def emit(msg: str) -> None:
         if log:
@@ -283,22 +274,19 @@ def build_cache(
 
     t0 = time.perf_counter()
     graphs = {shape: build_schreier(shape) for shape in shape_list}
-    report.phase_seconds["graphs"] = time.perf_counter() - t0
-    emit(f"phase 1 (graphs): {report.phase_seconds['graphs']:.2f}s")
+    emit(f"phase 1 (graphs): {time.perf_counter() - t0:.2f}s")
 
     t0 = time.perf_counter()
     spectra = {shape: specht_spectrum(shape, graphs[shape].apply_laplacian) for shape in shape_list}
     check_key_separation(n, spectra.values())
-    report.phase_seconds["spectra"] = time.perf_counter() - t0
-    emit(f"phase 2 (eigensolves): {report.phase_seconds['spectra']:.2f}s")
+    emit(f"phase 2 (eigensolves): {time.perf_counter() - t0:.2f}s")
 
     bundles = {
         shape: SchreierBundle(shape, graphs[shape], spectra[shape])
         for shape in shape_list
     }
-    cache = FrameCache(n, bundles, shape_source=source, top_k=top_k, report=report)
-    report.atom_count = cache.atom_count()
-    emit(f"{report.atom_count} atoms over {len(shape_list)} shapes")
+    cache = FrameCache(n, bundles, shape_source=source, top_k=top_k)
+    emit(f"{cache.atom_count()} atoms over {len(shape_list)} shapes")
     return cache
 
 

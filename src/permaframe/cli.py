@@ -62,9 +62,13 @@ def _add_ignored_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hook-fastpath", action="store_true", help="accepted and ignored")
 
 
-def _add_common_analysis_args(parser: argparse.ArgumentParser) -> None:
+def _add_common_analysis_args(parser: argparse.ArgumentParser, *, out: bool = True) -> None:
     _add_cache_arg(parser)
     parser.add_argument("--ballots", required=True, help="ballot file to tally")
+    parser.add_argument("--n", type=int, default=None,
+                        help="cache to read (default: the only one under --cache)")
+    if out:
+        parser.add_argument("--out", default="-", help="output file (default: - for stdout)")
     _add_ignored_args(parser)
 
 
@@ -83,18 +87,19 @@ def _detect_n(root: str) -> int:
     )
 
 
-def _load_cache(args) -> cache_mod.FrameCache:
-    n = getattr(args, "n", None) or _detect_n(args.cache)
-    return cache_mod.load_cache(args.cache, n)
-
-
-def _load_signal(args, cache) -> tuple[frame.Signal, str]:
+def _load_inputs(args) -> tuple[cache_mod.FrameCache, frame.Signal, str]:
+    """The cache for ``--n`` (the only one under ``--cache`` when not given),
+    the tally of ``--ballots`` and the ballot file's label."""
+    n = _detect_n(args.cache) if args.n is None else args.n
+    if n < 1:
+        raise ValidationError(f"n={n} must be at least 1")
+    cache = cache_mod.load_cache(args.cache, n)
     ballots = read_ballot_file(args.ballots)
     if ballots.n != cache.n:
         raise ValidationError(
             f"ballots are for n={ballots.n} but the cache is for n={cache.n}"
         )
-    return tally(ballots), ballots.label
+    return cache, tally(ballots), ballots.label
 
 
 def _shape_subset(cache, count: int | None):
@@ -150,8 +155,7 @@ def cmd_setup(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cache = _load_cache(args)
-    signal, label = _load_signal(args, cache)
+    cache, signal, label = _load_inputs(args)
     flipped = None
     if args.shapes is None and args.max_eigs is None:
         table, flipped = frame.analyze_with_conjugates(cache, signal, dataset=label)
@@ -165,21 +169,24 @@ def cmd_analyze(args) -> int:
         )
     _write_out(args.out, table.write_json if args.format == "json" else table.write_csv)
     energy = signal.norm2()
-    direct = table.total_energy() / energy if energy > 0 else 1.0
+
+    def fraction(captured: float) -> float:
+        # an all-zero tally has nothing to capture: its fractions read 1
+        return captured / energy if energy > 0 else 1.0
+
     summary = (
-        f"signal energy {energy:.6f}; "
-        f"captured fraction {direct:.9f} ({table.row_count} coefficients)"
+        f"signal energy {energy:.6f}; captured fraction "
+        f"{fraction(table.total_energy()):.9f} ({table.row_count} coefficients)"
     )
-    if flipped is not None and energy > 0:
-        completed = (table.total_energy() + flipped.total_energy()) / energy
+    if flipped is not None:
+        completed = fraction(table.total_energy() + flipped.total_energy())
         summary += f"; with transpose completion {completed:.9f}"
     print(summary)
     return EXIT_OK
 
 
 def cmd_energy(args) -> int:
-    cache = _load_cache(args)
-    signal, _ = _load_signal(args, cache)
+    cache, signal, _ = _load_inputs(args)
     shapes = _shape_subset(cache, args.shapes)
     if args.conjugates == "on" or (args.conjugates == "auto" and shapes is None):
         table, flipped = frame.analyze_with_conjugates(cache, signal, shapes=shapes)
@@ -197,8 +204,7 @@ def cmd_energy(args) -> int:
 def cmd_top(args) -> int:
     if args.count < 1:
         raise ValidationError(f"--count {args.count} must be at least 1")
-    cache = _load_cache(args)
-    signal, _ = _load_signal(args, cache)
+    cache, signal, _ = _load_inputs(args)
     names = load_candidate_names(args.names) if args.names else None
     table = frame.analyze(
         cache,
@@ -233,8 +239,7 @@ def cmd_top(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cache = _load_cache(args)
-    signal, _ = _load_signal(args, cache)
+    cache, signal, _ = _load_inputs(args)
     rec = frame.reconstruct(cache, signal)
     norm = np.linalg.norm(signal.values)
     err = float(np.linalg.norm(rec.values - signal.values) / norm) if norm else 0.0
@@ -243,8 +248,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_gft(args) -> int:
-    cache = _load_cache(args)
-    signal, _ = _load_signal(args, cache)
+    cache, signal, _ = _load_inputs(args)
     rows = frame.graph_fourier(cache, signal)
     out = ["lambda,norm\n"]
     out.extend(f"{key_to_value(key):.9f},{norm!r}\n" for key, norm in rows)
@@ -253,8 +257,7 @@ def cmd_gft(args) -> int:
 
 
 def cmd_project(args) -> int:
-    cache = _load_cache(args)
-    signal, _ = _load_signal(args, cache)
+    cache, signal, _ = _load_inputs(args)
     shape = IntegerPartition.parse(args.shape)
     lifting = OrderedSetPartition.parse_label(args.blocks, cache.n)
     if lifting.shape != shape:
@@ -292,50 +295,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="write the coefficient table for a ballot file")
     _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--shapes", type=int, default=None, help="first K cached shapes only")
     p.add_argument("--max-eigs", type=int, default=None,
                    help="keep at most M eigenvectors per shape")
-    p.add_argument("--out", default="-")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("energy", help="energy per shape-eigenvalue pair")
     _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--shapes", type=int, default=None)
     p.add_argument("--conjugates", choices=["auto", "on", "off"], default="auto",
                    help="complete transpose shapes through the sign trick")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("top", help="largest-magnitude coefficients")
     _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--shapes", type=int, default=None)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--names", default=None, help="JSON file of candidate names")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_top)
 
     p = sub.add_parser("reconstruct", help="round-trip a ballot signal and report the error")
-    _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
+    _add_common_analysis_args(p, out=False)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("gft", help="norms of the signal per Laplacian eigenvalue")
     _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_gft)
 
     p = sub.add_parser("project", help="accumulate the signal onto one Schreier graph")
     _add_common_analysis_args(p)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--shape", required=True, help='shape, e.g. "8,2"')
     p.add_argument("--blocks", required=True,
                    help='lifting in block-label format, e.g. "245|13"')
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_project)
 
     return parser

@@ -217,6 +217,7 @@ class MultiplicityConstants(NamedTuple):
     c_bar: float
 
 
+@lru_cache(maxsize=64)
 def multiplicity_constants(gamma: IntegerPartition) -> MultiplicityConstants:
     """Counting constants for a shape.
 
@@ -305,24 +306,26 @@ class OrderedSetPartition:
     def parse_label(cls, text: str, n: int) -> "OrderedSetPartition":
         """Parse the block-label format.
 
-        Blocks are joined by "|"; elements are digits for n <= 9 and
-        comma-separated for n >= 10.  For n = 10 a bare-digit form is also
-        accepted, with "0" standing for candidate 10.
+        Blocks are joined by "|".  A label with a comma anywhere, and every
+        label for n >= 11, is in comma form: elements are comma-separated, so
+        a block without a comma is one number.  Any other label is in digit
+        form, one digit per element with "0" standing for candidate 10, except
+        at n = 10 when it does not have 10 digits: the all-singleton label
+        "1|2|...|9|10" that :meth:`label` writes is in comma form.
         """
-        blocks: list[list[int]] = []
-        for chunk in text.strip().split("|"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValidationError(f"empty block in {text!r}")
-            if "," in chunk:
-                block = [int(tok) for tok in chunk.split(",")]
-            elif n <= 10:
-                block = [10 if ch == "0" else int(ch) for ch in chunk]
-            else:
-                raise ValidationError(
-                    f"blocks for n={n} must be comma-separated: {text!r}"
-                )
-            blocks.append(block)
+        chunks = [chunk.strip() for chunk in text.strip().split("|")]
+        if not all(chunks):
+            raise ValidationError(f"empty block in {text!r}")
+        comma_form = "," in text or n > 10 or (n == 10 and sum(map(len, chunks)) != n)
+        try:
+            blocks = [
+                [int(tok) for tok in chunk.split(",")]
+                if comma_form
+                else [10 if ch == "0" else int(ch) for ch in chunk]
+                for chunk in chunks
+            ]
+        except ValueError:
+            raise ValidationError(f"{text!r} is not a block label") from None
         osp = cls.from_blocks(blocks)
         if osp.n != n:
             raise ValidationError(f"{text!r} is not a partition of 1..{n}")

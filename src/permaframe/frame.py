@@ -568,7 +568,10 @@ def synthesize(
     for j, tab in enumerate(tables):
         for block in tab.blocks:
             vectors = _check_synthesis_block(cache, block)
-            jobs.setdefault(block.shape, []).append((j, vectors, block))
+            held = jobs.setdefault(block.shape, [])
+            if held and held[-1][0] == j:
+                raise ValidationError(f"table holds shape {block.shape.parts} twice")
+            held.append((j, vectors, block))
     k = min(SUFFIX_LENGTH, cache.n)
     leaders = factorial(cache.n) // factorial(k)
     per_block = max(1, SYNTHESIS_BLOCK // factorial(k))
@@ -581,14 +584,14 @@ def synthesize(
                 weights[t, :, i] = block.c_bar * (vectors @ block.alphas[:, t])
         table = vertex_table(shape)
         action = suffix_action(shape, k, table)
-        columns = [j for j, _vectors, _block in shape_jobs]
-        every_table = columns == list(range(len(tables)))
+        # the tables holding the shape are both or one: a slice of acc's last axis
+        columns = slice(shape_jobs[0][0], shape_jobs[-1][0] + 1)
         # per lifting, its weights at each vertex's k! suffix vertices, and
         # those of a block's leaders gathered through the lifting's map
         suffix = np.empty((bundle.m, factorial(k), len(shape_jobs)))
         gathered = np.empty((min(per_block, leaders), factorial(k), len(shape_jobs)))
         for start in range(0, leaders, per_block):
-            rows = acc[start : start + per_block]
+            rows = acc[start : start + per_block, :, columns]
             ranks = np.arange(start, start + len(rows)) * factorial(k)
             block = gathered[: len(rows)]
             for t, col in cache.iter_lifting_maps(shape, ranks, table=table):
@@ -596,11 +599,7 @@ def synthesize(
                 # directly, where "raise" would buffer
                 weights[t].take(action, axis=0, out=suffix, mode="clip")
                 suffix.take(col, axis=0, out=block, mode="clip")
-                if every_table:
-                    np.add(rows, block, out=rows)
-                else:
-                    for i, j in enumerate(columns):
-                        rows[:, :, j] += block[:, :, i]
+                np.add(rows, block, out=rows)
         del table  # one shape's key table at a time
     acc = acc.reshape(-1, len(tables))
     if flipped is not None:
@@ -702,9 +701,12 @@ def schreier_projection(
 ) -> np.ndarray:
     """The signal accumulated onto one Schreier graph through an arbitrary
     lifting (not restricted to the reduced representatives); entry per vertex
-    in canonical order."""
+    in canonical order.  Only the signal's nonzeros are mapped: ``bincount``
+    sums each vertex's entries in rank order from +0.0, to which the skipped
+    zeros would add nothing."""
     part = IntegerPartition.of(shape)
     _check_signal(cache, signal)
     m = cache.bundle(part).m
-    cmap = characteristic_column_map(part, lifting)
-    return np.bincount(cmap, weights=signal.values, minlength=m)
+    support = np.flatnonzero(signal.values)
+    cmap = characteristic_column_map(part, lifting, support)
+    return np.bincount(cmap, weights=signal.values[support], minlength=m)

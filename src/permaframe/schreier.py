@@ -183,16 +183,17 @@ def lifting_keys(
 
 
 def characteristic_column_map(
-    shape: IntegerPartition, lifting: OrderedSetPartition
+    shape: IntegerPartition, lifting: OrderedSetPartition, ranks: np.ndarray | None = None
 ) -> np.ndarray:
-    """Column index per permutation rank for an arbitrary lifting."""
+    """Column index per permutation rank of ``ranks`` (all n! when not given)
+    for an arbitrary lifting."""
     n = shape.n
     check_dense_n(n)
     if lifting.shape != shape:
         raise ValidationError(
             f"lifting {lifting.label()} does not have shape {shape.parts}"
         )
-    words = unrank_words(n, np.arange(factorial(n)))
+    words = unrank_words(n, np.arange(factorial(n)) if ranks is None else ranks)
     return vertex_table(shape)[lifting_keys(shape, lifting.row_word, words)]
 
 

@@ -698,6 +698,11 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
         )
         == 2
     )
+    capsys.readouterr()
+    for blocks in ("13|2|x", "1,3|2|x"):
+        argv = ["project", "--cache", cache_dir, "--ballots", workdir / "votes.txt"]
+        assert run_cli(*argv, "--shape", "2,1,1", "--blocks", blocks) == 2
+        assert capsys.readouterr().err == f"error: {blocks!r} is not a block label\n"
 
 
 @pytest.mark.parametrize(
@@ -779,6 +784,38 @@ def test_cli_setup_rejects_n_below_one(workdir, capsys, n):
     assert run_cli("setup", f"--n={n}", "--cache", workdir / "c") == 2
     assert f"n={n} must be at least 1" in capsys.readouterr().err
     assert not (workdir / "c").exists()
+
+
+ANALYSIS_COMMANDS = {
+    "analyze": ["analyze"],
+    "energy": ["energy"],
+    "top": ["top"],
+    "reconstruct": ["reconstruct"],
+    "gft": ["gft"],
+    "project": ["project", "--shape", "2,2", "--blocks", "13|24"],
+}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS.values(), ids=ANALYSIS_COMMANDS)
+def test_cli_analysis_commands_reject_n_below_one(verified_cache, capsys, command, n):
+    argv = [*command, "--cache", verified_cache / "cache", "--ballots", verified_cache / "votes.txt"]
+    assert run_cli(*argv, f"--n={n}") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n={n} must be at least 1\n"
+    assert captured.out == ""
+
+
+def test_cli_analyze_of_an_empty_tally_prints_both_fractions(verified_cache, tmp_path, capsys):
+    # no energy to capture: both fractions read 1 by convention
+    empty = tmp_path / "empty.txt"
+    empty.write_text("n=4\n")
+    argv = ["analyze", "--cache", verified_cache / "cache", "--ballots", empty]
+    assert run_cli(*argv, "--out", tmp_path / "coeffs.csv") == 0
+    assert capsys.readouterr().out == (
+        "signal energy 0.000000; captured fraction 1.000000000 (19 coefficients); "
+        "with transpose completion 1.000000000\n"
+    )
 
 
 def test_cli_max_eigs_counts(workdir, capsys):

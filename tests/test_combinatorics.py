@@ -298,6 +298,46 @@ def test_block_label_round_trip():
         OrderedSetPartition.parse_label("12|3", 4)
 
 
+@pytest.mark.parametrize("n, top_k", [(10, None), (11, 8), (12, 8)])
+def test_printed_labels_parse_back(n, top_k):
+    # from n = 10 a one-element block is printed without a comma
+    for g in h_shapes(n, top_k):
+        words = reduced_row_words(g)
+        for word, label in zip(words.tolist(), block_labels(words)):
+            assert OrderedSetPartition.parse_label(label, n).row_word == tuple(word), label
+
+
+def test_the_all_singleton_label_at_ten_parses_in_both_forms():
+    singletons = OrderedSetPartition(tuple(range(10)))
+    assert singletons.label() == "1|2|3|4|5|6|7|8|9|10"
+    assert OrderedSetPartition.parse_label(singletons.label(), 10) == singletons
+    assert OrderedSetPartition.parse_label("1|2|3|4|5|6|7|8|9|0", 10) == singletons
+
+
+@st.composite
+def ordered_set_partitions(draw):
+    n = draw(st.integers(1, 16))
+    order = draw(st.permutations(range(1, n + 1)))
+    sizes = draw(st.sampled_from(partitions_of(n))).parts
+    ends = np.cumsum(sizes).tolist()
+    return OrderedSetPartition.from_blocks(
+        [sorted(order[end - size : end]) for size, end in zip(sizes, ends)]
+    )
+
+
+@given(ordered_set_partitions())
+def test_labels_round_trip(pi):
+    assert OrderedSetPartition.parse_label(pi.label(), pi.n) == pi
+
+
+@pytest.mark.parametrize(
+    "label, n", [("13|2|x", 4), ("1,3|2|x", 4), ("1,2,3,4,5,6,7,8,9|1x", 10), ("1|2|-", 11)]
+)
+def test_a_label_with_a_bad_element_is_a_validation_error(label, n):
+    with pytest.raises(ValidationError, match="is not a block label"):
+        OrderedSetPartition.parse_label(label, n)
+
+
 # ---------------------------------------------------------------------------
 # tableaux and Kostka numbers
 

@@ -488,6 +488,10 @@ def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
             synthesize(cache4_all, table, with_block(alphas=alphas))
     with pytest.raises(ValidationError, match="frame constant"):
         synthesize(cache4_all, with_block(c_bar=np.nextafter(b.c_bar, 2.0)))
+    twice = CoefficientTable(4, [*table.blocks, b])
+    for tables in ([twice], [table, twice], [twice, table]):
+        with pytest.raises(ValidationError, match="twice"):
+            synthesize(cache4_all, *tables)
 
 
 def test_synthesis_allocates_no_rank_table():
@@ -850,6 +854,58 @@ def test_schreier_projection_sums_to_total(cache5_all, rng):
     values = schreier_projection(cache5_all, f, shape(3, 2), lifting)
     assert values.sum() == pytest.approx(counts.sum())
     assert len(values) == 10
+
+
+def projection_signals(n, rng):
+    """Dense, sparse, all-zero and signed signals, the last with -0.0 entries."""
+    size = factorial(n)
+    picked = rng.choice(size, size=max(1, size // 40), replace=False)
+    sparse = np.zeros(size)
+    sparse[picked] = rng.integers(1, 9, size=len(picked))
+    signed = rng.standard_normal(size)
+    signed[rng.random(size) < 0.5] = -0.0
+    return {
+        "dense": rng.integers(1, 9, size=size).astype(float),
+        "sparse": sparse,
+        "zero": np.zeros(size),
+        "signed": signed,
+    }
+
+
+@pytest.mark.parametrize("name", ["cache4_all", "cache5_all", "cache6_all"])
+def test_projection_over_the_support_equals_the_full_map(name, request, rng):
+    # the support's bincount is bit for bit the one over all n! ranks, on
+    # every lifting of every shape, reduced or not
+    cache = request.getfixturevalue(name)
+    signals = projection_signals(cache.n, rng)
+    for g in cache.shapes:
+        m = cache.bundle(g).m
+        for lifting in enumerate_ordered_set_partitions(g):
+            cmap = characteristic_column_map(g, lifting)
+            for kind, values in signals.items():
+                got = schreier_projection(cache, Signal(cache.n, values), g, lifting)
+                want = np.bincount(cmap, weights=values, minlength=m)
+                assert got.tobytes() == want.tobytes(), (g.parts, lifting.label(), kind)
+
+
+def test_projection_allocates_no_rank_length_array():
+    # n=9, 2,000 rankings: the map covers the nonzeros only; mapping all n!
+    # ranks peaks at 12 MB (rank words, keys and the column map)
+    g = shape(6, 2, 1)
+    cache = build_cache(9, [g])
+    rng = np.random.default_rng(5)
+    values = np.zeros(factorial(9))
+    values[rng.choice(factorial(9), size=2000, replace=False)] = rng.integers(1, 9, size=2000)
+    f = Signal(9, values)
+    lifting = OrderedSetPartition.from_blocks([(2, 3, 5, 6, 8, 9), (1, 7), (4,)])
+    schreier_projection(cache, f, g, lifting)
+    tracemalloc.start()
+    try:
+        schreier_projection(cache, f, g, lifting)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_z_space_dimensions_match_oracle_intersections(cache4_all):

@@ -3,22 +3,49 @@ README or the benchmark's tracer; helpers that only tests use live in
 ``tests/``."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the methods the tracer's ``install`` wraps or calls beside ``FUNCTIONS``
+TRACED_ATTRIBUTES = [
+    ("cache", "FrameCache", "perm_vectors"),
+    ("cache", "FrameCache", "iter_lifting_maps"),
+    ("frame", "CoefficientTable", "to_csv_text"),
+    ("frame", "CoefficientTable", "to_json_text"),
+    ("ballots", "BallotFile", "records"),
+]
 
-def traced_names() -> set[str]:
-    """The names in ``perfbench/trace_cli.py``'s ``FUNCTIONS``, read from the
-    source without importing the tracer."""
+
+def traced_functions() -> dict[str, list[str]]:
+    """``perfbench/trace_cli.py``'s ``FUNCTIONS`` (module -> function names),
+    read from the source without importing the tracer."""
     tree = ast.parse((ROOT / "perfbench" / "trace_cli.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "FUNCTIONS" for target in node.targets
         ):
-            return {name for names in ast.literal_eval(node.value).values() for name in names}
+            return ast.literal_eval(node.value)
     raise AssertionError("perfbench/trace_cli.py assigns no FUNCTIONS")
+
+
+def traced_names() -> set[str]:
+    return {name for names in traced_functions().values() for name in names}
+
+
+def test_every_name_the_tracer_binds_resolves():
+    functions = traced_functions()
+    for module, names in functions.items():
+        mod = importlib.import_module(f"permaframe.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"permaframe.{module}.{name}"
+    source = (ROOT / "perfbench" / "trace_cli.py").read_text()
+    for module, cls, attr in TRACED_ATTRIBUTES:
+        assert attr in source, f"the tracer no longer uses {cls}.{attr}"
+        value = getattr(getattr(importlib.import_module(f"permaframe.{module}"), cls), attr, None)
+        assert value is not None, f"permaframe.{module}.{cls}.{attr}"
 
 
 def names_used(node: ast.AST) -> set[str]:
