@@ -14,7 +14,8 @@ rank per block of k! consecutive ranks, whose other ranks follow from it
 through ``schreier.suffix_action``.  Synthesis walks every leader at k =
 ``frame.SUFFIX_LENGTH``, a fixed number of them at a time; analysis walks
 the leaders of the blocks a signal's nonzeros touch, at a k chosen from its
-support (k = 1 walks the nonzeros themselves), once per shape.
+support (k = 1 walks the nonzeros themselves), once per shape it does not
+read off a finer shape's walk.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic

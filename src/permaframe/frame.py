@@ -2,7 +2,7 @@
 energy decompositions, isotypic projections, graph Fourier transform and the
 transpose-shape sign trick.
 
-Both directions walk the swap tree of each shape over block leaders.  The
+Both directions walk swap trees over block leaders.  The
 rank b*k! leads the k! consecutive ranks from it on, whose rankings differ
 from its own only in their last k entries, so under every lifting their
 vertices follow from the leader's through the shape's suffix action table
@@ -15,7 +15,13 @@ onto the graph through each lifting's column map, and takes inner products
 with the stored eigenvectors, scaled by the frame constant.  It sums each
 vertex's even and odd rankings apart, which also yields the sign-flipped
 signal's accumulation: that completes the shapes whose transpose is not
-cached (:func:`analyze_with_conjugates`).  Neither direction materializes
+cached (:func:`analyze_with_conjugates`).  Only source shapes are walked
+(:func:`_sources`): a cached shape whose rows are unions of a source's rows
+reads each lifting's bins off a source lifting's through a vertex map
+(:func:`~permaframe.schreier.merge_maps`), so a subset of coarse shapes walks
+their source.  A tally's bins are integers, exact in any order, so its
+coefficients are those of walking every shape; a float signal's move in the
+last bits.  Neither direction materializes
 length-n! atoms or index maps; atoms exist only for tests and small-n
 inspection.
 """
@@ -30,7 +36,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .cache import FrameCache
+from .cache import FrameCache, SchreierBundle
 from .combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
@@ -46,7 +52,8 @@ from .combinatorics import (
 )
 from .errors import ResourceLimitError, ValidationError
 from .schreier import (
-    MAX_MATERIALIZE_N, characteristic_column_map, suffix_action, vertex_table,
+    MAX_MATERIALIZE_N, characteristic_column_map, merge_maps, merged_rows, suffix_action,
+    vertex_table,
 )
 from .spectral import key_to_value, reflected_key
 
@@ -377,6 +384,60 @@ def _walked_blocks(n: int, support: np.ndarray) -> tuple[int, np.ndarray]:
     return k, blocks
 
 
+def _sources(cache: FrameCache, nonzeros: int) -> dict[IntegerPartition, IntegerPartition]:
+    """The shape whose tree walk yields each cached shape's vertex sums.
+
+    The candidates are the cached shapes with fewer than ``nonzeros`` bins
+    (2m, even and odd apart); a candidate that no other one refines is a
+    source.  Each cached shape whose rows are unions of a source's rows reads
+    its sums off the source with the fewest vertices (ties in cache order),
+    and every other shape, sources included, is walked itself.  A coarser
+    shape has fewer vertices, so every candidate has a source."""
+    few = [s for s in cache.shapes if 2 * cache.bundle(s).m < nonzeros]
+    sources = sorted(
+        (s for s in few if not any(merged_rows(f, s) is not None for f in few)),
+        key=lambda s: cache.bundle(s).m,
+    )
+    return {
+        shape: next((s for s in sources if merged_rows(s, shape) is not None), shape)
+        for shape in cache.shapes
+    }
+
+
+class _Projector:
+    """One shape's coefficient blocks, filled one lifting at a time from its
+    vertex sums: E + O for the signal and, when flipped, E - O for its sign
+    flip, each dotted with the stored eigenvectors."""
+
+    def __init__(self, bundle: SchreierBundle, max_eigs: int | None, flipped: bool) -> None:
+        self.bundle = bundle
+        self.rows = bundle.spectrum.eigenvector_rows()[:max_eigs]
+        self.vectors_t = bundle.spectrum.vectors[:, : len(self.rows)].T
+        combines = [np.add, np.subtract] if flipped else [np.add]
+        self.jobs = [(combine, np.empty((len(self.rows), bundle.z))) for combine in combines]
+        self.projection = np.empty(bundle.m)
+
+    def add(self, t: int, sums: np.ndarray, bin_map: np.ndarray | None = None) -> None:
+        """Lifting t's coefficients from its bins, or from a source
+        lifting's bins ``sums`` carried to its bins by ``bin_map``."""
+        if bin_map is not None:
+            sums = np.bincount(bin_map, weights=sums, minlength=2 * self.bundle.m)
+        for combine, alphas in self.jobs:
+            combine(sums[0::2], sums[1::2], out=self.projection)
+            alphas[:, t] = self.vectors_t @ self.projection
+
+    def blocks(self) -> list[ShapeBlock]:
+        b = self.bundle
+        lam = np.array([row[0] for row in self.rows])
+        keys = np.array([row[1] for row in self.rows], dtype=np.int64)
+        ks = np.array([row[2] for row in self.rows], dtype=np.int64)
+        out = []
+        for _combine, alphas in self.jobs:
+            alphas *= b.c_bar
+            out.append(ShapeBlock(b.shape, b.c_bar, lam, keys, ks, alphas))
+        return out
+
+
 def _analyze_blocks(
     cache: FrameCache,
     signal: Signal,
@@ -385,7 +446,7 @@ def _analyze_blocks(
     flipped_shapes: Sequence[IntegerPartition] = (),
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
-    ``flipped_shapes`` (a subset), from one tree walk per shape.
+    ``flipped_shapes`` (a subset), from one tree walk per source shape.
 
     The walk visits one ranking, the leader, per k!-block of ranks that the
     signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 walks the
@@ -397,7 +458,13 @@ def _analyze_blocks(
     ranks a block holds outside the support add exact zeros: with E and O
     those sums, the signal's projection is E + O and its sign flip's is E - O,
     bit for bit the same for every k.  Analyzing ``sign_flip(signal)`` swaps
-    O for -O exactly, so the flipped blocks equal its direct ones."""
+    O for -O exactly, so the flipped blocks equal its direct ones.
+
+    A shape with a source (:func:`_sources`) is not walked: each lifting's
+    bins are one ``bincount`` of a source lifting's bins through a vertex
+    map, which keeps parity.  The sources depend only on the cache and the
+    nonzero count, so the identities above, subsets and ``max_eigs`` keep
+    every bit."""
     support = np.flatnonzero(signal.values)
     k, blocks = _walked_blocks(signal.n, support)
     walked = blocks * factorial(k)
@@ -409,40 +476,53 @@ def _analyze_blocks(
         # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
         parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
         spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
-    direct: list[ShapeBlock] = []
-    flipped: list[ShapeBlock] = []
+    plan = _sources(cache, len(support))
+    walks: dict[IntegerPartition, list[IntegerPartition]] = {}
     for shape in shape_list:
-        bundle = cache.bundle(shape)
-        rows = bundle.spectrum.eigenvector_rows()
-        r_used = len(rows) if max_eigs is None else min(len(rows), max_eigs)
-        vectors_t = bundle.spectrum.vectors[:, :r_used].T
-        jobs = [(np.add, np.empty((r_used, bundle.z)), direct)]
-        if shape in flipped_shapes:
-            jobs.append((np.subtract, np.empty((r_used, bundle.z)), flipped))
-        table = vertex_table(shape)
+        walks.setdefault(plan[shape], []).append(shape)
+    projectors: dict[IntegerPartition, _Projector] = {}
+    # in cache order, each shape's blocks made as its source is walked: the
+    # largest key table meets no more blocks than when every shape was walked
+    for source in [s for s in cache.shapes if s in walks]:
+        bundle = cache.bundle(source)
+        # per source lifting: (projector, its lifting, source bin -> its bin)
+        readers: list[list] = [[] for _ in range(bundle.z)]
+        for shape in walks[source]:
+            projector = _Projector(cache.bundle(shape), max_eigs, shape in flipped_shapes)
+            projectors[shape] = projector
+            if shape == source:
+                for t in range(bundle.z):
+                    readers[t].append((projector, t, None))
+                continue
+            merge = merge_maps(source, shape)
+            # source bin 2v + p -> bin 2 vertex_map[v] + p, per row map
+            pairs = 2 * merge.vertex_maps[:, :, None] + [0, 1]
+            bin_maps = list(pairs.reshape(len(merge.rows), -1))
+            for t, (s, q) in enumerate(zip(merge.source.tolist(), merge.map_index.tolist())):
+                readers[s].append((projector, t, bin_maps[q]))
+        table = vertex_table(source)
         if k > 1:
             # row 2v + p: the bins of a block whose leader is at v with parity p
-            action = suffix_action(shape, k, table)
+            action = suffix_action(source, k, table)
             expand = (2 * action[:, None, :] + parity).reshape(2 * bundle.m, -1)
-        projection, bin_count = np.empty(bundle.m), 2 * bundle.m
-        for t, col in cache.iter_lifting_maps(shape, walked, table=table):
+        for t, col in cache.iter_lifting_maps(source, walked, table=table):
+            if not readers[t]:
+                continue
             bins = np.multiply(col, 2, out=col)
             bins += odd
             if k > 1:
                 # the indices are in range; "clip" lets take write into
                 # spread directly, where "raise" would buffer
                 bins = expand.take(bins, axis=0, out=spread, mode="clip").reshape(-1)
-            sums = np.bincount(bins, weights=values, minlength=bin_count)
-            for combine, alphas, _out in jobs:
-                combine(sums[0::2], sums[1::2], out=projection)
-                alphas[:, t] = vectors_t @ projection
+            sums = np.bincount(bins, weights=values, minlength=2 * bundle.m)
+            for projector, target, bin_map in readers[t]:
+                projector.add(target, sums, bin_map)
         del table  # one shape's key table at a time
-        lam = np.array([row[0] for row in rows[:r_used]])
-        keys = np.array([row[1] for row in rows[:r_used]], dtype=np.int64)
-        ks = np.array([row[2] for row in rows[:r_used]], dtype=np.int64)
-        for _combine, alphas, out in jobs:
-            alphas *= bundle.c_bar
-            out.append(ShapeBlock(shape, bundle.c_bar, lam, keys, ks, alphas))
+    direct: list[ShapeBlock] = []
+    flipped: list[ShapeBlock] = []
+    for shape in shape_list:
+        for out, block in zip((direct, flipped), projectors[shape].blocks()):
+            out.append(block)
     return direct, flipped
 
 

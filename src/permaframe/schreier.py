@@ -10,8 +10,11 @@ rows) and one key -> vertex table per shape (``vertex_table``).  A ranking's
 key for a lifting sums each candidate's row times R**(n-1-position)
 (``lifting_keys``), so an adjacent swap of two candidates moves every key by
 a multiple of a difference of two such powers: that is how the swap-tree walk
-in ``cache`` reaches every reduced lifting over any set of ranks.  The
-permutahedron itself is the Schreier graph of the all-ones shape.
+in ``cache`` reaches every reduced lifting over any set of ranks.  When
+every row of a shape is a union of rows of a finer one, each of its
+liftings is a finer lifting with rows merged, so its column map is a fixed
+vertex map of that lifting's (``merge_maps``).  The permutahedron itself is
+the Schreier graph of the all-ones shape.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,6 +171,103 @@ def suffix_action(
     prefix = words[:, : n - k] @ weights[: n - k]
     keys = sum((words[:, n - k + taus[i]] * weights[n - k + i] for i in range(k)), prefix[:, None])
     return (vertex_table(shape) if table is None else table)[keys]
+
+
+# ---------------------------------------------------------------------------
+# coarse shapes read off finer ones
+
+
+@lru_cache(maxsize=256)
+def merged_rows(fine: IntegerPartition, coarse: IntegerPartition) -> tuple[int, ...] | None:
+    """The coarse row of each row of ``fine`` when ``fine`` has more rows and
+    every row of ``coarse`` is a union of its rows, else None.  Fine rows
+    are placed in order, each in the first coarse row that leaves the rest
+    placeable; rows with equal room left are tried once."""
+    if fine.n != coarse.n or len(fine) <= len(coarse):
+        return None
+
+    def place(i: int, room: tuple[int, ...]) -> tuple[int, ...] | None:
+        if i == len(fine):
+            return ()
+        for r, left in enumerate(room):
+            if left >= fine.parts[i] and left not in room[:r]:
+                rest = place(i + 1, room[:r] + (left - fine.parts[i],) + room[r + 1 :])
+                if rest is not None:
+                    return (r, *rest)
+        return None
+
+    return place(0, coarse.parts)
+
+
+class RowMerge(NamedTuple):
+    """How every reduced lifting of a coarse shape reads off one of a finer
+    shape's (see :func:`merge_maps`)."""
+
+    source: np.ndarray  # (z_coarse,) intp: the fine reduced lifting
+    map_index: np.ndarray  # (z_coarse,) intp: its row of ``rows`` and ``vertex_maps``
+    rows: np.ndarray  # (q, R_fine) intp: the coarse row of each fine row
+    vertex_maps: np.ndarray  # (q, m_fine) intp: fine vertex -> coarse vertex
+
+
+@lru_cache(maxsize=64)
+def merge_maps(fine: IntegerPartition, coarse: IntegerPartition) -> RowMerge:
+    """Per reduced lifting of ``coarse``, a reduced lifting of ``fine`` and a
+    vertex map that carry every ranking to the coarse lifting's vertex.
+
+    With ``merged_rows(fine, coarse)`` as the base row map, a coarse
+    lifting's candidates of coarse row r go, in increasing order, to the
+    fine rows merged into r, in increasing order; relabeling equal-size fine
+    rows by increasing least candidate makes that fine word reduced, and
+    the row map composed with the relabeling's inverse carries it back.  A
+    ranking's fine vertex is the fine word read along the ranking, so the
+    row map applied to each entry of that vertex's row word gives the
+    coarse lifting's vertex: ``vertex_maps[map_index[t]][fine column map of
+    source[t]]`` is coarse lifting t's column map.  Few distinct row maps
+    occur, one per relabeling."""
+    base = merged_rows(fine, coarse)
+    if base is None:
+        raise ValidationError(f"rows of {coarse.parts} are not unions of rows of {fine.parts}")
+    base_rows = np.array(base, dtype=np.intp)
+    sizes = np.array(fine.parts, dtype=np.intp)
+    words = reduced_row_words(coarse)
+    z = len(words)
+    every = np.arange(z)[:, None]
+    # a stable sort lists each coarse row's candidates in increasing order,
+    # row after row, and the fine rows merged into each row take them in
+    # turn: fine row f takes the run of sizes[f] from starts[f], whose first
+    # is its least candidate
+    members = np.argsort(base_rows, kind="stable")
+    starts = np.empty(len(fine), dtype=np.intp)
+    starts[members] = np.cumsum(sizes[members]) - sizes[members]
+    order = np.argsort(words, axis=1, kind="stable")
+    unsorted = np.empty((z, coarse.n), dtype=np.intp)
+    unsorted[every, order] = np.repeat(members, sizes[members])
+    least = order[:, starts]
+    # relabel[t, f]: fine row f's label once equal-size rows are ordered by
+    # least candidate
+    relabel = np.empty((z, len(fine)), dtype=np.intp)
+    for size in set(fine.parts):
+        group = np.flatnonzero(sizes == size)
+        relabel[every, group[np.argsort(least[:, group], axis=1, kind="stable")]] = group
+    fine_words = np.take_along_axis(relabel, unsorted, axis=1)
+    row_maps = np.empty((z, len(fine)), dtype=np.intp)
+    row_maps[every, relabel] = base_rows
+    # one base-R code per row map (R coarse rows)
+    codes = row_maps @ len(coarse) ** np.arange(len(fine), dtype=np.intp)
+    _codes, first, map_index = np.unique(codes, return_index=True, return_inverse=True)
+    rows = row_maps[first]
+    weights = key_powers(fine)
+    reduced_keys = reduced_row_words(fine).astype(np.intp) @ weights  # ascending
+    keys = fine_words @ weights
+    source = np.minimum(np.searchsorted(reduced_keys, keys), len(reduced_keys) - 1)
+    if not np.array_equal(reduced_keys[source], keys):
+        raise NumericalError(f"a merged lifting of {coarse.parts} is not reduced in {fine.parts}")
+    fine_vertices = row_word_matrix(fine).astype(np.intp)
+    vertex_maps = vertex_table(coarse)[rows[:, fine_vertices] @ key_powers(coarse)]
+    out = RowMerge(source, map_index, rows, vertex_maps)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def lifting_keys(

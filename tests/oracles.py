@@ -24,6 +24,7 @@ from permaframe.combinatorics import (
     hook_dimension,
     multiplicity_constants,
     partitions_of,
+    rank_signs,
     rank_words,
     reading_order_partition,
     reduced_representatives,
@@ -38,6 +39,7 @@ from permaframe.frame import (
     AtomId,
     _check_signal,
     CoefficientTable,
+    ShapeBlock,
     Signal,
     analyze,
     analyze_with_conjugates,
@@ -307,6 +309,44 @@ def is_reduced_representative(osp: OrderedSetPartition) -> bool:
         if len(blocks[i]) == len(blocks[i + 1]) and blocks[i][0] > blocks[i + 1][0]:
             return False
     return True
+
+
+def reference_analysis(
+    cache: FrameCache,
+    signal: Signal,
+    shapes,
+    max_eigs: int | None = None,
+    flipped_shapes=(),
+) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
+    """Blocks of ``signal`` on ``shapes`` and of its sign flip on
+    ``flipped_shapes``, from one swap-tree walk per shape over the signal's
+    nonzeros: each lifting's even and odd rankings are summed apart, in rank
+    order, into the bins 2v + parity of their vertices v."""
+    support = np.flatnonzero(signal.values)
+    odd = (rank_signs(signal.n, support) < 0).astype(np.intp)
+    direct: list[ShapeBlock] = []
+    flipped: list[ShapeBlock] = []
+    for shape in shapes:
+        bundle = cache.bundle(shape)
+        rows = bundle.spectrum.eigenvector_rows()[:max_eigs]
+        vectors = bundle.spectrum.vectors[:, : len(rows)]
+        jobs = [(np.add, direct)]
+        if shape in flipped_shapes:
+            jobs.append((np.subtract, flipped))
+        alphas = [np.empty((len(rows), bundle.z)) for _ in jobs]
+        for t, col in cache.iter_lifting_maps(shape, support):
+            sums = np.bincount(
+                2 * col + odd, weights=signal.values[support], minlength=2 * bundle.m
+            )
+            for (combine, _out), a in zip(jobs, alphas):
+                a[:, t] = vectors.T @ combine(sums[0::2], sums[1::2])
+        lam = np.array([row[0] for row in rows])
+        keys = np.array([row[1] for row in rows], dtype=np.int64)
+        ks = np.array([row[2] for row in rows], dtype=np.int64)
+        for (_combine, out), a in zip(jobs, alphas):
+            a *= bundle.c_bar
+            out.append(ShapeBlock(shape, bundle.c_bar, lam, keys, ks, a))
+    return direct, flipped
 
 
 def reference_synthesize(

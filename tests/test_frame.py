@@ -1,9 +1,12 @@
 import dataclasses
 import tracemalloc
+from functools import lru_cache
 from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permaframe import build_cache, frame
 from permaframe.cache import FrameCache
@@ -49,6 +52,7 @@ from oracles import (
     dense_oracle,
     lift,
     mallows_baseline,
+    reference_analysis,
     reference_csv_text,
     reference_json_text,
     reference_synthesize,
@@ -456,18 +460,81 @@ def test_analysis_suffix_lengths_match_the_reference(n, monkeypatch, rng):
 def test_analysis_walks_leaders_of_dense_tallies_and_nonzeros_of_sparse_ones(
     monkeypatch, rng
 ):
-    # a tally that fills its 4!-blocks is walked once per block, n!/4! ranks
-    # per shape, even with a few zero counts; a sparse one walks its nonzeros
+    # a tally that fills its 4!-blocks is walked once per block, n!/4! ranks,
+    # even with a few zero counts; a sparse one walks its nonzeros.  Only
+    # source shapes are walked, the shapes with fewer bins (2m) than
+    # nonzeros that no other such shape refines, and the shapes that no
+    # source refines; a coarse-only subset walks its source
     cache = build_cache(6, "h")
     dense = rng.integers(1, 9, size=factorial(6)).astype(float)
     dense[rng.choice(factorial(6), size=20, replace=False)] = 0.0
     sparse = np.zeros(factorial(6))
     sparse[rng.choice(factorial(6), size=40, replace=False)] = 1.0
-    for values, ranks in ((dense, factorial(6) // factorial(4)), (sparse, 40)):
+    # 700 nonzeros: every shape has fewer bins, (4,1,1) and (3,2,1) refine
+    # the rest; 40 nonzeros: only (6), (5,1) and (4,2) have fewer bins
+    dense_walks = [shape(4, 1, 1), shape(3, 2, 1)]
+    sparse_walks = [shape(5, 1), shape(4, 2), shape(4, 1, 1), shape(3, 3), shape(3, 2, 1)]
+    for values, ranks, walks, coarse in (
+        (dense, factorial(6) // factorial(4), dense_walks, shape(4, 1, 1)),
+        (sparse, 40, sparse_walks, shape(5, 1)),
+    ):
         walked = count_walked_ranks(monkeypatch)
         analyze_with_conjugates(cache, Signal(6, values))
         analyze(cache, Signal(6, values), max_eigs=1)
-        assert walked == {g: 2 * ranks for g in cache.shapes}
+        assert walked == {g: 2 * ranks for g in walks}
+        walked.clear()
+        analyze(cache, Signal(6, values), shapes=[shape(6)])
+        assert walked == {coarse: ranks}
+
+
+def near_exact_counts(n, rng):
+    """Integer tallies whose bins sum exactly below 2**53: a dense one with
+    counts near 2**40 and a zero tally."""
+    size = factorial(n)
+    return [
+        Signal(n, (2.0**40 + rng.integers(-9, 9, size=size)).astype(float)),
+        Signal.zeros(n),
+    ]
+
+
+def blocks_match(got, want, exact) -> bool:
+    """Equal bit for bit, or else to 1e-12 of each block's largest |alpha|."""
+    if [x.shape for x in got] != [y.shape for y in want]:
+        return False
+    for x, y in zip(got, want):
+        if exact:
+            if not np.array_equal(x.alphas, y.alphas):
+                return False
+        elif not np.allclose(x.alphas, y.alphas, rtol=0, atol=1e-12 * np.abs(y.alphas).max()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["h", "all"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_derived_analysis_matches_the_per_shape_walk(n, kind, rng):
+    # shapes read off a finer source's bins equal one walk per shape over
+    # the nonzeros: bit for bit on integer tallies, whose bins are exact
+    # integer sums, and to rounding on float signals
+    cache = build_cache(n, kind)
+    have = set(cache.shapes)
+    conj = [s for s in cache.shapes if s.transpose() not in have]
+    subsets = [[cache.shapes[0]], [cache.shapes[0], cache.shapes[-1]], cache.shapes[1:3]]
+    derived = 0
+    for f in analysis_signals(n, rng) + near_exact_counts(n, rng):
+        exact = np.array_equal(f.values, np.round(f.values))
+        plan = frame._sources(cache, np.count_nonzero(f.values))
+        derived += sum(source != g for g, source in plan.items())
+        direct, flipped = analyze_with_conjugates(cache, f)
+        want_direct, want_flipped = reference_analysis(cache, f, cache.shapes, None, conj)
+        assert blocks_match(direct.blocks, want_direct, exact)
+        assert blocks_match(flipped.blocks, want_flipped, exact)
+        for shapes in subsets:
+            got = analyze(cache, f, shapes=shapes).blocks
+            assert blocks_match(got, reference_analysis(cache, f, shapes)[0], exact)
+        got = analyze(cache, f, max_eigs=2).blocks
+        assert blocks_match(got, reference_analysis(cache, f, cache.shapes, 2)[0], exact)
+    assert derived
 
 
 def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
@@ -581,6 +648,45 @@ def test_energies_are_invariant_under_candidate_relabeling(name, request, rng):
         assert np.allclose(
             [e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol
         )
+
+
+@lru_cache(maxsize=None)
+def frame_cache(n, kind):
+    return build_cache(n, kind)
+
+
+relabeling_cases = st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.sampled_from(["h", "all"]),
+        st.sampled_from([1.0, 0.3, 0.05]),  # share of nonzero rankings
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@given(relabeling_cases)
+def test_energies_are_invariant_under_any_candidate_relabeling(case):
+    # renaming candidates permutes the rankings isometrically and keeps each
+    # (shape, eigenvalue) space, so every energy row, and every row that the
+    # sign trick completes for a missing transpose, is unchanged
+    sigma, kind, density, seed = case
+    n = len(sigma)
+    cache = frame_cache(n, kind)
+    rng = np.random.default_rng(seed)
+    size = factorial(n)
+    f = Signal(n, np.where(rng.random(size) < density, rng.standard_normal(size), 0.0))
+    g = relabeled(f, np.array(sigma))
+    tol = 1e-12 * f.norm2()
+    (direct_f, flipped_f), (direct_g, flipped_g) = (
+        analyze_with_conjugates(cache, h) for h in (f, g)
+    )
+    for rows_f, rows_g in (
+        (energy_table(direct_f).rows, energy_table(direct_g).rows),
+        (conjugate_energy_rows(flipped_f), conjugate_energy_rows(flipped_g)),
+    ):
+        assert [r[:2] for r in rows_f] == [r[:2] for r in rows_g]
+        assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
 
 
 def test_dense_analysis_walks_no_rank_length_table():

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import numpy as np
@@ -13,6 +14,7 @@ from permaframe.combinatorics import (
     multiplicity_constants,
     partitions_of,
     reading_order_partition,
+    reduced_row_words,
 )
 from permaframe.schreier import (
     adjacent_swap_maps,
@@ -21,6 +23,8 @@ from permaframe.schreier import (
     build_schreier_direct,
     characteristic_column_map,
     key_powers,
+    merge_maps,
+    merged_rows,
     minimal_paths,
     suffix_action,
     vertex_table,
@@ -294,6 +298,62 @@ def test_suffix_action_expands_leader_maps_to_every_rank(g):
         leaders = np.arange(factorial(n) // factorial(k)) * factorial(k)
         for t, leader_map in cache.iter_lifting_maps(g, leaders):
             assert np.array_equal(action.take(leader_map, axis=0).ravel(), full[t])
+
+
+# ---------------------------------------------------------------------------
+# coarse shapes read off finer ones
+
+
+def merges_by_brute_force(fine, coarse) -> bool:
+    """Some map from fine rows onto coarse rows adds up to the coarse sizes."""
+    return len(fine) > len(coarse) and any(
+        all(sum(p for p, r in zip(fine.parts, rows) if r == c) == size
+            for c, size in enumerate(coarse.parts))
+        for rows in itertools.product(range(len(coarse)), repeat=len(fine))
+    )
+
+
+MERGE_PAIRS = [
+    (fine, coarse)
+    for n in range(1, 7)
+    for fine in partitions_of(n)
+    for coarse in partitions_of(n)
+    if merges_by_brute_force(fine, coarse)
+]
+
+
+def test_merged_rows_finds_every_coarsening():
+    for n in range(1, 7):
+        for fine in partitions_of(n):
+            for coarse in partitions_of(n):
+                rows = merged_rows(fine, coarse)
+                assert (rows is not None) == merges_by_brute_force(fine, coarse)
+                if rows is not None:
+                    sizes = np.bincount(rows, weights=fine.parts, minlength=len(coarse))
+                    assert sizes.tolist() == list(coarse.parts)
+
+
+@pytest.mark.parametrize(
+    "fine, coarse", MERGE_PAIRS, ids=[f"{f.label()}>{c.label()}" for f, c in MERGE_PAIRS]
+)
+def test_merge_maps_carry_every_rank_to_the_coarse_vertex(fine, coarse):
+    # exact, over all n! ranks: the vertex map of the fine source lifting's
+    # column map is the coarse lifting's column map, and the row map carries
+    # the source's row word to the coarse one
+    merge = merge_maps(fine, coarse)
+    fine_words = reduced_row_words(fine)
+    coarse_words = reduced_row_words(coarse)
+    assert merge.source.shape == merge.map_index.shape == (len(coarse_words),)
+    assert merge.vertex_maps.shape == (len(merge.rows), multiplicity_constants(fine).m)
+    for t, word in enumerate(coarse_words):
+        source = fine_words[merge.source[t]]
+        rows = merge.rows[merge.map_index[t]]
+        assert np.array_equal(rows[source], word)
+        got = merge.vertex_maps[merge.map_index[t]][
+            characteristic_column_map(fine, OrderedSetPartition(tuple(source.tolist())))
+        ]
+        want = characteristic_column_map(coarse, OrderedSetPartition(tuple(word.tolist())))
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
