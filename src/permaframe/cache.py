@@ -4,18 +4,19 @@ Setup is data-independent and split into two phases: the Schreier graphs,
 and one eigensolve per shape on the span of its standard polytabloids
 (``spectral.specht_spectrum``), which needs no other shape.  The analysis and
 synthesis operators get each reduced lifting's column map, over a given set
-of ranks, from one depth-first walk of the swap tree
-(``FrameCache.iter_lifting_maps``): it carries one base-R vertex key per rank
-(R rows in the shape) from the reading-order lifting's, adds each tree edge's
-key difference on the way down and subtracts it on backtrack, and reads
-vertices from the shape's key -> vertex table, which a caller that walks
-one shape several times builds once.  Both operators walk block leaders: one
-rank per block of k! consecutive ranks, whose other ranks follow from it
-through ``schreier.suffix_action``.  Synthesis walks every leader at k =
-``frame.SUFFIX_LENGTH``, a fixed number of them at a time; analysis walks
-the leaders of the blocks a signal's nonzeros touch, at a k chosen from its
-support (k = 1 walks the nonzeros themselves), once per shape it does not
-read off a finer shape's walk.
+of ranks, from ``FrameCache.iter_lifting_maps``, liftings in canonical order.
+A ranking's base-R vertex key (R rows in the shape) is the lifting's row word
+dotted with R**(n-1-p) at its candidates' positions p, so the keys of a batch
+of liftings are one product of their row words with the ranks'
+``schreier.position_powers`` table; the vertices are read from the shape's
+key -> vertex table, which a caller that maps one shape several times builds
+once.  Both operators map block leaders: one rank per block of k!
+consecutive ranks, whose other ranks follow from it through
+``schreier.suffix_action``.  Synthesis maps every leader at k =
+``frame.SUFFIX_LENGTH``, a fixed number of them at a time; analysis maps the
+leaders of the blocks a signal's nonzeros touch, at a k chosen from its
+support (k = 1 maps the nonzeros themselves), once per shape it does not
+read off a finer shape's maps.
 
 The on-disk layout is one directory per n containing a JSON manifest plus one
 subdirectory per shape with two flat little-endian 64-bit array files (magic
@@ -40,7 +41,6 @@ import shutil
 import struct
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from math import factorial
 from typing import Callable, Iterator, Sequence
@@ -59,14 +59,7 @@ from .combinatorics import (
     unrank_words,
 )
 from .errors import CacheFormatError, NumericalError, ValidationError
-from .schreier import (
-    SchreierGraph,
-    bfs_tree_arrays,
-    build_schreier,
-    key_powers,
-    lifting_keys,
-    vertex_table,
-)
+from .schreier import SchreierGraph, build_schreier, position_powers, vertex_table
 from .spectral import (
     ShapeSpectrum, check_key_separation, check_residuals, eigenvalue_key, specht_spectrum,
 )
@@ -78,6 +71,15 @@ MANIFEST_FORMAT = "permaframe-setup-cache"
 MANIFEST_VERSION = 1
 
 FULL_H_MAX_N = 10  # larger n requires an explicit top-k shape count
+
+# Liftings whose keys iter_lifting_maps computes in one product.  Measured on a
+# 2-vCPU Xeon VM (medians of 5 and 11 runs), mapping the 151,200 block leaders
+# of a dense n = 10 tally through its top 8 shapes' 911 liftings took 2.47,
+# 1.71, 1.46, 1.43 and 1.34 s at 1, 4, 8, 16 and 64 liftings per product, and
+# n = 8's 1,680 leaders through the full list 0.029, 0.018, 0.017, 0.015 and
+# 0.013 s.  Past 16 the time hardly moves, while the (batch, ranks) float64
+# keys held during a batch keep growing.
+LIFTING_BATCH = 16
 
 
 @dataclass
@@ -110,8 +112,8 @@ class SchreierBundle:
 
 
 class FrameCache:
-    """A set of shape bundles for one n plus the swap-tree walk that yields
-    every reduced lifting's column map."""
+    """A set of shape bundles for one n plus the product that yields every
+    reduced lifting's column map."""
 
     def __init__(
         self,
@@ -157,76 +159,30 @@ class FrameCache:
         self, shape: IntegerPartition, ranks: np.ndarray, *, table: np.ndarray | None = None
     ) -> Iterator[tuple[int, np.ndarray]]:
         """(t, vertex per rank of ``ranks`` under the t-th reduced lifting)
-        pairs in depth-first order over the swap tree; every lifting appears
-        exactly once, and each map equals the column map of row t of
-        ``reduced_row_words(shape)`` at ``ranks``, as a fresh intp array.
-        Each tree edge costs O(len(ranks)) down and again on backtrack.
-        ``table`` is the shape's ``vertex_table``, built here when not given:
-        a caller that walks one shape over several sets of ranks builds it
-        once."""
+        pairs for t = 0..z-1 in canonical order: each map is the column map
+        of row t of ``reduced_row_words(shape)`` at ``ranks``, as a fresh
+        intp array.  The keys of ``LIFTING_BATCH`` liftings are one product
+        of their row words with the ranks' ``position_powers``.  ``table`` is
+        the shape's ``vertex_table``, built here when not given: a caller
+        that maps one shape over several sets of ranks builds it once."""
         bundle = self.bundle(shape)
-        children, rise, swaps = _swap_tree(bundle.shape)
-        rows = reduced_row_words(bundle.shape)
-        words = unrank_words(self.n, ranks)
-        key = lifting_keys(bundle.shape, rows[0], words)
-        # steps[c] = w[c] - w[c+1], where w[c] = R**(n-1-position of c): the
-        # edge into row word rw that swaps candidates s-1 and s moves every
-        # key by (rw[s-1] - rw[s]) * steps[s-1]
-        steps = np.empty(words.shape, dtype=np.intp)
-        flat, columns = steps.reshape(-1), np.arange(len(key))
-        for j, power in enumerate(key_powers(bundle.shape)):
-            flat[words[j].astype(np.intp) * len(key) + columns] = power
-        for c in range(1, self.n):
-            steps[c - 1] -= steps[c]
-        delta = np.empty_like(key)
+        rows = reduced_row_words(bundle.shape).astype(np.float64)
+        powers = position_powers(bundle.shape, unrank_words(self.n, ranks))
         if table is None:
             table = vertex_table(bundle.shape)
-
-        def move(t: int, sign: int) -> None:
-            # the edge into lifting t, forward (+1) or back (-1); most edges
-            # move one row, and skipping their multiply saves a pass
-            coef = sign * rise[t]
-            step = steps[swaps[t] - 1]
-            if abs(coef) != 1:
-                step = np.multiply(step, abs(coef), out=delta)
-            (np.add if coef > 0 else np.subtract)(key, step, out=key)
-
-        yield 0, table.take(key)
-        stack: list[tuple[int, Iterator[int]]] = [(0, iter(children[0]))]
-        while stack:
-            node, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                if stack:
-                    move(node, -1)
-                continue
-            move(child, 1)
-            yield child, table.take(key)
-            stack.append((child, iter(children[child])))
+        # one batch's keys at a time: each product overwrites the last
+        keys = np.empty((min(LIFTING_BATCH, len(rows)), len(ranks)))
+        for start in range(0, len(rows), LIFTING_BATCH):
+            batch = rows[start : start + LIFTING_BATCH]
+            np.matmul(batch, powers, out=keys[: len(batch)])
+            for t, key in enumerate(keys[: len(batch)], start):
+                yield t, table.take(key.astype(np.intp))
 
     def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:
         """Every (lifting index, column map over all n! ranks) pair of one
         shape, as a list; the transform streams ``iter_lifting_maps``, the
         benchmark's tracer binds this name."""
         return list(self.iter_lifting_maps(shape, np.arange(factorial(self.n))))
-
-
-@lru_cache(maxsize=64)
-def _swap_tree(
-    shape: IntegerPartition,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The walk's view of ``bfs_tree_arrays``: per reduced lifting t, its
-    children, the swap s on the edge into it, which exchanges positions s - 1
-    and s of its row word, and the row difference (rise) across them."""
-    parent, swap = bfs_tree_arrays(shape)
-    rows = reduced_row_words(shape)
-    children: list[list[int]] = [[] for _ in rows]
-    for t in range(1, len(rows)):
-        children[int(parent[t])].append(t)
-    at = np.arange(len(rows))
-    rise = rows[at, swap - 1].astype(np.intp) - rows[at, swap]
-    return tuple(map(tuple, children)), tuple(rise.tolist()), tuple(swap.tolist())
 
 
 # ---------------------------------------------------------------------------

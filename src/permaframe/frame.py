@@ -2,26 +2,28 @@
 energy decompositions, isotypic projections, graph Fourier transform and the
 transpose-shape sign trick.
 
-Both directions walk swap trees over block leaders.  The
-rank b*k! leads the k! consecutive ranks from it on, whose rankings differ
-from its own only in their last k entries, so under every lifting their
-vertices follow from the leader's through the shape's suffix action table
-(:func:`~permaframe.schreier.suffix_action`).  Synthesis combines each
-lifting's eigenvectors once per shape and spreads the result back over all
-n! ranks, walking every leader at k = ``SUFFIX_LENGTH``.  Analysis walks the
-leaders of the blocks that the signal's nonzeros touch, at a k chosen from
-the support (k = 1 walks the nonzeros themselves), accumulates the signal
+Both directions map block leaders through every reduced lifting
+(:meth:`~permaframe.cache.FrameCache.iter_lifting_maps`, liftings in
+canonical order).  The rank b*k! leads the k! consecutive ranks from it on,
+whose rankings differ from its own only in their last k entries, so under
+every lifting their vertices follow from the leader's through the shape's
+suffix action table (:func:`~permaframe.schreier.suffix_action`).  Synthesis
+combines each lifting's eigenvectors once per shape and spreads the result
+back over all n! ranks, mapping every leader at k = ``SUFFIX_LENGTH`` and
+summing liftings in canonical order.  Analysis maps the leaders of the
+blocks that the signal's nonzeros touch, at a k chosen from the support
+(k = 1 maps the nonzeros themselves), accumulates the signal
 onto the graph through each lifting's column map, and takes inner products
 with the stored eigenvectors, scaled by the frame constant.  It sums each
 vertex's even and odd rankings apart, which also yields the sign-flipped
 signal's accumulation: that completes the shapes whose transpose is not
-cached (:func:`analyze_with_conjugates`).  Only source shapes are walked
-(:func:`_sources`): a cached shape whose rows are unions of a source's rows
-reads each lifting's bins off a source lifting's through a vertex map
-(:func:`~permaframe.schreier.merge_maps`), so a subset of coarse shapes walks
-their source.  A tally's bins are integers, exact in any order, so its
-coefficients are those of walking every shape; a float signal's move in the
-last bits.  Neither direction materializes
+cached (:func:`analyze_with_conjugates`).  Only source shapes are mapped
+over the signal (:func:`_sources`): a cached shape whose rows are unions of a
+source's rows reads each lifting's bins off a source lifting's through a
+vertex map (:func:`~permaframe.schreier.merge_maps`), so a subset of coarse
+shapes maps their source.  A tally's bins are integers, exact in any order,
+so its coefficients are those of mapping every shape; a float signal's move
+in the last bits.  Neither direction materializes
 length-n! atoms or index maps; atoms exist only for tests and small-n
 inspection.
 """
@@ -57,7 +59,7 @@ from .schreier import (
 )
 from .spectral import key_to_value, reflected_key
 
-# Synthesis walks one ranking per block of SUFFIX_LENGTH! consecutive ranks
+# Synthesis maps one ranking per block of SUFFIX_LENGTH! consecutive ranks
 # (see synthesize), SYNTHESIS_BLOCK // SUFFIX_LENGTH! of them at a time.  Per
 # lifting it builds one (m, SUFFIX_LENGTH!) weight table and gathers a block's
 # rows from it, so a larger block spreads that table over more rankings.
@@ -67,7 +69,7 @@ from .spectral import key_to_value, reflected_key
 # list) and 0.19, 0.15, 0.16 and 0.20 s at n = 9 (top 5 shapes).
 SUFFIX_LENGTH = 4
 SYNTHESIS_BLOCK = 1 << 16
-# Analysis walks one ranking per k!-block of ranks that the signal's nonzeros
+# Analysis maps one ranking per k!-block of ranks that the signal's nonzeros
 # touch, for the largest k <= SUFFIX_LENGTH whose touched blocks hold at most
 # ANALYSIS_FILL times as many ranks as there are nonzeros (see _walked_blocks).
 # Measured on the same VM with uniformly random supports (n = 8, full list;
@@ -252,11 +254,16 @@ class CoefficientTable:
 
     def filter(
         self,
-        shapes: Sequence[IntegerPartition] | None = None,
+        shapes: Sequence[IntegerPartition | Sequence[int]] | None = None,
         max_eigs: int | None = None,
     ) -> "CoefficientTable":
+        """The blocks of ``shapes`` (all when not given; a shape the table
+        lacks raises, as in :meth:`block`), each cut to its first
+        ``max_eigs`` rows."""
         _check_max_eigs(max_eigs)
-        keep = set(shapes) if shapes is not None else None
+        keep = None
+        if shapes is not None:
+            keep = {self.block(IntegerPartition.of(s)).shape for s in shapes}
         blocks = []
         for b in self.blocks:
             if keep is not None and b.shape not in keep:
@@ -385,13 +392,13 @@ def _walked_blocks(n: int, support: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _sources(cache: FrameCache, nonzeros: int) -> dict[IntegerPartition, IntegerPartition]:
-    """The shape whose tree walk yields each cached shape's vertex sums.
+    """The shape whose lifting maps yield each cached shape's vertex sums.
 
     The candidates are the cached shapes with fewer than ``nonzeros`` bins
     (2m, even and odd apart); a candidate that no other one refines is a
     source.  Each cached shape whose rows are unions of a source's rows reads
     its sums off the source with the fewest vertices (ties in cache order),
-    and every other shape, sources included, is walked itself.  A coarser
+    and every other shape, sources included, is mapped itself.  A coarser
     shape has fewer vertices, so every candidate has a source."""
     few = [s for s in cache.shapes if 2 * cache.bundle(s).m < nonzeros]
     sources = sorted(
@@ -446,10 +453,11 @@ def _analyze_blocks(
     flipped_shapes: Sequence[IntegerPartition] = (),
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
-    ``flipped_shapes`` (a subset), from one tree walk per source shape.
+    ``flipped_shapes`` (a subset), from one pass over each source shape's
+    liftings.
 
-    The walk visits one ranking, the leader, per k!-block of ranks that the
-    signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 walks the
+    Each lifting maps one ranking, the leader, per k!-block of ranks that the
+    signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 maps the
     nonzeros themselves) and expands it to its block through
     ``suffix_action(shape, k)``, as synthesis does.  Each rank goes to bin
     2v + p, v its vertex and p the parity of its ranking, which is the
@@ -460,7 +468,7 @@ def _analyze_blocks(
     bit for bit the same for every k.  Analyzing ``sign_flip(signal)`` swaps
     O for -O exactly, so the flipped blocks equal its direct ones.
 
-    A shape with a source (:func:`_sources`) is not walked: each lifting's
+    A shape with a source (:func:`_sources`) is not mapped: each lifting's
     bins are one ``bincount`` of a source lifting's bins through a vertex
     map, which keeps parity.  The sources depend only on the cache and the
     nonzero count, so the identities above, subsets and ``max_eigs`` keep
@@ -477,12 +485,13 @@ def _analyze_blocks(
         parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
         spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
     plan = _sources(cache, len(support))
+    del support  # up to n! ranks, freed before the maps, which take the leaders
     walks: dict[IntegerPartition, list[IntegerPartition]] = {}
     for shape in shape_list:
         walks.setdefault(plan[shape], []).append(shape)
     projectors: dict[IntegerPartition, _Projector] = {}
-    # in cache order, each shape's blocks made as its source is walked: the
-    # largest key table meets no more blocks than when every shape was walked
+    # in cache order, each shape's blocks made as its source is mapped: the
+    # largest key table meets no more blocks than when every shape was mapped
     for source in [s for s in cache.shapes if s in walks]:
         bundle = cache.bundle(source)
         # per source lifting: (projector, its lifting, source bin -> its bin)
@@ -570,7 +579,7 @@ def analyze_with_conjugates(
     among them.  Tensoring with the sign representation carries shape gamma to
     its transpose and eigenvalue lambda to 2(n-1) - lambda, so ``flipped``
     holds the missing transpose shapes' components (see
-    :func:`conjugate_energy_rows`).  Both tables come from one walk per shape
+    :func:`conjugate_energy_rows`).  Both tables come from one pass per shape
     and are bit-identical to analyzing each signal on its own.
     """
     _check_signal(cache, signal)
@@ -633,13 +642,13 @@ def synthesize(
     min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k! (its
     block's leader) with its last k entries permuted by the j-th permutation
     of k items, so its vertex is ``suffix_action(shape, k)[leader's vertex,
-    j]``.  The swap tree is walked over the n!/k! leaders only, in blocks of
+    j]``.  Each lifting maps the n!/k! leaders only, in blocks of
     SYNTHESIS_BLOCK // k!.  Per lifting and block, the lifting's weights are
     laid out as an (m, k!, tables) table through the action, its rows at the
     leaders' vertices are gathered through the lifting's map, and they are
     added to those leaders' rows of an (n!/k!, k!, tables) accumulator.
-    Every ranking sums shapes in table order and liftings in walk order, so
-    the result depends on neither k nor the block size.
+    Every ranking sums shapes in table order and liftings in canonical
+    order, so the result depends on neither k nor the block size.
     """
     tables = [table] if flipped is None else [table, flipped]
     if any(tab.n != cache.n for tab in tables):

@@ -8,13 +8,15 @@ A lifting's column map sends each permutation rank to the graph vertex it
 falls on.  Vertices are found through the base-R keys of their row words (R
 rows) and one key -> vertex table per shape (``vertex_table``).  A ranking's
 key for a lifting sums each candidate's row times R**(n-1-position)
-(``lifting_keys``), so an adjacent swap of two candidates moves every key by
-a multiple of a difference of two such powers: that is how the swap-tree walk
-in ``cache`` reaches every reduced lifting over any set of ranks.  When
-every row of a shape is a union of rows of a finer one, each of its
-liftings is a finer lifting with rows merged, so its column map is a fixed
-vertex map of that lifting's (``merge_maps``).  The permutahedron itself is
-the Schreier graph of the all-ones shape.
+(``lifting_keys``): that is the lifting's row word times the ranking's
+column of ``position_powers``, so one product gives the keys of many
+liftings over any set of ranks, which is how ``cache`` maps every reduced
+lifting.  The swap tree of minimal paths (``bfs_tree_arrays``,
+``minimal_paths``) describes the reduced liftings; the transform does not
+use it.  When every row of a shape is a union of rows of a finer one, each
+of its liftings is a finer lifting with rows merged, so its column map is a
+fixed vertex map of that lifting's (``merge_maps``).  The permutahedron
+itself is the Schreier graph of the all-ones shape.
 """
 
 from __future__ import annotations
@@ -153,6 +155,20 @@ def vertex_table(shape: IntegerPartition) -> np.ndarray:
     return table
 
 
+def position_powers(shape: IntegerPartition, words: np.ndarray) -> np.ndarray:
+    """(n, N) float64 table: entry [c, i] is R**(n-1-p), p the position of
+    candidate c in ranking i (column i of ``words``, from
+    :func:`unrank_words`) and R = len(shape).  A lifting's row word (the row
+    of each candidate) times this table is, per ranking, the key of the
+    vertex it carries the lifting to.  Every key is an integer below R**n,
+    and R <= n <= 12 (``unrank_words`` refuses more), so below 2**53: the
+    float product is exact."""
+    n, count = words.shape
+    powers = np.empty((n, count))
+    powers[words, np.arange(count)] = key_powers(shape)[:, None]
+    return powers
+
+
 def suffix_action(
     shape: IntegerPartition, k: int, table: np.ndarray | None = None
 ) -> np.ndarray:
@@ -162,14 +178,12 @@ def suffix_action(
 
     The ranking of lexicographic rank b*k! + j is that of rank b*k! with its
     last k entries permuted by tau_j, so under any lifting its vertex is
-    ``suffix_action[vertex of rank b*k!, j]``.  ``table`` is the shape's
+    ``suffix_action[vertex of rank b*k!, j]``.  Rank j < k! is tau_j acting
+    on the last k positions alone, so row v is the column map over ranks
+    0..k!-1 of v's row word read as a lifting.  ``table`` is the shape's
     :func:`vertex_table`, built here when not given."""
-    n = shape.n
-    words = row_word_matrix(shape).astype(np.intp)
-    weights = key_powers(shape)
-    taus = unrank_words(k, np.arange(factorial(k))).astype(np.intp)  # (k, k!)
-    prefix = words[:, : n - k] @ weights[: n - k]
-    keys = sum((words[:, n - k + taus[i]] * weights[n - k + i] for i in range(k)), prefix[:, None])
+    powers = position_powers(shape, unrank_words(shape.n, np.arange(factorial(k))))
+    keys = (row_word_matrix(shape) @ powers).astype(np.intp)
     return (vertex_table(shape) if table is None else table)[keys]
 
 
@@ -336,7 +350,9 @@ def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
     to reduced representatives still finds paths that are minimal in the full
     graph: each lifting's depth is its inversion count.  Each level visits its
     liftings in canonical order and their swaps in increasing order, and a
-    lifting's parent is the first that reaches it.
+    lifting's parent is the first that reaches it.  The transform no longer
+    uses the tree: it maps liftings in canonical order (see
+    :func:`position_powers`).
     """
     reps = reduced_row_words(shape)
     z, n = reps.shape
@@ -374,7 +390,7 @@ def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
 def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
     """The root-to-lifting swap sequence of every reduced representative in
     the tree of :func:`bfs_tree_arrays`; every path length equals the
-    target's inversion count."""
+    target's inversion count.  The transform no longer uses these paths."""
     parent, swap = bfs_tree_arrays(shape)
     paths = []
     for t, rep in enumerate(reduced_representatives(shape)):

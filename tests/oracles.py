@@ -319,9 +319,9 @@ def reference_analysis(
     flipped_shapes=(),
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shapes`` and of its sign flip on
-    ``flipped_shapes``, from one swap-tree walk per shape over the signal's
-    nonzeros: each lifting's even and odd rankings are summed apart, in rank
-    order, into the bins 2v + parity of their vertices v."""
+    ``flipped_shapes``, from every lifting of every shape mapped over the
+    signal's nonzeros: each lifting's even and odd rankings are summed apart,
+    in rank order, into the bins 2v + parity of their vertices v."""
     support = np.flatnonzero(signal.values)
     odd = (rank_signs(signal.n, support) < 0).astype(np.intp)
     direct: list[ShapeBlock] = []
@@ -354,8 +354,8 @@ def reference_synthesize(
     table: CoefficientTable,
     flipped: CoefficientTable | None = None,
 ) -> Signal:
-    """Synthesis as one walk per shape over all n! ranks at once, one
-    accumulator per table, each lifting's weights formed as it is visited."""
+    """Synthesis as one pass per shape over all n! ranks at once, one
+    accumulator per table, each lifting's weights formed as it is mapped."""
     tables = [table] if flipped is None else [table, flipped]
     accs = [np.zeros(factorial(cache.n)) for _ in tables]
     jobs: dict[IntegerPartition, list] = {}

@@ -360,7 +360,7 @@ def test_walk_yields_every_lifting_column_map(n):
             assert col.dtype == np.intp
             assert np.array_equal(col, characteristic_column_map(g, reps[t]))
             seen.append(t)
-        assert sorted(seen) == list(range(len(reps)))
+        assert seen == list(range(len(reps)))
         # every yielded map is its own array
         assert len({id(col) for _t, col in maps}) == len(maps)
 
@@ -385,14 +385,32 @@ def shapes_and_ranks(draw):
 @given(shapes_and_ranks())
 def test_walk_over_any_rank_set_matches_the_column_maps(case):
     g, ranks = case
-    # the walk reads only the shape's swap tree, so no eigensolve is needed
+    # the maps read only the shape's row words, so no eigensolve is needed
     cache = FrameCache(g.n, {g: SchreierBundle(g, build_schreier(g), None)})
     reps = reduced_representatives(g)
     seen = []
     for t, col in cache.iter_lifting_maps(g, ranks):
         assert np.array_equal(col, characteristic_column_map(g, reps[t])[ranks])
         seen.append(t)
-    assert sorted(seen) == list(range(len(reps)))
+    assert seen == list(range(len(reps)))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+@pytest.mark.parametrize("kind", ["empty", "full"])
+def test_lifting_maps_do_not_depend_on_the_batch(monkeypatch, batch, kind):
+    # 7 leaves a ragged last batch for every shape below (z = 60, 45, 1);
+    # 1000 exceeds every z, so each shape's keys are one product
+    n = 6
+    ranks = np.arange(factorial(n) if kind == "full" else 0)
+    monkeypatch.setattr(cache_mod, "LIFTING_BATCH", batch)
+    for g in (shape(3, 2, 1), shape(2, 2, 1, 1), shape(6)):
+        cache = FrameCache(n, {g: SchreierBundle(g, build_schreier(g), None)})
+        maps = list(cache.iter_lifting_maps(g, ranks))
+        reps = reduced_representatives(g)
+        assert [t for t, _col in maps] == list(range(len(reps)))
+        for t, col in maps:
+            assert col.dtype == np.intp
+            assert np.array_equal(col, characteristic_column_map(g, reps[t])[ranks])
 
 
 def test_loaded_cache_reconstructs(tmp_path, rng):

@@ -5,7 +5,7 @@ from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permaframe import build_cache, frame
@@ -17,6 +17,7 @@ from permaframe.combinatorics import (
     enumerate_ordered_set_partitions,
     hook_dimension,
     multiplicity_constants,
+    partitions_of,
     rank_words,
     reduced_representatives,
     word_table,
@@ -227,6 +228,22 @@ def test_filter_rejects_max_eigs_below_one(cache4_all, max_eigs):
         table.filter(max_eigs=max_eigs)
 
 
+def test_filter_takes_shapes_as_tuples_and_rejects_absent_ones(cache5_h, rng):
+    # analyze accepts (3, 2) for (3,2); filter must too, not keep nothing
+    f = Signal.random(5, rng)
+    table = analyze(cache5_h, f)
+    for shapes in ([(3, 2)], [shape(3, 2)], [(3, 2), shape(3, 2)]):
+        kept = table.filter(shapes=shapes)
+        assert [b.shape for b in kept.blocks] == [shape(3, 2)]
+        assert np.array_equal(kept.blocks[0].alphas, table.block(shape(3, 2)).alphas)
+    want = synthesize(cache5_h, analyze(cache5_h, f, shapes=[(3, 2)])).values
+    assert np.array_equal(synthesize(cache5_h, table.filter(shapes=[(3, 2)])).values, want)
+    one_shape = analyze(cache5_h, f, shapes=[(3, 2)])
+    for absent in ([(4, 1)], [shape(4, 1)], [(3, 2), (2, 2, 1)]):
+        with pytest.raises(ValidationError, match="no coefficients for shape"):
+            one_shape.filter(shapes=absent)
+
+
 # ---------------------------------------------------------------------------
 # synthesis and projections
 
@@ -378,7 +395,7 @@ def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
 
 
 def count_walked_ranks(monkeypatch) -> dict[IntegerPartition, int]:
-    """From now on, the ranks the swap tree is walked over, summed per shape."""
+    """From now on, the ranks each shape's liftings are mapped over, summed."""
     walked: dict[IntegerPartition, int] = {}
     walk = FrameCache.iter_lifting_maps
 
@@ -391,7 +408,7 @@ def count_walked_ranks(monkeypatch) -> dict[IntegerPartition, int]:
 
 
 def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
-    # the swap tree is walked over the n!/4! block leaders of each shape,
+    # each shape's liftings are mapped over the n!/4! block leaders,
     # never over every rank, however the leaders are split into blocks
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
     cache = build_cache(6, "h")
@@ -563,8 +580,8 @@ def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
 
 def test_synthesis_allocates_no_rank_table():
     # n=9 top-5 reconstruction tables: beyond the (n!, 2) accumulator, the
-    # final sign flip and the returned signal (about 9 MB together), the walk
-    # holds one rank block; an (n, n!) intp step table alone would be 26 MB
+    # final sign flip and the returned signal (about 9 MB together), the maps
+    # hold one rank block; an (n, n!) float64 powers table alone would be 26 MB
     cache = build_cache(9, "h", top_k=5)
     rng = np.random.default_rng(5)
     values = np.zeros(factorial(9))
@@ -689,11 +706,44 @@ def test_energies_are_invariant_under_any_candidate_relabeling(case):
         assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("nonzeros", [60, 61, 120, 121])
+@settings(max_examples=10)
+@given(st.permutations(range(6)), st.integers(0, 2**32 - 1))
+def test_derived_and_walked_shapes_agree_under_relabeling(nonzeros, sigma, seed):
+    # 60/61 and 120/121 nonzeros sit on either side of the 2m thresholds of the
+    # sources (4,1,1) and (3,2,1), so the relabeled signal's energies, from the
+    # reference's walk of every shape, meet the original's read off a source on
+    # one side and walked on the other
+    cache = frame_cache(6, "h")
+    coarse = {shape(4, 2): shape(4, 1, 1), shape(3, 3): shape(3, 2, 1)}
+    plan = frame._sources(cache, nonzeros)
+    for target, source in coarse.items():
+        assert plan[target] == (source if nonzeros > 2 * cache.bundle(source).m else target)
+    rng = np.random.default_rng(seed)
+    values = np.zeros(factorial(6))
+    values[rng.choice(factorial(6), size=nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+    f = Signal(6, values)
+    g = relabeled(f, np.array(sigma))
+    conj = [s for s in cache.shapes if s.transpose() not in set(cache.shapes)]
+    direct_f, flipped_f = analyze_with_conjugates(cache, f)
+    direct_g, flipped_g = (
+        CoefficientTable(6, blocks)
+        for blocks in reference_analysis(cache, g, cache.shapes, None, conj)
+    )
+    tol = 1e-12 * f.norm2()
+    for rows_f, rows_g in (
+        (direct_f.energy_rows(), direct_g.energy_rows()),
+        (conjugate_energy_rows(flipped_f), conjugate_energy_rows(flipped_g)),
+    ):
+        assert [r[:2] for r in rows_f] == [r[:2] for r in rows_g]
+        assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
+
+
 def test_dense_analysis_walks_no_rank_length_table():
     # n=9 top-5 with every rank nonzero: beyond the support and its values
-    # (about 6 MB), the walk holds one index and one value per rank and
-    # (n, n!/4!) arrays over the leaders; walking every rank would hold an
-    # (n, n!) intp step table, 26 MB
+    # (about 6 MB), the maps hold one index and one value per rank and
+    # (n, n!/4!) arrays over the leaders; mapping every rank would hold an
+    # (n, n!) float64 powers table, 26 MB
     cache = build_cache(9, "h", top_k=5)
     rng = np.random.default_rng(5)
     f = Signal(9, rng.integers(1, 9, size=factorial(9)).astype(float))
@@ -1112,6 +1162,43 @@ def test_popularity_weights_reference_values():
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+projection_cases = st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.sampled_from(partitions_of(n)),
+        st.sampled_from(["counts", "floats"]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@given(projection_cases)
+def test_projection_is_equivariant_under_candidate_relabeling(case):
+    # renaming candidate c to sigma[c] (``relabeled``) turns the ranking w into
+    # sigma[w], whose vertex under a grouping L holds at position p the row of
+    # sigma[w[p]] in L: the vertex of w under L pulled back through sigma,
+    # whose row word holds at c the row of sigma[c].  So the relabeled signal
+    # projected through L is the original projected through the pullback
+    sigma, g, kind, seed = case
+    n = len(sigma)
+    cache = frame_cache(n, "all")
+    rng = np.random.default_rng(seed)
+    size = factorial(n)
+    nonzero = rng.random(size) < 0.3
+    if kind == "counts":
+        values = np.where(nonzero, rng.integers(1, 9, size), 0).astype(float)
+    else:
+        values = np.where(nonzero, rng.standard_normal(size), 0.0)
+    f = Signal(n, values)
+    lifting = OrderedSetPartition(
+        tuple(rng.permutation(reduced_representatives(g)[0].row_word).tolist())
+    )
+    pullback = OrderedSetPartition(tuple(np.array(lifting.row_word)[list(sigma)].tolist()))
+    got = schreier_projection(cache, relabeled(f, np.array(sigma)), g, lifting)
+    want = schreier_projection(cache, f, g, pullback)
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(values).sum())
 
 
 def assert_serializes_like_reference(table):
