@@ -243,7 +243,10 @@ class CoefficientTable:
                     )
 
     def row(self, index: int) -> tuple[AtomId, float]:
-        """The ``index``-th row of ``iter_rows``, without building the others."""
+        """The ``index``-th row of ``iter_rows``, without building the others;
+        an index below 0 or past the end raises IndexError."""
+        if index < 0:
+            raise IndexError("negative row index")
         for b in self.blocks:
             if index < b.alphas.size:
                 r, t = divmod(index, b.z)
@@ -477,13 +480,10 @@ def _analyze_blocks(
     k, blocks = _walked_blocks(signal.n, support)
     walked = blocks * factorial(k)
     odd = (rank_signs(signal.n, walked) < 0).astype(np.intp)
-    if k == 1:
-        values = signal.values[support]
-    else:
-        values = signal.values.reshape(-1, factorial(k))[blocks].reshape(-1)
-        # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
-        parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
-        spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
+    values = signal.values.reshape(-1, factorial(k))[blocks].reshape(-1)
+    # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
+    parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
+    spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
     plan = _sources(cache, len(support))
     del support  # up to n! ranks, freed before the maps, which take the leaders
     walks: dict[IntegerPartition, list[IntegerPartition]] = {}
@@ -510,19 +510,17 @@ def _analyze_blocks(
             for t, (s, q) in enumerate(zip(merge.source.tolist(), merge.map_index.tolist())):
                 readers[s].append((projector, t, bin_maps[q]))
         table = vertex_table(source)
-        if k > 1:
-            # row 2v + p: the bins of a block whose leader is at v with parity p
-            action = suffix_action(source, k, table)
-            expand = (2 * action[:, None, :] + parity).reshape(2 * bundle.m, -1)
+        # row 2v + p: the bins of a block whose leader is at v with parity p
+        action = suffix_action(source, k, table)
+        expand = (2 * action[:, None, :] + parity).reshape(2 * bundle.m, -1)
         for t, col in cache.iter_lifting_maps(source, walked, table=table):
             if not readers[t]:
                 continue
             bins = np.multiply(col, 2, out=col)
             bins += odd
-            if k > 1:
-                # the indices are in range; "clip" lets take write into
-                # spread directly, where "raise" would buffer
-                bins = expand.take(bins, axis=0, out=spread, mode="clip").reshape(-1)
+            # the indices are in range; "clip" lets take write into spread
+            # directly, where "raise" would buffer
+            bins = expand.take(bins, axis=0, out=spread, mode="clip").reshape(-1)
             sums = np.bincount(bins, weights=values, minlength=2 * bundle.m)
             for projector, target, bin_map in readers[t]:
                 projector.add(target, sums, bin_map)

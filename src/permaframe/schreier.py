@@ -1,5 +1,5 @@
 """Schreier graphs of the permutahedron, their characteristic (lifting) matrices
-in column-map form, and the swap tree of minimal paths to each reduced lifting.
+in column-map form, and a minimal adjacent-swap path to each reduced lifting.
 
 There is one graph builder, ``build_schreier``, which applies the edge rule
 to every vertex at once; setup and the cache loader both call it.
@@ -11,12 +11,12 @@ key for a lifting sums each candidate's row times R**(n-1-position)
 (``lifting_keys``): that is the lifting's row word times the ranking's
 column of ``position_powers``, so one product gives the keys of many
 liftings over any set of ranks, which is how ``cache`` maps every reduced
-lifting.  The swap tree of minimal paths (``bfs_tree_arrays``,
-``minimal_paths``) describes the reduced liftings; the transform does not
-use it.  When every row of a shape is a union of rows of a finer one, each
-of its liftings is a finer lifting with rows merged, so its column map is a
-fixed vertex map of that lifting's (``merge_maps``).  The permutahedron
-itself is the Schreier graph of the all-ones shape.
+lifting.  ``minimal_paths`` reads a shortest swap sequence to each reduced
+lifting off its row word; the transform does not use it.  When every row
+of a shape is a union of rows of a finer one, each of its liftings is a
+finer lifting with rows merged, so its column map is a fixed vertex map of
+that lifting's (``merge_maps``).  The permutahedron itself is the Schreier
+graph of the all-ones shape.
 """
 
 from __future__ import annotations
@@ -338,68 +338,25 @@ class LiftingPath:
     swaps: tuple[int, ...]  # each entry i means the transposition (i, i+1)
 
 
-@lru_cache(maxsize=64)
-def bfs_tree_arrays(shape: IntegerPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first search from the reading-order partition over the reduced
-    representatives: (parent, swap), each (z,) int64 and read-only, holding the
-    tree parent of every reduced lifting (-1 at the root, lifting 0) and the
-    swap s on its edge, which exchanges elements s and s+1.
-
-    Swapping the elements of an inverted adjacent pair preserves the
-    increasing-minimum ordering of equal-size blocks, so the search restricted
-    to reduced representatives still finds paths that are minimal in the full
-    graph: each lifting's depth is its inversion count.  Each level visits its
-    liftings in canonical order and their swaps in increasing order, and a
-    lifting's parent is the first that reaches it.  The transform no longer
-    uses the tree: it maps liftings in canonical order (see
-    :func:`position_powers`).
-    """
-    reps = reduced_row_words(shape)
-    z, n = reps.shape
-    weights = key_powers(shape)
-    keys = reps.astype(np.intp) @ weights  # ascending: the rows are sorted
-    left = reps[:, :-1].astype(np.intp)
-    right = reps[:, 1:].astype(np.intp)
-    # the reduced lifting that swap s + 1 reaches from each one, -1 for none
-    swapped = keys[:, None] + (right - left) * (weights[:-1] - weights[1:])
-    found = np.minimum(np.searchsorted(keys, swapped), z - 1)
-    reach = np.where((keys[found] == swapped) & (left != right), found, -1)
-    parent = np.full(z, -1, dtype=np.int64)
-    swap = np.zeros(z, dtype=np.int64)
-    seen = np.zeros(z, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while len(frontier):
-        # row-major over (lifting, swap): the first edge into a new lifting wins
-        edges = reach[frontier]
-        t, s = np.nonzero(edges >= 0)
-        fresh = ~seen[edges[t, s]]
-        t, s = t[fresh], s[fresh]
-        next_frontier, first = np.unique(edges[t, s], return_index=True)
-        parent[next_frontier] = frontier[t[first]]
-        swap[next_frontier] = s[first] + 1
-        seen[next_frontier] = True
-        frontier = next_frontier
-    if not seen.all():
-        raise NumericalError(f"reduced representatives not reachable for {shape.parts}")
-    parent.setflags(write=False)
-    swap.setflags(write=False)
-    return parent, swap
-
-
 def minimal_paths(shape: IntegerPartition) -> tuple[LiftingPath, ...]:
-    """The root-to-lifting swap sequence of every reduced representative in
-    the tree of :func:`bfs_tree_arrays`; every path length equals the
-    target's inversion count.  The transform no longer uses these paths."""
-    parent, swap = bfs_tree_arrays(shape)
+    """A minimal swap sequence to every reduced representative, in canonical
+    order.  Read backwards, a path undoes its target's first descent (a row
+    word position whose entry exceeds the next) until the word is sorted,
+    which is the reading-order partition's.  Each undo removes one
+    inversion, so every path length equals the target's inversion count,
+    the fewest adjacent swaps that reach it.  Undoing swap i moves element
+    i from a higher row to a lower one and i + 1 back, so a block minimum
+    moves by one at most, past no other block's; when the two rows have
+    equal size, the lower one's minimum is already below i.  So every step
+    stays reduced.  The transform does not use these paths."""
     paths = []
     for t, rep in enumerate(reduced_representatives(shape)):
-        swaps: list[int] = []
-        u = t
-        while parent[u] >= 0:
-            swaps.append(int(swap[u]))
-            u = int(parent[u])
-        paths.append(LiftingPath(rep, t, tuple(reversed(swaps))))
+        word = list(rep.row_word)
+        undone: list[int] = []
+        while s := next((i for i in range(1, len(word)) if word[i - 1] > word[i]), 0):
+            word[s - 1], word[s] = word[s], word[s - 1]
+            undone.append(s)
+        paths.append(LiftingPath(rep, t, tuple(reversed(undone))))
     return tuple(paths)
 
 

@@ -22,7 +22,6 @@ from permaframe.combinatorics import (
 from permaframe.errors import CacheFormatError
 from permaframe.frame import Signal, analyze
 from permaframe.schreier import (
-    bfs_tree_arrays,
     build_characteristic,
     build_schreier,
     characteristic_column_map,
@@ -31,7 +30,7 @@ from permaframe.schreier import (
     vertex_table,
 )
 
-from oracles import deflation_spectra
+from oracles import deflation_spectra, reference_bfs_tree_arrays
 
 
 def shape(*parts):
@@ -296,7 +295,7 @@ def test_cache_with_legacy_path_files_loads(tmp_path, rng):
     for entry in manifest["shapes"]:
         g = IntegerPartition(tuple(entry["parts"]))
         paths = minimal_paths(g)
-        parent, swap = bfs_tree_arrays(g)
+        parent, swap = reference_bfs_tree_arrays(g)
         legacy = {
             "col_of": build_characteristic(g).col_of,
             "bfs_parent": parent,

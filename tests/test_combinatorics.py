@@ -32,7 +32,6 @@ from permaframe.combinatorics import (
     word_table,
 )
 from permaframe.errors import ResourceLimitError, ValidationError
-from permaframe.schreier import bfs_tree_arrays
 
 from oracles import (
     ColumnStrictTableau,
@@ -42,7 +41,6 @@ from oracles import (
     is_reduced_representative,
     kostka,
     lex_unrank,
-    reference_bfs_tree_arrays,
     reference_enumeration,
     reference_label,
     standard_ordered_set_partitions,
@@ -242,10 +240,6 @@ def test_enumeration_matches_the_object_reference(n):
         assert standard.tolist() == [list(o.row_word) for o in standard_ordered_set_partitions(g)]
         assert block_labels(words) == [reference_label(o) for o in osps]
         assert block_labels(reduced) == [reference_label(o) for o in reps]
-        parent, swap = bfs_tree_arrays(g)
-        want_parent, want_swap = reference_bfs_tree_arrays(g)
-        assert parent.dtype == swap.dtype == np.int64
-        assert np.array_equal(parent, want_parent) and np.array_equal(swap, want_swap)
 
 
 def test_orbit_reconstruction_covers_everything():

@@ -201,6 +201,17 @@ def test_analysis_is_linear(cache4_all, rng):
         assert ac == pytest.approx(2.0 * aa - 3.0 * ab, abs=1e-10)
 
 
+def test_row_is_the_iter_rows_entry_and_refuses_indices_outside(cache4_all, rng):
+    table = analyze(cache4_all, Signal.random(4, rng))
+    rows = list(table.iter_rows())
+    assert len(rows) == table.row_count
+    for i, row in enumerate(rows):
+        assert table.row(i) == row
+    for index in (-1, -len(rows), table.row_count):
+        with pytest.raises(IndexError):
+            table.row(index)
+
+
 def test_max_eigs_row_counts(cache5_all, cache6_all):
     # per shape the truncated table holds min(2, d) * z coefficients
     from permaframe.combinatorics import h_shapes

@@ -241,15 +241,14 @@ def test_path_lengths_equal_inversion_counts(n):
 def test_paths_stay_in_reduced_set_and_land_on_target():
     from oracles import is_reduced_representative
 
-    for parts in [(2, 2), (3, 3), (4, 1, 1), (2, 2, 1)]:
-        g = IntegerPartition(parts)
-        n = g.n
-        for path in minimal_paths(g):
-            current = reading_order_partition(g)
-            for s in path.swaps:
-                current = act(adjacent_transposition(n, s), current)
-                assert is_reduced_representative(current)
-            assert current == path.target
+    for n in range(2, 7):
+        for g in partitions_of(n):
+            for path in minimal_paths(g):
+                current = reading_order_partition(g)
+                for s in path.swaps:
+                    current = act(adjacent_transposition(n, s), current)
+                    assert is_reduced_representative(current)
+                assert current == path.target
 
 
 def test_root_path_is_empty():

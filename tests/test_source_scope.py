@@ -85,3 +85,59 @@ def test_every_public_definition_has_a_user_outside_the_tests():
     assert not unused, "only tests use: " + ", ".join(
         f"{name} ({public[name]})" for name in sorted(unused)
     )
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an object: its longest importable module
+    prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def docstring_references(path: Path) -> list[tuple[str, str]]:
+    """(where, dotted target) of every ``:func:`` and ``:meth:`` reference in
+    a module's docstrings.  A bare :func: target is a module name; a bare
+    :meth: target is an attribute of the enclosing class."""
+    module = f"permaframe.{path.stem}"
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for role, target in re.findall(r":(func|meth):`~?([\w.]+)`", ast.get_docstring(node) or ""):
+                if "." not in target:
+                    target = f"{module if role == 'func' else scope}.{target}"
+                out.append((f"{path.name}:{getattr(node, 'lineno', 1)}", target))
+        for child in ast.iter_child_nodes(node):
+            visit(child, f"{scope}.{child.name}" if isinstance(child, ast.ClassDef) else scope)
+
+    visit(ast.parse(path.read_text()), module)
+    return out
+
+
+def test_every_docstring_reference_resolves():
+    broken = [
+        f"{where} {target}"
+        for path in sorted((ROOT / "src" / "permaframe").glob("*.py"))
+        for where, target in docstring_references(path)
+        if not resolves(target)
+    ]
+    assert not broken, "unresolved references: " + ", ".join(broken)
+
+
+def test_every_submodule_name_the_readme_quotes_resolves():
+    submodules = {path.stem for path in (ROOT / "src" / "permaframe").glob("*.py")}
+    quoted = re.findall(r"`(\w+)\.([\w.]+)`", (ROOT / "README.md").read_text())
+    names = [f"permaframe.{sub}.{rest}" for sub, rest in quoted if sub in submodules]
+    assert names, "the README quotes no submodule names"
+    broken = [name for name in names if not resolves(name)]
+    assert not broken, "unresolved README names: " + ", ".join(broken)
