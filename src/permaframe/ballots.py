@@ -8,10 +8,10 @@ candidates in rank order, a comma, and a nonnegative count::
     2 1 3,41
     1 2 3,12
 
-Duplicate rankings are allowed and accumulate.  Only complete rankings of all
-n candidates are accepted; partial or truncated ballots are out of scope and
-rejected.  An optional JSON sidecar maps candidate numbers to display names,
-e.g. ``{"1": "Shrimp"}``.
+A leading UTF-8 byte-order mark is skipped.  Duplicate rankings are allowed
+and accumulate.  Only complete rankings of all n candidates are accepted;
+partial or truncated ballots are out of scope and rejected.  An optional JSON
+sidecar maps candidate numbers to display names, e.g. ``{"1": "Shrimp"}``.
 
 A parsed file is a ``BallotFile`` of two arrays in file order: ``words``, one
 ranking per row, and ``counts``.  A file of plain bytes (ASCII digits, blanks,
@@ -23,6 +23,7 @@ line.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -79,8 +80,9 @@ class BallotFile:
 
 
 def parse_ballots(text: str, label: str = "ballots") -> BallotFile:
-    """The records of a ballot file's text; ``ValidationError`` naming the
-    first bad line otherwise."""
+    """The records of a ballot file's text, after one leading byte-order mark;
+    ``ValidationError`` naming the first bad line otherwise."""
+    text = text.removeprefix("\ufeff")
     ballots = _parse_plain(text.encode("ascii"), label) if text.isascii() else None
     return ballots if ballots is not None else _parse_lines(text, label)
 
@@ -241,7 +243,7 @@ def _parse_record(lineno: int, line: str, n: int) -> tuple[tuple[int, ...], int]
 def read_ballot_file(path: str | Path) -> BallotFile:
     path = Path(path)
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
         ballots = _parse_plain(data, path.name)
         text = data.decode("utf-8") if ballots is None else ""
     except (OSError, UnicodeDecodeError) as exc:
@@ -250,10 +252,22 @@ def read_ballot_file(path: str | Path) -> BallotFile:
 
 
 def tally(ballots: BallotFile) -> Signal:
-    """Vote counts per ranking, indexed by lexicographic rank."""
+    """Vote counts per ranking, indexed by lexicographic rank;
+    ``ValidationError`` when a count, a ranking's total or the tally's energy
+    is past the float64 range."""
     signal = Signal.zeros(ballots.n)
-    # unbuffered, in record order: duplicates add up as a per-record loop would
-    np.add.at(signal.values, rank_words(ballots.words), ballots.counts.astype(np.float64))
+    try:
+        counts = ballots.counts.astype(np.float64)
+    except OverflowError as exc:
+        raise ValidationError(f"{ballots.label}: a count is too large for float64") from exc
+    with np.errstate(over="ignore"):  # refused below
+        # unbuffered, in record order: duplicates add up as a per-record loop would
+        np.add.at(signal.values, rank_words(ballots.words), counts)
+        # infinite when any entry is; einsum, not the BLAS dot of norm2, which
+        # under threaded OpenBLAS took 6-8 ms at n = 9 against 0.1 ms
+        energy = np.einsum("i,i->", signal.values, signal.values)
+    if not np.isfinite(energy):
+        raise ValidationError(f"{ballots.label}: the tally's energy is too large for float64")
     return signal
 
 

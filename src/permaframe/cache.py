@@ -18,13 +18,13 @@ leaders of the blocks a signal's nonzeros touch, at a k chosen from its
 support (k = 1 maps the nonzeros themselves), once per shape it does not
 read off a finer shape's maps.
 
-The on-disk layout is one directory per n containing a JSON manifest plus one
-subdirectory per shape with two flat little-endian 64-bit array files (magic
-header ``PFARRAY1``): the eigenvectors, the one output of setup that cannot be
-rebuilt cheaply, and the vertex row words, which guard against a change of the
-builder's vertex order.  The loader reads only these, so manifests listing
-further files (older caches stored the column map and swap tree) still load.
-``save_cache`` writes a hidden sibling directory and renames it into place.
+The on-disk layout is one directory per n holding a JSON manifest and one
+uncompressed numpy archive, ``arrays.npz``, with two members per shape: the
+eigenvectors, the one output of setup that cannot be rebuilt cheaply, and the
+vertex row words, which guard against a change of the builder's vertex order.
+The archive stores a CRC-32 per member, so bytes changed on disk fail to read.
+The loader reads only these members and ignores any others.  ``save_cache``
+writes a hidden sibling directory and renames it into place.
 
 ``load_cache`` is the one validator: it checks the stored row words against
 graphs built as setup builds them and the stored eigenvectors against those
@@ -38,8 +38,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import struct
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from math import factorial
@@ -64,11 +64,9 @@ from .spectral import (
     ShapeSpectrum, check_key_separation, check_residuals, eigenvalue_key, specht_spectrum,
 )
 
-ARRAY_MAGIC = b"PFARRAY1"
-ARRAY_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "permaframe-setup-cache"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 FULL_H_MAX_N = 10  # larger n requires an explicit top-k shape count
 
@@ -142,11 +140,6 @@ class FrameCache:
                 f"shape {shape.parts} is not in the cache (have "
                 f"{[s.parts for s in self.shapes]})"
             ) from None
-
-    @property
-    def full_h(self) -> bool:
-        have = set(self.shapes)
-        return all(s in have for s in h_shapes(self.n))
 
     def atom_count(self, shapes: Sequence[IntegerPartition] | None = None) -> int:
         return sum(
@@ -248,51 +241,12 @@ def build_cache(
 
 
 # ---------------------------------------------------------------------------
-# binary array files
-
-
-_DTYPE_CODES = {np.dtype(np.int64): 1, np.dtype(np.float64): 2}
-_CODE_DTYPES = {1: np.dtype("<i8"), 2: np.dtype("<f8")}
-
-
-def write_array(path: Path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    code = _DTYPE_CODES.get(arr.dtype.newbyteorder("="))
-    if code is None:
-        raise CacheFormatError(f"unsupported array dtype {arr.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(ARRAY_MAGIC)
-        fh.write(struct.pack("<IB3xQ", ARRAY_VERSION, code, arr.size))
-        fh.write(arr.astype(_CODE_DTYPES[code]).tobytes())
-
-
-def read_array(path: Path, expected_count: int | None = None) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != ARRAY_MAGIC:
-                raise CacheFormatError(f"{path}: bad magic {magic!r}")
-            version, code, count = struct.unpack("<IB3xQ", fh.read(16))
-            if version != ARRAY_VERSION:
-                raise CacheFormatError(f"{path}: unsupported version {version}")
-            if code not in _CODE_DTYPES:
-                raise CacheFormatError(f"{path}: unknown dtype code {code}")
-            data = np.frombuffer(fh.read(), dtype=_CODE_DTYPES[code])
-    except OSError as exc:
-        raise CacheFormatError(f"{path}: {exc}") from exc
-    if len(data) != count:
-        raise CacheFormatError(f"{path}: truncated ({len(data)} of {count} values)")
-    if expected_count is not None and count != expected_count:
-        raise CacheFormatError(f"{path}: expected {expected_count} values, found {count}")
-    return data
-
-
-# ---------------------------------------------------------------------------
 # on-disk cache
 
 
-def _shape_dirname(shape: IntegerPartition) -> str:
-    return "s" + "-".join(str(p) for p in shape.parts)
+def _member(shape: IntegerPartition, key: str) -> str:
+    """The archive member holding one shape's ``key`` array."""
+    return "s" + "-".join(str(p) for p in shape.parts) + "." + key
 
 
 def cache_dir(root: str | Path, n: int) -> Path:
@@ -328,91 +282,79 @@ def save_cache(cache: FrameCache, root: str | Path) -> Path:
 
 def _write_cache(cache: FrameCache, base: Path) -> None:
     base.mkdir()
+    arrays = {}
     shape_entries = []
     for shape in cache.shapes:
         bundle = cache.bundles[shape]
-        sdir = base / _shape_dirname(shape)
-        sdir.mkdir()
-        consts = multiplicity_constants(shape)
         eig = bundle.spectrum
-        files = {
-            "eigvecs": ("eigvecs.pfa", np.asarray(eig.vectors, dtype=np.float64).ravel()),
-            "row_words": (
-                "row_words.pfa",
-                np.asarray(bundle.graph.row_words, dtype=np.int64).ravel(),
-            ),
-        }
-        inventory = {}
-        for key, (name, arr) in files.items():
-            write_array(sdir / name, arr)
-            inventory[key] = {"path": name, "count": int(np.asarray(arr).size)}
+        arrays[_member(shape, "eigvecs")] = np.asarray(eig.vectors, dtype=np.float64)
+        arrays[_member(shape, "row_words")] = bundle.graph.row_words
         shape_entries.append(
             {
                 "parts": list(shape.parts),
-                "dir": _shape_dirname(shape),
                 "m": bundle.m,
                 "z": bundle.z,
                 "d": bundle.d,
-                "m_over_z": consts.m // consts.z,
                 "eigenvalues": [float(v) for v in eig.eigenvalues],
                 "eigen_keys": list(eig.keys),
                 "kappas": list(eig.kappas),
                 "vertex_labels": block_labels(bundle.graph.row_words),
-                "files": inventory,
             }
         )
+    with open(base / "arrays.npz", "wb") as fh:
+        np.savez(fh, **arrays)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "n": cache.n,
         "shape_source": cache.shape_source,
         "top_k": cache.top_k,
-        "full_h": cache.full_h,
         "shapes": shape_entries,
     }
     with open(base / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=1)
 
 
-def _load_bundle(sdir: Path, n: int, entry: dict) -> SchreierBundle:
+def _load_bundle(arrays: np.lib.npyio.NpzFile, base: Path, n: int, entry: dict) -> SchreierBundle:
     shape = IntegerPartition(tuple(entry["parts"]))
+    where = f"{base}: shape {shape.label()}"
     m, z, d = entry["m"], entry["z"], entry["d"]
     consts = multiplicity_constants(shape)
     if shape.n != n or (m, z) != (consts.m, consts.z) or d != hook_dimension(shape):
-        raise CacheFormatError(f"{sdir}: manifest constants disagree with {shape.parts}")
+        raise CacheFormatError(f"{where}: manifest constants disagree with the shape")
 
-    def arr(key: str, count: int) -> np.ndarray:
-        info = entry["files"][key]
-        if info["count"] != count:
-            raise CacheFormatError(f"{sdir}: {key} count mismatch")
-        return read_array(sdir / info["path"], count)
+    def member(key: str, dims: tuple[int, int]) -> np.ndarray:
+        arr = arrays[_member(shape, key)]
+        if arr.shape != dims:
+            raise CacheFormatError(f"{where}: {key} has shape {arr.shape}, not {dims}")
+        return arr
 
     graph = build_schreier(shape)
-    row_words = arr("row_words", m * n).reshape(m, n)
-    if not np.array_equal(row_words, graph.row_words):
-        raise CacheFormatError(f"{sdir}: stored vertex order differs")
+    if not np.array_equal(member("row_words", (m, n)), graph.row_words):
+        raise CacheFormatError(f"{where}: stored vertex order differs")
     spectrum = ShapeSpectrum(
         shape,
         tuple(entry["eigenvalues"]),
         tuple(entry["eigen_keys"]),
         tuple(entry["kappas"]),
-        arr("eigvecs", m * d).reshape(m, d),
+        member("eigvecs", (m, d)),
     )
     lengths = {len(spectrum.eigenvalues), len(spectrum.keys), len(spectrum.kappas)}
     if sum(spectrum.kappas) != d or len(lengths) != 1:
-        raise CacheFormatError(f"{sdir}: eigenvalue lists disagree with d={d}")
+        raise CacheFormatError(f"{where}: eigenvalue lists disagree with d={d}")
     if [eigenvalue_key(lam) for lam in spectrum.eigenvalues] != list(spectrum.keys):
-        raise CacheFormatError(f"{sdir}: eigenvalue keys disagree with the eigenvalues")
+        raise CacheFormatError(f"{where}: eigenvalue keys disagree with the eigenvalues")
     try:
         check_residuals(spectrum, graph.apply_laplacian)
     except NumericalError as exc:
-        raise CacheFormatError(f"{sdir}: {exc}") from exc
+        raise CacheFormatError(f"{where}: {exc}") from exc
     return SchreierBundle(shape, graph, spectrum)
 
 
 def load_cache(root: str | Path, n: int) -> FrameCache:
     """Read one n's cache and check it against freshly built graphs; the only
-    cache validator.  Every malformed cache raises ``CacheFormatError``."""
+    cache validator.  Every malformed cache raises ``CacheFormatError``; a
+    damaged archive fails its CRC-32 or zip structure checks on read."""
     base = cache_dir(root, n)
     path = base / MANIFEST_NAME
     if not path.exists():
@@ -423,17 +365,24 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
         if manifest.get("format") != MANIFEST_FORMAT:
             raise CacheFormatError(f"{path}: not a setup cache manifest")
         if manifest.get("version") != MANIFEST_VERSION:
-            raise CacheFormatError(f"{path}: unsupported version {manifest.get('version')}")
+            raise CacheFormatError(
+                f"{path}: cache format version {manifest.get('version')} is not "
+                f"{MANIFEST_VERSION}; run `permaframe setup --n {n}` to rebuild it"
+            )
         if manifest.get("n") != n:
             raise CacheFormatError(f"{path}: manifest is for n={manifest.get('n')}")
-        bundles = [_load_bundle(base / e["dir"], n, e) for e in manifest["shapes"]]
+        with np.load(base / "arrays.npz") as arrays:
+            bundles = [_load_bundle(arrays, base, n, e) for e in manifest["shapes"]]
         return FrameCache(
             n,
             {bundle.shape: bundle for bundle in bundles},
             shape_source=manifest.get("shape_source", "custom"),
             top_k=manifest.get("top_k"),
         )
-    except (OSError, KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (
+        OSError, KeyError, IndexError, TypeError, ValueError, AttributeError, EOFError,
+        zipfile.BadZipFile,
+    ) as exc:
         detail = f"{type(exc).__name__}: {exc}"
         raise CacheFormatError(f"{base}: malformed cache ({detail})") from exc
 

@@ -169,7 +169,6 @@ class ShapeBlock:
 
     shape: IntegerPartition
     c_bar: float
-    lambdas: np.ndarray  # (R,)
     keys: np.ndarray  # (R,) int64
     ks: np.ndarray  # (R,) int64
     alphas: np.ndarray  # (R, z)
@@ -276,7 +275,6 @@ class CoefficientTable:
                 ShapeBlock(
                     b.shape,
                     b.c_bar,
-                    b.lambdas[:rows],
                     b.keys[:rows],
                     b.ks[:rows],
                     b.alphas[:rows],
@@ -438,13 +436,12 @@ class _Projector:
 
     def blocks(self) -> list[ShapeBlock]:
         b = self.bundle
-        lam = np.array([row[0] for row in self.rows])
         keys = np.array([row[1] for row in self.rows], dtype=np.int64)
         ks = np.array([row[2] for row in self.rows], dtype=np.int64)
         out = []
         for _combine, alphas in self.jobs:
             alphas *= b.c_bar
-            out.append(ShapeBlock(b.shape, b.c_bar, lam, keys, ks, alphas))
+            out.append(ShapeBlock(b.shape, b.c_bar, keys, ks, alphas))
         return out
 
 

@@ -340,12 +340,11 @@ def reference_analysis(
             )
             for (combine, _out), a in zip(jobs, alphas):
                 a[:, t] = vectors.T @ combine(sums[0::2], sums[1::2])
-        lam = np.array([row[0] for row in rows])
         keys = np.array([row[1] for row in rows], dtype=np.int64)
         ks = np.array([row[2] for row in rows], dtype=np.int64)
         for (_combine, out), a in zip(jobs, alphas):
             a *= bundle.c_bar
-            out.append(ShapeBlock(shape, bundle.c_bar, lam, keys, ks, a))
+            out.append(ShapeBlock(shape, bundle.c_bar, keys, ks, a))
     return direct, flipped
 
 

@@ -1,3 +1,4 @@
+import codecs
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -303,6 +304,19 @@ def test_counts_beyond_int64_stay_exact():
     assert tally(ballots).values[0] == float(big) + 3.0
     # a sum past int64 of counts that each fit stays exact too
     assert parse_ballots(f"n=2\n1 2,{2**62}\n2 1,{2**62}\n1 2,{2**62}\n").total() == 3 * 2**62
+
+
+@pytest.mark.parametrize("text", ["n=3\n1 2 3,4\n2 1 3,5\n", "# vote é\r\nn=3\r\n3 1 2,7"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, text):
+    # as Windows editors start UTF-8 files; the files take both parse paths
+    want = parse_ballots(text)
+    path = tmp_path / "bom.txt"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    for got in (parse_ballots("\ufeff" + text), read_ballot_file(path)):
+        assert np.array_equal(got.words, want.words)
+        assert np.array_equal(got.counts, want.counts)
+    with pytest.raises(ValidationError, match="^line 1: "):
+        parse_ballots("\ufeff\ufeff" + text)
 
 
 def test_words_hold_every_candidate_count():

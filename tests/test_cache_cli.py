@@ -1,3 +1,5 @@
+import codecs
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permaframe import build_cache, load_cache, save_cache, verify_cache
 from permaframe import cache as cache_mod
-from permaframe.cache import FrameCache, SchreierBundle, read_array, write_array
+from permaframe.cache import FrameCache, SchreierBundle
 from permaframe.cli import main
 from permaframe.combinatorics import (
     IntegerPartition,
@@ -29,6 +31,7 @@ from permaframe.schreier import (
     minimal_paths,
     vertex_table,
 )
+from permaframe.spectral import check_residuals
 
 from oracles import deflation_spectra, reference_bfs_tree_arrays
 
@@ -38,30 +41,7 @@ def shape(*parts):
 
 
 # ---------------------------------------------------------------------------
-# array files and the disk cache
-
-
-def test_array_file_round_trip(tmp_path):
-    path = tmp_path / "a.pfa"
-    data = np.arange(17, dtype=np.int64)
-    write_array(path, data)
-    assert np.array_equal(read_array(path, 17), data)
-    floats = np.linspace(0, 1, 9)
-    write_array(path, floats)
-    assert np.array_equal(read_array(path), floats)
-
-
-def test_array_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.pfa"
-    path.write_bytes(b"not an array file")
-    with pytest.raises(CacheFormatError):
-        read_array(path)
-    good = tmp_path / "short.pfa"
-    write_array(good, np.arange(10, dtype=np.int64))
-    truncated = good.read_bytes()[:-8]
-    good.write_bytes(truncated)
-    with pytest.raises(CacheFormatError):
-        read_array(good)
+# the disk cache
 
 
 def test_save_load_round_trip(tmp_path, rng):
@@ -69,12 +49,17 @@ def test_save_load_round_trip(tmp_path, rng):
     base = save_cache(cache, tmp_path)
     loaded = load_cache(tmp_path, 4)
     assert loaded.shapes == cache.shapes
+    assert sorted(p.name for p in base.iterdir()) == ["arrays.npz", "manifest.json"]
+    # only what the eigensolve produced plus the vertex-order guard
+    members = _archive(base)
+    assert len(members) == 2 * len(cache.shapes)
     for g in cache.shapes:
-        # only what the eigensolve produced plus the vertex-order guard
-        sdir = base / ("s" + "-".join(map(str, g.parts)))
-        assert sorted(p.name for p in sdir.iterdir()) == ["eigvecs.pfa", "row_words.pfa"]
         a, b = cache.bundles[g], loaded.bundles[g]
-        assert np.allclose(a.spectrum.vectors, b.spectrum.vectors)
+        prefix = "s" + "-".join(map(str, g.parts))
+        vectors, words = members[f"{prefix}.eigvecs"], members[f"{prefix}.row_words"]
+        assert vectors.dtype == np.float64 and vectors.shape == (a.m, a.d)
+        assert words.dtype == np.int8 and np.array_equal(words, a.graph.row_words)
+        assert np.array_equal(a.spectrum.vectors, b.spectrum.vectors)
         assert a.spectrum.keys == b.spectrum.keys
     f = Signal.random(4, rng)
     ta = analyze(cache, f)
@@ -82,31 +67,57 @@ def test_save_load_round_trip(tmp_path, rng):
     assert ta.to_csv_text() == tb.to_csv_text()
 
 
-def _set_values(path, changes):
-    data = read_array(path).copy()
+def _archive(base):
+    with np.load(base / "arrays.npz") as arrays:
+        return {name: arrays[name] for name in arrays.files}
+
+
+def _rewrite(base, edit):
+    """Apply ``edit`` to the archive's members and write them back as a
+    well-formed archive, CRCs included."""
+    members = _archive(base)
+    edit(members)
+    with open(base / "arrays.npz", "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _edit_member(name, edit):
+    """A corruption that applies ``edit`` to archive member ``name`` in place
+    and writes the archive back well-formed."""
+    return lambda base: _rewrite(base, lambda members: edit(members[name]))
+
+
+def _offset(base, name):
+    """Where the values of archive member ``name`` start in the archive."""
+    at = (base / "arrays.npz").read_bytes().find(_archive(base)[name].tobytes())
+    assert at > 0
+    return at
+
+
+def _set_values(arr, changes):
     for t, value in changes.items():
-        assert data[t] != value
-        data[t] = value
-    write_array(path, data)
+        assert arr.flat[t] != value
+        arr.flat[t] = value
 
 
-def _swap_row_words(path, m, n):
-    words = read_array(path).reshape(m, n).copy()
+def _swap_first_rows(words):
     assert not np.array_equal(words[0], words[1])
     words[[0, 1]] = words[[1, 0]]
-    write_array(path, words.ravel())
 
 
-def _scale_column(path, d, column, factor):
-    vectors = read_array(path).reshape(-1, d).copy()
+def _scale_column(vectors, column, factor):
     vectors[:, column] *= factor
-    write_array(path, vectors.ravel())
 
 
-def _edit_shape_entry(manifest_path, edit):
+def _edit_manifest(base, edit):
+    manifest_path = base / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    edit(manifest["shapes"][1])  # s3-1
+    edit(manifest)
     manifest_path.write_text(json.dumps(manifest))
+
+
+def _edit_shape_entry(base, edit):
+    _edit_manifest(base, lambda manifest: edit(manifest["shapes"][1]))  # s3-1
 
 
 def _truncate(path, nbytes):
@@ -117,24 +128,18 @@ def _truncate(path, nbytes):
     "corrupt, match",
     [
         pytest.param(
-            lambda base: _edit_shape_entry(
-                base / "manifest.json", lambda entry: entry["files"].pop("eigvecs")
-            ),
-            "eigvecs",
+            lambda base: _rewrite(base, lambda members: members.pop("s3-1.eigvecs")),
+            "s3-1.eigvecs",
             id="missing-file-entry",
         ),
         pytest.param(
-            lambda base: _edit_shape_entry(
-                base / "manifest.json", lambda entry: entry.update(parts=[1, 3])
-            ),
+            lambda base: _edit_shape_entry(base, lambda entry: entry.update(parts=[1, 3])),
             "nonincreasing",
             id="invalid-shape",
         ),
         pytest.param(
             # s3-1 has three simple eigenvalues; analysis would drop a row
-            lambda base: _edit_shape_entry(
-                base / "manifest.json", lambda entry: entry["eigen_keys"].pop()
-            ),
+            lambda base: _edit_shape_entry(base, lambda entry: entry["eigen_keys"].pop()),
             "eigenvalue lists",
             id="short-eigenvalue-list",
         ),
@@ -142,7 +147,7 @@ def _truncate(path, nbytes):
             # the stored keys must be the eigenvalues' own: a drifted key
             # relabels every CSV row of that eigenvalue
             lambda base: _edit_shape_entry(
-                base / "manifest.json",
+                base,
                 lambda entry: entry["eigen_keys"].__setitem__(0, entry["eigen_keys"][0] + 1),
             ),
             "eigenvalue keys",
@@ -154,31 +159,46 @@ def _truncate(path, nbytes):
             id="half-written-manifest",
         ),
         pytest.param(
-            lambda base: _swap_row_words(base / "s3-1/row_words.pfa", 4, 4),
+            # a cache in the earlier per-shape file layout
+            lambda base: _edit_manifest(base, lambda manifest: manifest.update(version=1)),
+            "run `permaframe setup --n 4`",
+            id="version-1-manifest",
+        ),
+        pytest.param(
+            _edit_member("s3-1.row_words", _swap_first_rows),
             "vertex order",
             id="swapped-row-words",
         ),
         pytest.param(
-            # one float overwritten, header and size intact; entries of unit
-            # vectors never equal 1.5
-            lambda base: _set_values(base / "s3-1/eigvecs.pfa", {5: 1.5}),
+            lambda base: _rewrite(
+                base,
+                lambda members: members.update({"s3-1.row_words": members["s3-1.row_words"][:, :3]}),
+            ),
+            "row_words has shape",
+            id="row-words-shape",
+        ),
+        pytest.param(
+            # one float rewritten with a matching CRC; entries of unit vectors
+            # never equal 1.5
+            _edit_member("s3-1.eigvecs", lambda vectors: _set_values(vectors, {5: 1.5})),
             "eigencheck",
             id="eigvecs-drift",
         ),
         pytest.param(
             # still an eigenvector, with a norm 1e-7 off: the gram must see it
-            lambda base: _scale_column(base / "s3-1/eigvecs.pfa", 3, 1, 1 + 1e-7),
+            _edit_member("s3-1.eigvecs", lambda vectors: _scale_column(vectors, 1, 1 + 1e-7)),
             "not orthonormal",
             id="eigvec-column-scaled",
         ),
         pytest.param(
-            lambda base: _truncate(base / "s2-2/eigvecs.pfa", 24 + 8),
-            "truncated",
+            lambda base: _truncate(base / "arrays.npz", _offset(base, "s2-2.eigvecs") + 8),
+            "BadZipFile",
             id="truncated-eigvecs",
         ),
         pytest.param(
-            lambda base: (base / "s3-1/eigvecs.pfa").write_bytes(b"PFARRAY0" * 4),
-            "bad magic",
+            # the bytes of an earlier array file where the archive belongs
+            lambda base: (base / "arrays.npz").write_bytes(b"PFARRAY1" * 4),
+            "malformed cache",
             id="bad-magic",
         ),
     ],
@@ -199,6 +219,34 @@ def test_corrupt_cache_is_rejected(tmp_path, capsys, corrupt, match):
     assert "verified; nothing to do" in capsys.readouterr().out
 
 
+def test_bytes_changed_in_place_fail_the_archive_crc(tmp_path, capsys):
+    # one (3,2,1) eigenvector entry scaled by 1 + 1e-12 where it lies in the
+    # archive drifts too little for the residual and orthonormality gates, so
+    # the member's CRC-32 is what refuses it
+    built = build_cache(6, "h")
+    bundle = built.bundle(shape(3, 2, 1))
+    drifted = bundle.spectrum.vectors.copy()
+    drifted[5, 2] *= 1 + 1e-12
+    assert drifted[5, 2] != bundle.spectrum.vectors[5, 2]
+    check_residuals(
+        dataclasses.replace(bundle.spectrum, vectors=drifted), bundle.graph.apply_laplacian
+    )
+    base = save_cache(built, tmp_path)
+    archive = base / "arrays.npz"
+    data = bytearray(archive.read_bytes())
+    at = _offset(base, "s3-2-1.eigvecs") + drifted.itemsize * (5 * bundle.d + 2)
+    data[at : at + drifted.itemsize] = drifted[5, 2].tobytes()
+    archive.write_bytes(data)
+    votes = tmp_path / "votes.txt"
+    votes.write_text("n=6\n1 2 3 4 5 6,3\n2 1 3 4 6 5,1\n")
+    assert main(["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]) == 2
+    assert "Bad CRC-32" in capsys.readouterr().err
+    assert main(["setup", "--n", "6", "--cache", str(tmp_path)]) == 0
+    assert "cache written" in capsys.readouterr().out
+    assert main(["setup", "--n", "6", "--cache", str(tmp_path)]) == 0
+    assert "verified; nothing to do" in capsys.readouterr().out
+
+
 def _file_bytes(base):
     return {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()}
 
@@ -216,20 +264,16 @@ def test_interrupted_write_leaves_no_mixed_cache(tmp_path, capsys, monkeypatch, 
     old_files = {}
     if before == "corrupt-cache":
         save_cache(build_cache(4, "h"), tmp_path)
-        # s3-1's eigenvectors come third, so a rebuild that wrote in place
-        # would mend them before the interruption
-        _set_values(base / "s3-1/eigvecs.pfa", {5: 1.5})
+        _edit_member("s3-1.eigvecs", lambda vectors: _set_values(vectors, {5: 1.5}))(base)
         old_files = _file_bytes(base)
-    writes = []
-    write_array = cache_mod.write_array
+    savez = np.savez
 
-    def write_then_stop(path, arr):
-        writes.append(path)
-        if len(writes) == 5:
-            raise Interrupted
-        write_array(path, arr)
+    def save_then_stop(fh, **arrays):
+        # a rebuild that wrote in place would have mended the archive by now
+        savez(fh, **arrays)
+        raise Interrupted
 
-    monkeypatch.setattr(cache_mod, "write_array", write_then_stop)
+    monkeypatch.setattr(cache_mod.np, "savez", save_then_stop)
     with pytest.raises(Interrupted):
         main(["setup", "--n", "4", "--cache", str(tmp_path)])
     monkeypatch.undo()
@@ -284,16 +328,14 @@ def test_setup_clears_a_killed_write(tmp_path, capsys):
     assert main(analyze) == 0
 
 
-def test_cache_with_legacy_path_files_loads(tmp_path, rng):
-    # earlier caches also stored the reading-order column map, the swap tree,
-    # each lifting's vertex index and its whole swap path; the loader ignores
-    # those entries
+def test_cache_with_extra_archive_members_loads(tmp_path, rng):
+    # the loader reads the two members of each shape and ignores any others,
+    # such as the reading-order column map, the swap tree, each lifting's
+    # vertex index and its whole swap path, which earlier caches stored
     cache = build_cache(5, "h")
     base = save_cache(cache, tmp_path)
-    manifest_path = base / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["shapes"]:
-        g = IntegerPartition(tuple(entry["parts"]))
+    extra = {}
+    for g in cache.shapes:
         paths = minimal_paths(g)
         parent, swap = reference_bfs_tree_arrays(g)
         legacy = {
@@ -304,11 +346,9 @@ def test_cache_with_legacy_path_files_loads(tmp_path, rng):
             "swaps": np.array([s for p in paths for s in p.swaps], dtype=np.int64),
             "swap_offsets": np.cumsum([0] + [len(p.swaps) for p in paths]),
         }
-        for key, arr in legacy.items():
-            name = f"{key}.pfa"
-            write_array(base / entry["dir"] / name, arr.astype(np.int64))
-            entry["files"][key] = {"path": name, "count": int(arr.size)}
-    manifest_path.write_text(json.dumps(manifest, indent=1))
+        prefix = "s" + "-".join(map(str, g.parts))
+        extra.update({f"{prefix}.{key}": arr for key, arr in legacy.items()})
+    _rewrite(base, lambda members: members.update(extra))
     assert verify_cache(tmp_path, 5) == []
     loaded = load_cache(tmp_path, 5)
     f = Signal.random(5, rng)
@@ -720,6 +760,68 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
         argv = ["project", "--cache", cache_dir, "--ballots", workdir / "votes.txt"]
         assert run_cli(*argv, "--shape", "2,1,1", "--blocks", blocks) == 2
         assert capsys.readouterr().err == f"error: {blocks!r} is not a block label\n"
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        f"1 2 3 4,{10**400}\n",  # past float64
+        f"1 2 3 4,{10**300}\n",  # a finite count of infinite energy
+        # counts that fit, with a sum that does not
+        f"1 2 3 4,{10**308}\n2 1 3 4,1\n1 2 3 4,{10**308}\n",
+    ],
+    ids=["count", "energy", "sum"],
+)
+def test_cli_refuses_tallies_past_float64(workdir, capsys, records):
+    cache_dir = workdir / "cache"
+    run_cli("setup", "--n", 4, "--cache", cache_dir)
+    capsys.readouterr()
+    votes = workdir / "huge.txt"
+    votes.write_text("n=4\n" + records)
+    assert run_cli("analyze", "--cache", cache_dir, "--ballots", votes) == 2
+    assert "too large for float64" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run_cli("setup", "--n", 3, "--cache", root / "cache") == 0
+    return root
+
+
+FUZZ_TOKENS = ["1", "2", "3", "0", "4", "-1", "x", "é", "", str(2**63), str(10**300), str(10**400)]
+
+
+@st.composite
+def fuzz_ballot_files(draw):
+    """The bytes of a ballot file for the n = 3 cache, or almost one."""
+    header = draw(st.sampled_from(["n=3", "n=3", "n=2", "n=4", "n=0", "n=", "3", ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 4))):
+        word = draw(st.lists(st.sampled_from(FUZZ_TOKENS[:3]) | st.sampled_from(FUZZ_TOKENS), max_size=4))
+        count = draw(st.sampled_from(FUZZ_TOKENS) | st.integers(-(10**20), 10**20).map(str))
+        lines.append(" ".join(word) + draw(st.sampled_from([",", ", ", "", ",,"])) + count)
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode("utf-8")
+    prefix = draw(st.sampled_from([b"", codecs.BOM_UTF8, codecs.BOM_UTF8 * 2, b"\xff", b"# \xc3\xa9\n"]))
+    return prefix + data
+
+
+@settings(max_examples=60)
+@given(
+    fuzz_ballot_files(),
+    st.sampled_from([["analyze"], ["energy"], ["top"], ["gft"], ["reconstruct"],
+                     ["project", "--shape", "2,1", "--blocks", "13|2"]]),
+)
+@example(f"n=3\n1 2 3,{10**400}\n".encode(), ["analyze"])
+def test_cli_exit_codes_on_fuzzed_ballot_files(fuzz_dir, data, command):
+    # whatever the file holds, each command exits with a documented code
+    # (0, 2 or 3) and lets no exception escape
+    votes = fuzz_dir / "votes.txt"
+    votes.write_bytes(data)
+    argv = [*command, "--cache", fuzz_dir / "cache", "--ballots", votes]
+    if command[0] != "reconstruct":
+        argv += ["--out", fuzz_dir / "out.txt"]
+    assert run_cli(*argv) in (0, 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -683,7 +683,7 @@ def frame_cache(n, kind):
     return build_cache(n, kind)
 
 
-relabeling_cases = st.integers(3, 6).flatmap(
+relabeling_cases = st.integers(3, 7).flatmap(
     lambda n: st.tuples(
         st.permutations(range(n)),
         st.sampled_from(["h", "all"]),
@@ -696,8 +696,8 @@ relabeling_cases = st.integers(3, 6).flatmap(
 @given(relabeling_cases)
 def test_energies_are_invariant_under_any_candidate_relabeling(case):
     # renaming candidates permutes the rankings isometrically and keeps each
-    # (shape, eigenvalue) space, so every energy row, and every row that the
-    # sign trick completes for a missing transpose, is unchanged
+    # (shape, eigenvalue) space, so every energy row, every row that the sign
+    # trick completes for a missing transpose, and every gft row is unchanged
     sigma, kind, density, seed = case
     n = len(sigma)
     cache = frame_cache(n, kind)
@@ -715,6 +715,9 @@ def test_energies_are_invariant_under_any_candidate_relabeling(case):
     ):
         assert [r[:2] for r in rows_f] == [r[:2] for r in rows_g]
         assert np.allclose([r[2] for r in rows_f], [r[2] for r in rows_g], rtol=0, atol=tol)
+    gft_f, gft_g = graph_fourier(cache, f), graph_fourier(cache, g)
+    assert [key for key, _ in gft_f] == [key for key, _ in gft_g]
+    assert np.allclose([e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("nonzeros", [60, 61, 120, 121])
