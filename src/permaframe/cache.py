@@ -371,7 +371,13 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
             )
         if manifest.get("n") != n:
             raise CacheFormatError(f"{path}: manifest is for n={manifest.get('n')}")
-        with np.load(base / "arrays.npz") as arrays:
+        archive = base / "arrays.npz"
+        # np.load reads bytes that are no zip archive as a pickle, refused
+        # with advice to load it unsafely; a missing archive is left to
+        # np.load, whose error names the path
+        if archive.exists() and not zipfile.is_zipfile(archive):
+            raise zipfile.BadZipFile(f"{archive.name} is not a zip archive")
+        with np.load(archive) as arrays:
             bundles = [_load_bundle(arrays, base, n, e) for e in manifest["shapes"]]
         return FrameCache(
             n,

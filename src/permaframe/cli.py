@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from math import sqrt
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -241,8 +242,9 @@ def cmd_top(args) -> int:
 def cmd_reconstruct(args) -> int:
     cache, signal, _ = _load_inputs(args)
     rec = frame.reconstruct(cache, signal)
-    norm = np.linalg.norm(signal.values)
-    err = float(np.linalg.norm(rec.values - signal.values) / norm) if norm else 0.0
+    rec.values -= signal.values  # the residual
+    norm = sqrt(signal.norm2())
+    err = sqrt(rec.norm2()) / norm if norm else 0.0
     print(f"relative reconstruction error {err:.3e}")
     return EXIT_OK
 

@@ -87,14 +87,6 @@ class Permutation:
             inv[cand - 1] = pos
         return Permutation(tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Function composition self∘other: j -> self(other(j))."""
-        return Permutation(tuple(self(other(j)) for j in range(1, self.n + 1)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
 
 def lex_rank(p: Permutation) -> int:
     """Index of ``p`` in the lexicographic order of words, in [0, n!)."""

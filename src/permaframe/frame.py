@@ -42,10 +42,8 @@ from .cache import FrameCache, SchreierBundle
 from .combinatorics import (
     IntegerPartition,
     OrderedSetPartition,
-    Permutation,
     block_labels,
     check_dense_n,
-    lex_rank,
     partitions_of,
     rank_signs,
     reduced_representatives,
@@ -101,8 +99,10 @@ class Signal:
             raise ValidationError("signal has non-finite entries")
 
     def norm2(self) -> float:
-        """Squared Euclidean norm (the signal's energy)."""
-        return float(self.values @ self.values)
+        """Squared Euclidean norm (the signal's energy).  An einsum, not the
+        BLAS dot, which under threaded OpenBLAS took up to 8 ms over a 9!
+        tally on a 2-vCPU Xeon VM, against 0.2 ms."""
+        return float(np.einsum("i,i->", self.values, self.values))
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -119,12 +119,6 @@ class Signal:
     def constant(cls, n: int, value: float = 1.0) -> "Signal":
         check_dense_n(n)
         return cls(n, np.full(factorial(n), float(value)))
-
-    @classmethod
-    def delta(cls, ranking: Permutation) -> "Signal":
-        out = cls.zeros(ranking.n)
-        out.values[lex_rank(ranking)] = 1.0
-        return out
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Signal":

@@ -7,15 +7,16 @@ to every vertex at once; setup and the cache loader both call it.
 A lifting's column map sends each permutation rank to the graph vertex it
 falls on.  Vertices are found through the base-R keys of their row words (R
 rows) and one key -> vertex table per shape (``vertex_table``).  A ranking's
-key for a lifting sums each candidate's row times R**(n-1-position)
-(``lifting_keys``): that is the lifting's row word times the ranking's
-column of ``position_powers``, so one product gives the keys of many
-liftings over any set of ranks, which is how ``cache`` maps every reduced
-lifting.  ``minimal_paths`` reads a shortest swap sequence to each reduced
-lifting off its row word; the transform does not use it.  When every row
-of a shape is a union of rows of a finer one, each of its liftings is a
-finer lifting with rows merged, so its column map is a fixed vertex map of
-that lifting's (``merge_maps``).  The permutahedron itself is the Schreier
+key for a lifting sums each candidate's row times R**(n-1-position): that is
+the lifting's row word times the ranking's column of ``position_powers``, so
+one product gives the keys of many liftings over any set of ranks, which is
+how ``cache`` maps every reduced lifting.  ``minimal_paths`` reads a shortest
+swap sequence to each reduced lifting off its row word; the transform does
+not use it.  When every row of a shape is a union of rows of a finer one,
+each of its reduced liftings is a finer reduced lifting with its rows mapped
+onto the coarse ones; looking every such pair up in the coarse key table
+finds one, and the coarse column map is a fixed vertex map of that
+lifting's (``merge_maps``).  The permutahedron itself is the Schreier
 graph of the all-ones shape.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 from typing import NamedTuple
 
@@ -131,14 +133,6 @@ class CharacteristicMatrix:
     def m(self) -> int:
         return multiplicity_constants(self.shape).m
 
-    def dense(self) -> np.ndarray:
-        n = self.shape.n
-        if n > MAX_MATERIALIZE_N:
-            raise ResourceLimitError(f"dense characteristic matrix refused for n={n}")
-        out = np.zeros((factorial(n), self.m))
-        out[np.arange(factorial(n)), self.col_of] = 1.0
-        return out
-
 
 def key_powers(shape: IntegerPartition) -> np.ndarray:
     """(n,) intp: R**(n-1-j) for position j, R = len(shape); a row word dotted
@@ -228,73 +222,45 @@ def merge_maps(fine: IntegerPartition, coarse: IntegerPartition) -> RowMerge:
     """Per reduced lifting of ``coarse``, a reduced lifting of ``fine`` and a
     vertex map that carry every ranking to the coarse lifting's vertex.
 
-    With ``merged_rows(fine, coarse)`` as the base row map, a coarse
-    lifting's candidates of coarse row r go, in increasing order, to the
-    fine rows merged into r, in increasing order; relabeling equal-size fine
-    rows by increasing least candidate makes that fine word reduced, and
-    the row map composed with the relabeling's inverse carries it back.  A
-    ranking's fine vertex is the fine word read along the ranking, so the
-    row map applied to each entry of that vertex's row word gives the
-    coarse lifting's vertex: ``vertex_maps[map_index[t]][fine column map of
-    source[t]]`` is coarse lifting t's column map.  Few distinct row maps
-    occur, one per relabeling."""
+    A row map sends each fine row to a coarse row: ``merged_rows(fine,
+    coarse)`` with equal-size fine rows permuted.  A ranking carries a fine
+    lifting to the vertex whose row word is the lifting's read along the
+    ranking, so the row map applied to that word's entries gives the vertex
+    the ranking carries the row-mapped lifting to.  Every (row map, fine
+    reduced lifting) pair is looked up in the coarse key -> vertex table, and
+    each coarse reduced lifting keeps the first pair that lands on it:
+    ``vertex_maps[map_index[t]][fine column map of source[t]]`` is coarse
+    lifting t's column map.  A lifting no pair reaches raises
+    ``NumericalError``."""
     base = merged_rows(fine, coarse)
     if base is None:
         raise ValidationError(f"rows of {coarse.parts} are not unions of rows of {fine.parts}")
-    base_rows = np.array(base, dtype=np.intp)
-    sizes = np.array(fine.parts, dtype=np.intp)
-    words = reduced_row_words(coarse)
-    z = len(words)
-    every = np.arange(z)[:, None]
-    # a stable sort lists each coarse row's candidates in increasing order,
-    # row after row, and the fine rows merged into each row take them in
-    # turn: fine row f takes the run of sizes[f] from starts[f], whose first
-    # is its least candidate
-    members = np.argsort(base_rows, kind="stable")
-    starts = np.empty(len(fine), dtype=np.intp)
-    starts[members] = np.cumsum(sizes[members]) - sizes[members]
-    order = np.argsort(words, axis=1, kind="stable")
-    unsorted = np.empty((z, coarse.n), dtype=np.intp)
-    unsorted[every, order] = np.repeat(members, sizes[members])
-    least = order[:, starts]
-    # relabel[t, f]: fine row f's label once equal-size rows are ordered by
-    # least candidate
-    relabel = np.empty((z, len(fine)), dtype=np.intp)
-    for size in set(fine.parts):
-        group = np.flatnonzero(sizes == size)
-        relabel[every, group[np.argsort(least[:, group], axis=1, kind="stable")]] = group
-    fine_words = np.take_along_axis(relabel, unsorted, axis=1)
-    row_maps = np.empty((z, len(fine)), dtype=np.intp)
-    row_maps[every, relabel] = base_rows
-    # one base-R code per row map (R coarse rows)
-    codes = row_maps @ len(coarse) ** np.arange(len(fine), dtype=np.intp)
-    _codes, first, map_index = np.unique(codes, return_index=True, return_inverse=True)
-    rows = row_maps[first]
-    weights = key_powers(fine)
-    reduced_keys = reduced_row_words(fine).astype(np.intp) @ weights  # ascending
-    keys = fine_words @ weights
-    source = np.minimum(np.searchsorted(reduced_keys, keys), len(reduced_keys) - 1)
-    if not np.array_equal(reduced_keys[source], keys):
-        raise NumericalError(f"a merged lifting of {coarse.parts} is not reduced in {fine.parts}")
-    fine_vertices = row_word_matrix(fine).astype(np.intp)
-    vertex_maps = vertex_table(coarse)[rows[:, fine_vertices] @ key_powers(coarse)]
+    # each group of equal-size fine rows takes every arrangement of its base
+    # coarse rows; parts are nonincreasing, so the groups join in row order
+    groups = [[base[f] for f, part in enumerate(fine.parts) if part == size]
+              for size in dict.fromkeys(fine.parts)]
+    arrangements = [sorted(set(permutations(group))) for group in groups]
+    row_maps = np.array([sum(maps, ()) for maps in product(*arrangements)], dtype=np.intp)
+    fine_reduced = reduced_row_words(fine)
+    coarse_reduced = reduced_row_words(coarse)
+    z = len(coarse_reduced)
+    table = vertex_table(coarse)
+    weights = key_powers(coarse)
+    # coarse vertex -> its reduced lifting, z at every other vertex
+    lifting = np.full(multiplicity_constants(coarse).m, z, dtype=np.intp)
+    lifting[table[coarse_reduced.astype(np.intp) @ weights]] = np.arange(z)
+    reached = lifting[table[row_maps[:, fine_reduced] @ weights]].reshape(-1)
+    found, first = np.unique(reached, return_index=True)
+    if not np.array_equal(found[:z], np.arange(z)):
+        raise NumericalError(f"a reduced lifting of {coarse.parts} reads off none of {fine.parts}")
+    used, source = np.divmod(first[:z], len(fine_reduced))
+    used, map_index = np.unique(used, return_inverse=True)
+    rows = row_maps[used]
+    vertex_maps = table[rows[:, row_word_matrix(fine)] @ weights]
     out = RowMerge(source, map_index, rows, vertex_maps)
     for arr in out:
         arr.setflags(write=False)
     return out
-
-
-def lifting_keys(
-    shape: IntegerPartition, row_word: tuple[int, ...], words: np.ndarray
-) -> np.ndarray:
-    """Per ranking (a column of ``words``, from :func:`unrank_words`), the key
-    of the vertex it carries the lifting with row word ``row_word`` to, whose
-    position j holds the row of the candidate ranked at j."""
-    rows = np.asarray(row_word, dtype=np.intp)
-    keys = np.zeros(words.shape[1], dtype=np.intp)
-    for j, power in enumerate(key_powers(shape)):
-        keys += (rows * power).take(words[j])
-    return keys
 
 
 def characteristic_column_map(
@@ -309,7 +275,15 @@ def characteristic_column_map(
             f"lifting {lifting.label()} does not have shape {shape.parts}"
         )
     words = unrank_words(n, np.arange(factorial(n)) if ranks is None else ranks)
-    return vertex_table(shape)[lifting_keys(shape, lifting.row_word, words)]
+    # a ranking's key sums, per position j, the row of the candidate ranked
+    # at j times R**(n-1-j), one gather per position: independent of the
+    # position_powers product of iter_lifting_maps, so tests check one
+    # against the other
+    rows = np.asarray(lifting.row_word, dtype=np.intp)
+    keys = np.zeros(words.shape[1], dtype=np.intp)
+    for j, power in enumerate(key_powers(shape)):
+        keys += (rows * power).take(words[j])
+    return vertex_table(shape)[keys]
 
 
 def build_characteristic(shape: IntegerPartition) -> CharacteristicMatrix:

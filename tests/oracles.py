@@ -22,6 +22,7 @@ from permaframe.combinatorics import (
     dominates,
     enumerate_ordered_set_partitions,
     hook_dimension,
+    lex_rank,
     multiplicity_constants,
     partitions_of,
     rank_signs,
@@ -127,6 +128,15 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
     word = list(range(1, n + 1))
     word[i - 1], word[i] = word[i], word[i - 1]
     return Permutation(tuple(word))
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def compose(s: Permutation, t: Permutation) -> Permutation:
+    """Function composition s∘t: j -> s(t(j))."""
+    return Permutation(tuple(s(t(j)) for j in range(1, s.n + 1)))
 
 
 def lex_unrank(index: int, n: int) -> Permutation:
@@ -377,6 +387,13 @@ def reference_synthesize(
 # atoms, baselines and checks built on the transform
 
 
+def delta_signal(ranking: Permutation) -> Signal:
+    """The signal that is 1 at ``ranking`` and 0 elsewhere."""
+    out = Signal.zeros(ranking.n)
+    out.values[lex_rank(ranking)] = 1.0
+    return out
+
+
 def all_atom_ids(cache: FrameCache, shape: IntegerPartition) -> list[AtomId]:
     bundle = cache.bundle(shape)
     return [
@@ -492,6 +509,17 @@ def relabeled_swap_maps(n: int) -> np.ndarray:
         relabeled[words == i] = i - 1
         maps[i - 1] = rank_words(relabeled)
     return maps
+
+
+def dense_characteristic(char: CharacteristicMatrix) -> np.ndarray:
+    """The n! x m 0/1 lifting matrix of a column map: row r holds its 1 in
+    column ``col_of[r]``."""
+    n = char.shape.n
+    if n > MAX_MATERIALIZE_N:
+        raise ResourceLimitError(f"dense characteristic matrix refused for n={n}")
+    out = np.zeros((factorial(n), char.m))
+    out[np.arange(factorial(n)), char.col_of] = 1.0
+    return out
 
 
 def characteristic_by_block_recursion(shape: IntegerPartition) -> CharacteristicMatrix:

@@ -197,9 +197,19 @@ def _truncate(path, nbytes):
         ),
         pytest.param(
             # the bytes of an earlier array file where the archive belongs
-            lambda base: (base / "arrays.npz").write_bytes(b"PFARRAY1" * 4),
-            "malformed cache",
+            lambda base: (base / "arrays.npz").write_bytes(b"PFARRAY1garbage" * 4),
+            "BadZipFile: arrays.npz is not a zip archive",
             id="bad-magic",
+        ),
+        pytest.param(
+            lambda base: (base / "arrays.npz").write_bytes(b""),
+            "BadZipFile: arrays.npz is not a zip archive",
+            id="empty-archive",
+        ),
+        pytest.param(
+            lambda base: (base / "arrays.npz").unlink(),
+            "No such file or directory",
+            id="missing-archive",
         ),
     ],
 )
@@ -210,9 +220,12 @@ def test_corrupt_cache_is_rejected(tmp_path, capsys, corrupt, match):
         load_cache(tmp_path, 4)
     problems = verify_cache(tmp_path, 4)
     assert len(problems) == 1 and match in problems[0]
+    # no damage may be answered with advice to unpickle the cache
+    assert "pickle" not in problems[0]
     votes = tmp_path / "votes.txt"
     votes.write_text("n=4\n1 2 3 4,5\n2 1 4 3,2\n")
     assert main(["analyze", "--cache", str(tmp_path), "--ballots", str(votes)]) == 2
+    assert "pickle" not in capsys.readouterr().err
     assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0
     assert "nothing to do" not in capsys.readouterr().out
     assert main(["setup", "--n", "4", "--cache", str(tmp_path)]) == 0

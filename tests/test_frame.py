@@ -50,7 +50,9 @@ from oracles import (
     all_atom_ids,
     conjugate_shape_energy,
     csr_laplacian,
+    delta_signal,
     dense_oracle,
+    identity_permutation,
     lift,
     mallows_baseline,
     reference_analysis,
@@ -159,7 +161,7 @@ def test_constant_signal_hits_only_the_top_shape(cache4_all):
 
 
 def test_delta_signal_coefficients(cache4_all):
-    f = Signal.delta(Permutation.identity(4))
+    f = delta_signal(identity_permutation(4))
     table = analyze(cache4_all, f)
     for g in cache4_all.shapes:
         bundle = cache4_all.bundles[g]
@@ -801,7 +803,7 @@ def test_energy_of_constant_ballot_total(cache4_all):
 
 
 def test_delta_energy_sums_to_one(cache4_all):
-    f = Signal.delta(Permutation((2, 1, 4, 3)))
+    f = delta_signal(Permutation((2, 1, 4, 3)))
     table = analyze(cache4_all, f)
     assert table.total_energy() == pytest.approx(1.0, rel=1e-12)
 

@@ -35,8 +35,10 @@ from oracles import (
     act,
     adjacent_transposition,
     characteristic_by_block_recursion,
+    compose,
     csr_adjacency,
     csr_laplacian,
+    dense_characteristic,
     inversion_count,
     invert_index_map,
     lex_unrank,
@@ -120,7 +122,7 @@ def test_characteristic_column_counts(parts):
     m = multiplicity_constants(g).m
     counts = np.bincount(char.col_of, minlength=m)
     assert np.all(counts == factorial(n) // m)
-    dense = char.dense()
+    dense = dense_characteristic(char)
     gram = dense.T @ dense
     assert np.array_equal(gram, (factorial(n) // m) * np.eye(m))
 
@@ -167,7 +169,7 @@ def test_four_one_one_recursion_block_pattern():
 def test_intertwining_with_permutahedron_laplacian():
     for parts in [(3, 1), (2, 2), (2, 1, 1)]:
         g = IntegerPartition(parts)
-        b = build_characteristic(g).dense()
+        b = dense_characteristic(build_characteristic(g))
         lap_full = csr_laplacian(build_schreier(shape(1, 1, 1, 1))).toarray()
         lap_small = csr_laplacian(build_schreier(g)).toarray()
         assert np.allclose(lap_full @ b, b @ lap_small)
@@ -195,7 +197,7 @@ def _left_action_map(sigma: Permutation) -> np.ndarray:
 
     for r in range(factorial(n)):
         beta = lex_unrank(r, n)
-        out[r] = lex_rank(sigma.compose(beta))
+        out[r] = lex_rank(compose(sigma, beta))
     return out
 
 
@@ -355,6 +357,37 @@ def test_merge_maps_carry_every_rank_to_the_coarse_vertex(fine, coarse):
         assert np.array_equal(got, want)
 
 
+# every pair that frame._sources can plan on the CLI's shape lists: the full
+# transpose-reduced lists at n = 7 and 8 and the first 8 shapes at n = 10
+PLAN_PAIRS = [
+    (fine, coarse)
+    for shapes in (h_shapes(7), h_shapes(8), h_shapes(10, 8))
+    for fine in shapes
+    for coarse in shapes
+    if merged_rows(fine, coarse) is not None
+]
+
+
+@pytest.mark.parametrize(
+    "fine, coarse", PLAN_PAIRS, ids=[f"{f.label()}>{c.label()}" for f, c in PLAN_PAIRS]
+)
+def test_merge_maps_carry_seeded_ranks_on_the_planned_pairs(fine, coarse):
+    # every coarse lifting over 200 seeded ranks: the row map carries the
+    # source's row word to the coarse one, and the vertex map its column map
+    rng = np.random.default_rng(list(fine.parts + coarse.parts))
+    ranks = rng.choice(factorial(fine.n), 200, replace=False)
+    merge = merge_maps(fine, coarse)
+    fine_words = reduced_row_words(fine)
+    coarse_words = reduced_row_words(coarse)
+    for t in range(len(coarse_words)):
+        source = fine_words[merge.source[t]]
+        assert np.array_equal(merge.rows[merge.map_index[t]][source], coarse_words[t])
+        lifting = OrderedSetPartition(tuple(source.tolist()))
+        got = merge.vertex_maps[merge.map_index[t]][characteristic_column_map(fine, lifting, ranks)]
+        lifting = OrderedSetPartition(tuple(coarse_words[t].tolist()))
+        assert np.array_equal(got, characteristic_column_map(coarse, lifting, ranks))
+
+
 # ---------------------------------------------------------------------------
 # index maps, lifting and projecting
 
@@ -379,7 +412,7 @@ def test_swap_maps_match_scalar_composition(rng):
     for i in range(1, n):
         swap = adjacent_transposition(n, i)
         for r in rng.integers(0, factorial(n), size=8):
-            assert maps[i - 1][r] == lex_rank(swap.compose(lex_unrank(int(r), n)))
+            assert maps[i - 1][r] == lex_rank(compose(swap, lex_unrank(int(r), n)))
 
 
 def test_swap_paths_compose_column_maps():
@@ -438,7 +471,7 @@ def test_intertwining_n5():
     lap_full = csr_laplacian(build_schreier(shape(1, 1, 1, 1, 1))).toarray()
     for parts in [(3, 2), (2, 2, 1)]:
         g = IntegerPartition(parts)
-        b = build_characteristic(g).dense()
+        b = dense_characteristic(build_characteristic(g))
         lap_small = csr_laplacian(build_schreier(g)).toarray()
         assert np.allclose(lap_full @ b, b @ lap_small)
 
