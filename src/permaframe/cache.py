@@ -23,7 +23,11 @@ uncompressed numpy archive, ``arrays.npz``, with two members per shape: the
 eigenvectors, the one output of setup that cannot be rebuilt cheaply, and the
 vertex row words, which guard against a change of the builder's vertex order.
 The archive stores a CRC-32 per member, so bytes changed on disk fail to read.
-The loader reads only these members and ignores any others.  ``save_cache``
+The manifest holds only what a reader reads: the format, version and n, and
+per shape its parts, the eigenvalues with their keys and multiplicities, and
+m, z and d, which the loader checks against the shape and the benchmark
+reads.  The loader reads only these members and fields and ignores any
+others, so caches that hold more still load.  ``save_cache``
 writes a hidden sibling directory and renames it into place.
 
 ``load_cache`` is the one validator: it checks the stored row words against
@@ -49,7 +53,6 @@ import numpy as np
 
 from .combinatorics import (
     IntegerPartition,
-    block_labels,
     check_dense_n,
     h_shapes,
     hook_dimension,
@@ -113,21 +116,12 @@ class FrameCache:
     """A set of shape bundles for one n plus the product that yields every
     reduced lifting's column map."""
 
-    def __init__(
-        self,
-        n: int,
-        bundles: dict[IntegerPartition, SchreierBundle],
-        *,
-        shape_source: str = "custom",
-        top_k: int | None = None,
-    ) -> None:
+    def __init__(self, n: int, bundles: dict[IntegerPartition, SchreierBundle]) -> None:
         self.n = n
         self.bundles = bundles
         self.shapes: tuple[IntegerPartition, ...] = tuple(
             sorted(bundles, key=lambda s: s.parts, reverse=True)
         )
-        self.shape_source = shape_source
-        self.top_k = top_k
 
     # -- lookups ---------------------------------------------------------
 
@@ -186,12 +180,12 @@ def resolve_shape_list(
     n: int,
     shapes: str | Sequence[IntegerPartition | Sequence[int]] = "h",
     top_k: int | None = None,
-) -> tuple[list[IntegerPartition], str]:
+) -> list[IntegerPartition]:
     if isinstance(shapes, str):
         if shapes == "h":
-            return list(h_shapes(n, top_k)), "h"
+            return list(h_shapes(n, top_k))
         if shapes == "all":
-            return list(partitions_of(n)), "all"
+            return list(partitions_of(n))
         raise ValidationError(f"unknown shape selector {shapes!r}")
     resolved = []
     for s in shapes:
@@ -199,7 +193,7 @@ def resolve_shape_list(
         if part.n != n:
             raise ValidationError(f"shape {part.parts} does not partition {n}")
         resolved.append(part)
-    return sorted(set(resolved), key=lambda s: s.parts, reverse=True), "custom"
+    return sorted(set(resolved), key=lambda s: s.parts, reverse=True)
 
 
 def build_cache(
@@ -216,7 +210,7 @@ def build_cache(
     solved on its own Specht module, independently of the others.
     """
     check_dense_n(n)
-    shape_list, source = resolve_shape_list(n, shapes, top_k)
+    shape_list = resolve_shape_list(n, shapes, top_k)
 
     def emit(msg: str) -> None:
         if log:
@@ -235,7 +229,7 @@ def build_cache(
         shape: SchreierBundle(shape, graphs[shape], spectra[shape])
         for shape in shape_list
     }
-    cache = FrameCache(n, bundles, shape_source=source, top_k=top_k)
+    cache = FrameCache(n, bundles)
     emit(f"{cache.atom_count()} atoms over {len(shape_list)} shapes")
     return cache
 
@@ -298,7 +292,6 @@ def _write_cache(cache: FrameCache, base: Path) -> None:
                 "eigenvalues": [float(v) for v in eig.eigenvalues],
                 "eigen_keys": list(eig.keys),
                 "kappas": list(eig.kappas),
-                "vertex_labels": block_labels(bundle.graph.row_words),
             }
         )
     with open(base / "arrays.npz", "wb") as fh:
@@ -307,8 +300,6 @@ def _write_cache(cache: FrameCache, base: Path) -> None:
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "n": cache.n,
-        "shape_source": cache.shape_source,
-        "top_k": cache.top_k,
         "shapes": shape_entries,
     }
     with open(base / MANIFEST_NAME, "w") as fh:
@@ -379,12 +370,7 @@ def load_cache(root: str | Path, n: int) -> FrameCache:
             raise zipfile.BadZipFile(f"{archive.name} is not a zip archive")
         with np.load(archive) as arrays:
             bundles = [_load_bundle(arrays, base, n, e) for e in manifest["shapes"]]
-        return FrameCache(
-            n,
-            {bundle.shape: bundle for bundle in bundles},
-            shape_source=manifest.get("shape_source", "custom"),
-            top_k=manifest.get("top_k"),
-        )
+        return FrameCache(n, {bundle.shape: bundle for bundle in bundles})
     except (
         OSError, KeyError, IndexError, TypeError, ValueError, AttributeError, EOFError,
         zipfile.BadZipFile,

@@ -141,7 +141,7 @@ def cmd_setup(args) -> int:
         )
     base = cache_mod.cache_dir(args.cache, n)
     if base.exists() and not args.force:
-        shapes, _ = cache_mod.resolve_shape_list(n, "h", args.shapes)
+        shapes = cache_mod.resolve_shape_list(n, "h", args.shapes)
         problems = cache_mod.verify_cache(args.cache, n, shapes)
         if not problems:
             print(f"cache at {base} verified; nothing to do")

@@ -679,10 +679,12 @@ def synthesize(
                 suffix.take(col, axis=0, out=block, mode="clip")
                 np.add(rows, block, out=rows)
         del table  # one shape's key table at a time
-    acc = acc.reshape(-1, len(tables))
     if flipped is not None:
-        acc[:, 0] += sign_flip(Signal(cache.n, acc[:, 1])).values
-    return Signal(cache.n, np.ascontiguousarray(acc[:, 0]))
+        # rank b*k! + j's sign is its leader's times tau_j's, as analysis derives parity
+        acc[:, :, 1] *= rank_signs(cache.n, np.arange(leaders) * factorial(k))[:, None]
+        acc[:, :, 1] *= rank_signs(k, np.arange(factorial(k)))
+        acc[:, :, 0] += acc[:, :, 1]
+    return Signal(cache.n, np.ascontiguousarray(acc[:, :, 0].reshape(-1)))
 
 
 def reconstruct(cache: FrameCache, signal: Signal) -> Signal:

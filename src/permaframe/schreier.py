@@ -275,15 +275,8 @@ def characteristic_column_map(
             f"lifting {lifting.label()} does not have shape {shape.parts}"
         )
     words = unrank_words(n, np.arange(factorial(n)) if ranks is None else ranks)
-    # a ranking's key sums, per position j, the row of the candidate ranked
-    # at j times R**(n-1-j), one gather per position: independent of the
-    # position_powers product of iter_lifting_maps, so tests check one
-    # against the other
-    rows = np.asarray(lifting.row_word, dtype=np.intp)
-    keys = np.zeros(words.shape[1], dtype=np.intp)
-    for j, power in enumerate(key_powers(shape)):
-        keys += (rows * power).take(words[j])
-    return vertex_table(shape)[keys]
+    keys = np.asarray(lifting.row_word, dtype=np.float64) @ position_powers(shape, words)
+    return vertex_table(shape)[keys.astype(np.intp)]
 
 
 def build_characteristic(shape: IntegerPartition) -> CharacteristicMatrix:

@@ -30,6 +30,7 @@ from permaframe.combinatorics import (
     reading_order_partition,
     reduced_representatives,
     row_word_matrix,
+    unrank_words,
     weakly_dominates,
     word_table,
 )
@@ -54,6 +55,8 @@ from permaframe.schreier import (
     SchreierGraph,
     build_schreier,
     characteristic_column_map,
+    key_powers,
+    vertex_table,
 )
 from permaframe.spectral import ShapeSpectrum, _finalize_spectrum, polytabloid_matrix
 
@@ -509,6 +512,23 @@ def relabeled_swap_maps(n: int) -> np.ndarray:
         relabeled[words == i] = i - 1
         maps[i - 1] = rank_words(relabeled)
     return maps
+
+
+def gathered_column_map(
+    shape: IntegerPartition, lifting: OrderedSetPartition, ranks: np.ndarray | None = None
+) -> np.ndarray:
+    """A lifting's column map at ``ranks`` (all n! when not given) with each
+    ranking's key summed per position j, the row of the candidate ranked at j
+    times R**(n-1-j), one gather per position: independent of the
+    ``position_powers`` product that ``iter_lifting_maps`` and
+    ``characteristic_column_map`` use."""
+    n = shape.n
+    words = unrank_words(n, np.arange(factorial(n)) if ranks is None else ranks)
+    rows = np.asarray(lifting.row_word, dtype=np.intp)
+    keys = np.zeros(words.shape[1], dtype=np.intp)
+    for j, power in enumerate(key_powers(shape)):
+        keys += (rows * power).take(words[j])
+    return vertex_table(shape)[keys]
 
 
 def dense_characteristic(char: CharacteristicMatrix) -> np.ndarray:

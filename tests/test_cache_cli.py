@@ -18,6 +18,7 @@ from permaframe.cache import FrameCache, SchreierBundle
 from permaframe.cli import main
 from permaframe.combinatorics import (
     IntegerPartition,
+    block_labels,
     partitions_of,
     reduced_representatives,
 )
@@ -33,7 +34,7 @@ from permaframe.schreier import (
 )
 from permaframe.spectral import check_residuals
 
-from oracles import deflation_spectra, reference_bfs_tree_arrays
+from oracles import deflation_spectra, gathered_column_map, reference_bfs_tree_arrays
 
 
 def shape(*parts):
@@ -65,6 +66,41 @@ def test_save_load_round_trip(tmp_path, rng):
     ta = analyze(cache, f)
     tb = analyze(loaded, f)
     assert ta.to_csv_text() == tb.to_csv_text()
+
+
+def test_manifest_holds_only_what_its_readers_read(tmp_path):
+    base = save_cache(build_cache(5, "h"), tmp_path)
+    manifest = json.loads((base / "manifest.json").read_text())
+    assert set(manifest) == {"format", "version", "n", "shapes"}
+    for entry in manifest["shapes"]:
+        assert set(entry) == {"parts", "m", "z", "d", "eigenvalues", "eigen_keys", "kappas"}
+
+
+def test_cache_with_the_retired_manifest_fields_verifies(workdir, capsys):
+    # caches written when the manifest also held the shape source, top-k and
+    # each shape's vertex labels load and verify without a rebuild
+    fresh, old = workdir / "fresh", workdir / "old"
+    for root in (fresh, old):
+        assert run_cli("setup", "--n", 4, "--cache", root) == 0
+    base = old / "n=4"
+    manifest = json.loads((base / "manifest.json").read_text())
+    with np.load(base / "arrays.npz") as arrays:
+        for entry in manifest["shapes"]:
+            words = arrays["s" + "-".join(map(str, entry["parts"])) + ".row_words"]
+            entry["vertex_labels"] = block_labels(words)
+    shapes = manifest.pop("shapes")
+    manifest.update(shape_source="h", top_k=None, shapes=shapes)
+    (base / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    assert verify_cache(old, 4) == []
+    capsys.readouterr()
+    assert run_cli("setup", "--n", 4, "--cache", old) == 0
+    assert "verified; nothing to do" in capsys.readouterr().out
+    for root in (fresh, old):
+        assert run_cli(
+            "analyze", "--cache", root, "--ballots", workdir / "votes.txt",
+            "--out", workdir / f"{root.name}.csv",
+        ) == 0
+    assert (workdir / "old.csv").read_bytes() == (workdir / "fresh.csv").read_bytes()
 
 
 def _archive(base):
@@ -376,7 +412,7 @@ def test_deflation_written_cache_loads(tmp_path, rng):
     bundles = {
         g: SchreierBundle(g, bundle.graph, spectra[g]) for g, bundle in built.bundles.items()
     }
-    base = save_cache(FrameCache(6, bundles, shape_source="h"), tmp_path)
+    base = save_cache(FrameCache(6, bundles), tmp_path)
     manifest = json.loads((base / "manifest.json").read_text())
     manifest["hook_fastpath"] = False  # as such caches were written
     (base / "manifest.json").write_text(json.dumps(manifest, indent=1))
@@ -410,6 +446,7 @@ def test_walk_yields_every_lifting_column_map(n):
         maps = list(cache.iter_lifting_maps(g, ranks))
         for t, col in maps:
             assert col.dtype == np.intp
+            assert np.array_equal(col, gathered_column_map(g, reps[t]))
             assert np.array_equal(col, characteristic_column_map(g, reps[t]))
             seen.append(t)
         assert seen == list(range(len(reps)))
@@ -442,7 +479,7 @@ def test_walk_over_any_rank_set_matches_the_column_maps(case):
     reps = reduced_representatives(g)
     seen = []
     for t, col in cache.iter_lifting_maps(g, ranks):
-        assert np.array_equal(col, characteristic_column_map(g, reps[t])[ranks])
+        assert np.array_equal(col, gathered_column_map(g, reps[t], ranks))
         seen.append(t)
     assert seen == list(range(len(reps)))
 
@@ -462,7 +499,7 @@ def test_lifting_maps_do_not_depend_on_the_batch(monkeypatch, batch, kind):
         assert [t for t, _col in maps] == list(range(len(reps)))
         for t, col in maps:
             assert col.dtype == np.intp
-            assert np.array_equal(col, characteristic_column_map(g, reps[t])[ranks])
+            assert np.array_equal(col, gathered_column_map(g, reps[t], ranks))
 
 
 def test_loaded_cache_reconstructs(tmp_path, rng):

@@ -4,8 +4,11 @@ README or the benchmark's tracer; helpers that only tests use live in
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
+
+from permaframe import build_cache, save_cache
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +49,34 @@ def test_every_name_the_tracer_binds_resolves():
         assert attr in source, f"the tracer no longer uses {cls}.{attr}"
         value = getattr(getattr(importlib.import_module(f"permaframe.{module}"), cls), attr, None)
         assert value is not None, f"permaframe.{module}.{cls}.{attr}"
+
+
+def benchmark_shape_fields() -> set[str]:
+    """The keys ``perfbench/run.py`` reads from the entries of a cache
+    manifest's ``shapes`` list: ``s["key"]`` inside a loop or comprehension
+    over ``manifest["shapes"]`` with target ``s``, read from the source."""
+    fields = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "run.py").read_text())):
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        for loop in loops:
+            if ast.unparse(loop.iter) != "manifest['shapes']":
+                continue
+            fields |= {
+                sub.slice.value
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and ast.unparse(sub.value) == ast.unparse(loop.target)
+                and isinstance(sub.slice, ast.Constant)
+            }
+    return fields
+
+
+def test_a_fresh_manifest_writes_every_shape_field_the_benchmark_reads(tmp_path):
+    fields = benchmark_shape_fields()
+    assert fields, "perfbench/run.py no longer reads manifest['shapes'] entries"
+    base = save_cache(build_cache(4, "h"), tmp_path)
+    for entry in json.loads((base / "manifest.json").read_text())["shapes"]:
+        assert fields <= set(entry), f"the manifest lacks {sorted(fields - set(entry))}"
 
 
 def names_used(node: ast.AST) -> set[str]:
