@@ -135,10 +135,8 @@ class FrameCache:
                 f"{[s.parts for s in self.shapes]})"
             ) from None
 
-    def atom_count(self, shapes: Sequence[IntegerPartition] | None = None) -> int:
-        return sum(
-            self.bundles[s].d * self.bundles[s].z for s in (shapes or self.shapes)
-        )
+    def atom_count(self) -> int:
+        return sum(bundle.d * bundle.z for bundle in self.bundles.values())
 
     # -- lifting column maps -----------------------------------------------
 

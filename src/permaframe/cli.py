@@ -52,17 +52,6 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ignored_args(parser: argparse.ArgumentParser) -> None:
-    # every command has one serial execution path and setup one eigensolver;
-    # the flags stay so old scripts still run
-    parser.add_argument(
-        "--mode", choices=["cached", "streamed", "auto"], default="auto",
-        help="accepted and ignored",
-    )
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    parser.add_argument("--hook-fastpath", action="store_true", help="accepted and ignored")
-
-
 def _add_common_analysis_args(parser: argparse.ArgumentParser, *, out: bool = True) -> None:
     _add_cache_arg(parser)
     parser.add_argument("--ballots", required=True, help="ballot file to tally")
@@ -70,7 +59,6 @@ def _add_common_analysis_args(parser: argparse.ArgumentParser, *, out: bool = Tr
                         help="cache to read (default: the only one under --cache)")
     if out:
         parser.add_argument("--out", default="-", help="output file (default: - for stdout)")
-    _add_ignored_args(parser)
 
 
 def _detect_n(root: str) -> int:
@@ -139,9 +127,14 @@ def cmd_setup(args) -> int:
             f"full transpose-reduced setup is refused above n={cache_mod.FULL_H_MAX_N}; "
             f"pass --shapes K to build the first K shapes"
         )
+    shapes = cache_mod.resolve_shape_list(n, "h", args.shapes)
+    # a root that cannot be made fails here, not after the eigensolves
+    try:
+        Path(args.cache).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.cache}: {exc}") from exc
     base = cache_mod.cache_dir(args.cache, n)
     if base.exists() and not args.force:
-        shapes = cache_mod.resolve_shape_list(n, "h", args.shapes)
         problems = cache_mod.verify_cache(args.cache, n, shapes)
         if not problems:
             print(f"cache at {base} verified; nothing to do")
@@ -149,8 +142,11 @@ def cmd_setup(args) -> int:
         print(f"cache at {base} failed verification; rebuilding:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
-    built = cache_mod.build_cache(n, "h", top_k=args.shapes, log=print)
-    cache_mod.save_cache(built, args.cache)
+    built = cache_mod.build_cache(n, shapes, log=print)
+    try:
+        cache_mod.save_cache(built, args.cache)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.cache}: {exc}") from exc
     print(f"cache written to {base} ({built.atom_count()} atoms)")
     return EXIT_OK
 
@@ -291,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_cache_arg(p)
     p.add_argument("--shapes", type=int, default=None, help="keep only the first K shapes")
-    _add_ignored_args(p)
+    # setup has one eigensolver; perfbench's n9_sparse workload passes --mode streamed
+    p.add_argument("--mode", choices=["cached", "streamed", "auto"], default="auto",
+                   help="accepted and ignored: old setup scripts pass it")
     p.add_argument("--force", action="store_true", help="rebuild even if the cache verifies")
     p.set_defaults(func=cmd_setup)
 

@@ -46,6 +46,9 @@ from .combinatorics import (
 from .errors import NumericalError, ResourceLimitError, ValidationError
 
 MAX_MATERIALIZE_N = 8  # dense n! x m matrices are test-scale only
+# entries of one key -> vertex table (2 GiB as intp): every shape of the full
+# n <= 10 lists and of the n = 11, 12 top-8 lists fits
+MAX_KEY_TABLE = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +145,15 @@ def key_powers(shape: IntegerPartition) -> np.ndarray:
 
 def vertex_table(shape: IntegerPartition) -> np.ndarray:
     """(R**n,) intp table from a row word's base-R key to its canonical vertex
-    index, -1 at keys that are not row words of the shape."""
+    index, -1 at keys that are not row words of the shape; refused above
+    ``MAX_KEY_TABLE`` entries."""
+    size = len(shape) ** shape.n
+    if size > MAX_KEY_TABLE:
+        raise ResourceLimitError(
+            f"shape {shape.parts} needs a {size}-entry key table; the limit is {MAX_KEY_TABLE}"
+        )
     keys = row_word_matrix(shape).astype(np.intp) @ key_powers(shape)
-    table = np.full(len(shape) ** shape.n, -1, dtype=np.intp)
+    table = np.full(size, -1, dtype=np.intp)
     table[keys] = np.arange(len(keys))
     return table
 

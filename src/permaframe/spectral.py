@@ -155,11 +155,11 @@ def hook_wedge_eigenvectors(
 # deterministic bases
 
 
-def sign_convention(v: np.ndarray, tol: float = SIGN_TOL) -> np.ndarray:
+def sign_convention(v: np.ndarray) -> np.ndarray:
     """Flip so the entry at the lexicographically last vertex is positive,
     falling back to earlier vertices while the entry is below tolerance."""
     for idx in range(len(v) - 1, -1, -1):
-        if abs(v[idx]) > tol:
+        if abs(v[idx]) > SIGN_TOL:
             return v if v[idx] > 0 else -v
     return v
 
@@ -187,12 +187,12 @@ def canonical_eigenbasis(span: np.ndarray, kappa: int) -> np.ndarray:
     return np.column_stack([sign_convention(u) for u in accepted])
 
 
-def _cluster(values: np.ndarray, tol: float = EIG_CLUSTER_TOL) -> list[tuple[int, int]]:
-    """Consecutive [lo, hi) index ranges of values within tol of each other."""
+def _cluster(values: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) index ranges of values within EIG_CLUSTER_TOL of each other."""
     ranges = []
     lo = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
+        if i == len(values) or values[i] - values[i - 1] > EIG_CLUSTER_TOL:
             ranges.append((lo, i))
             lo = i
     return ranges

@@ -1,4 +1,5 @@
 import codecs
+import csv
 import dataclasses
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from permaframe import build_cache, load_cache, save_cache, verify_cache
 from permaframe import cache as cache_mod
+from permaframe import schreier
 from permaframe.cache import FrameCache, SchreierBundle
 from permaframe.cli import main
 from permaframe.combinatorics import (
@@ -22,8 +24,9 @@ from permaframe.combinatorics import (
     partitions_of,
     reduced_representatives,
 )
+from permaframe.ballots import read_ballot_file, tally
 from permaframe.errors import CacheFormatError
-from permaframe.frame import Signal, analyze
+from permaframe.frame import Signal, analyze, analyze_with_conjugates, conjugate_energy_rows
 from permaframe.schreier import (
     build_characteristic,
     build_schreier,
@@ -32,7 +35,7 @@ from permaframe.schreier import (
     minimal_paths,
     vertex_table,
 )
-from permaframe.spectral import check_residuals
+from permaframe.spectral import check_residuals, eigenvalue_key
 
 from oracles import deflation_spectra, gathered_column_map, reference_bfs_tree_arrays
 
@@ -635,6 +638,27 @@ def test_cli_unwritable_out_exits_2(verified_cache, tmp_path, capsys, command, w
     assert not (tmp_path / "absent").exists()
 
 
+@pytest.mark.parametrize("where", ["below-a-file", "a-file"])
+def test_cli_unwritable_cache_root_exits_2_before_the_build(tmp_path, capsys, where):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    root = blocker / "sub" if where == "below-a-file" else blocker
+    assert run_cli("setup", "--n", 4, "--cache", root) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {root}: ")
+    assert captured.out == ""  # no phase line: nothing was built
+
+
+def test_cli_failed_cache_write_exits_2(tmp_path, capsys, monkeypatch):
+    def full_disk(cache, root):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cache_mod, "save_cache", full_disk)
+    assert run_cli("setup", "--n", 4, "--cache", tmp_path / "cache") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / 'cache'}: [Errno 28] No space left on device\n"
+
+
 def test_cli_setup_and_idempotence(workdir, capsys):
     cache_dir = workdir / "cache"
     assert run_cli("setup", "--n", 4, "--cache", cache_dir) == 0
@@ -675,21 +699,6 @@ def test_cli_analyze_outputs_and_parseval(workdir, capsys):
     assert payload["n"] == 4 and len(payload["rows"]) == 19
 
 
-def test_cli_modes_are_byte_identical(workdir, capsys):
-    cache_dir = workdir / "cache"
-    run_cli("setup", "--n", 4, "--cache", cache_dir)
-    capsys.readouterr()
-    outs = {}
-    for mode in ("cached", "streamed"):
-        out = workdir / f"coeffs-{mode}.csv"
-        run_cli(
-            "analyze", "--cache", cache_dir, "--ballots", workdir / "votes.txt",
-            "--out", out, "--mode", mode,
-        )
-        outs[mode] = out.read_bytes()
-    assert outs["cached"] == outs["streamed"]
-
-
 def test_cli_energy_covers_all_shapes(workdir, capsys):
     cache_dir = workdir / "cache"
     run_cli("setup", "--n", 4, "--cache", cache_dir)
@@ -707,6 +716,46 @@ def test_cli_energy_covers_all_shapes(workdir, capsys):
 
     signal = tally(read_ballot_file(workdir / "votes.txt"))
     assert total == pytest.approx(signal.norm2(), rel=1e-9)
+
+
+def _energy_csv(path):
+    """(shape, eigenvalue key, energy) per row of an ``energy`` CSV."""
+    with open(path) as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["shape", "lambda", "energy"]
+    return [(IntegerPartition.parse(s), eigenvalue_key(float(lam)), float(e)) for s, lam, e in rows]
+
+
+def _report_order(rows):
+    return sorted(rows, key=lambda r: (tuple(-p for p in r[0].parts), r[1]))
+
+
+def test_cli_energy_conjugates(tmp_path, capsys):
+    votes = write_random_votes(tmp_path / "votes.txt", 5, 60, seed=7)
+    cache_dir = tmp_path / "cache"
+    assert run_cli("setup", "--n", 5, "--cache", cache_dir) == 0
+    cache = load_cache(cache_dir, 5)
+    signal = tally(read_ballot_file(votes))
+    subset = list(cache.shapes[:2])
+    out = {}
+    for conjugates in ("auto", "on", "off"):
+        for shapes in ([], ["--shapes", 2]):
+            path = tmp_path / f"energy-{conjugates}{len(shapes)}.csv"
+            argv = ["energy", "--cache", cache_dir, "--ballots", votes, "--out", path]
+            assert run_cli(*argv, "--conjugates", conjugates, *shapes) == 0
+            out[conjugates, bool(shapes)] = _energy_csv(path)
+    # off: the cached shapes' direct rows only
+    assert out["off", False] == _report_order(analyze(cache, signal).energy_rows())
+    assert out["off", True] == _report_order(analyze(cache, signal, shapes=subset).energy_rows())
+    # on: plus the transposes the subset lacks, keys reflected across 2(n-1)
+    direct, flipped = analyze_with_conjugates(cache, signal, shapes=subset)
+    added = conjugate_energy_rows(flipped)
+    assert {row[0] for row in added} == {s.transpose() for s in subset} - set(subset)
+    assert out["on", True] == _report_order(direct.energy_rows() + added)
+    assert len(out["on", True]) > len(out["off", True])
+    # auto completes the full list only
+    assert out["auto", False] == out["on", False] != out["off", False]
+    assert out["auto", True] == out["off", True]
 
 
 def test_cli_top_with_names(workdir, capsys):
@@ -947,11 +996,28 @@ def test_cli_resource_refusals(workdir, capsys):
     assert "--shapes" in err
 
 
+def test_cli_setup_refuses_an_oversized_key_table(workdir, capsys, monkeypatch):
+    # (3, 1) and (2, 2) need 2**4-entry key tables, (4) one entry
+    monkeypatch.setattr(schreier, "MAX_KEY_TABLE", 8)
+    assert run_cli("setup", "--n", 4, "--cache", workdir / "cache") == 3
+    err = capsys.readouterr().err
+    assert err == "error: shape (3, 1) needs a 16-entry key table; the limit is 8\n"
+    assert not (workdir / "cache" / "n=4").exists()
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_cli_setup_rejects_n_below_one(workdir, capsys, n):
     # no ranking exists: a validation error (exit 2), not a resource refusal
     assert run_cli("setup", f"--n={n}", "--cache", workdir / "c") == 2
     assert f"n={n} must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "c").exists()
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_cli_setup_rejects_a_shape_count_below_one(workdir, capsys, k):
+    # refused before the cache root is created
+    assert run_cli("setup", "--n", 4, f"--shapes={k}", "--cache", workdir / "c") == 2
+    assert f"shape count k={k} must be positive" in capsys.readouterr().err
     assert not (workdir / "c").exists()
 
 
@@ -1066,19 +1132,30 @@ def test_commands_build_no_set_partition_objects(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
-def test_cli_hook_fastpath_is_accepted_and_ignored(workdir, capsys):
-    cache_dir = workdir / "cache"
-    assert run_cli("setup", "--n", 4, "--cache", cache_dir, "--hook-fastpath") == 0
-    capsys.readouterr()
-    out = workdir / "hook.csv"
-    assert run_cli(
-        "analyze", "--cache", cache_dir, "--ballots", workdir / "votes.txt",
-        "--out", out, "--hook-fastpath",
-    ) == 0
-    manifest = json.loads((cache_dir / "n=4" / "manifest.json").read_text())
-    assert "hook_fastpath" not in manifest
-    assert run_cli("setup", "--n", 4, "--cache", cache_dir, "--hook-fastpath") == 0
+def test_cli_retired_flags_exit_2_and_setup_ignores_mode(verified_cache, tmp_path, capsys):
+    # no command reads --threads or --hook-fastpath, and no analysis command
+    # --mode, so argparse refuses them like any unknown flag
+    data = ["--cache", verified_cache / "cache", "--ballots", verified_cache / "votes.txt"]
+    commands = {"setup": ["setup", "--n", 4, "--cache", verified_cache / "cache"]}
+    commands.update({name: [*argv, *data] for name, argv in ANALYSIS_COMMANDS.items()})
+    for name, argv in commands.items():
+        retired = [["--threads", "1"], ["--hook-fastpath"]]
+        if name != "setup":
+            retired.append(["--mode", "auto"])
+        for flags in retired:
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(*argv, *flags)
+            assert exit_info.value.code == 2, (name, flags)
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    # old setup scripts, the benchmark's among them, pass --mode streamed
+    assert run_cli(*commands["setup"], "--mode", "streamed") == 0
     assert "verified; nothing to do" in capsys.readouterr().out
+    assert run_cli("setup", "--n", 4, "--cache", tmp_path / "streamed", "--mode", "streamed") == 0
+    assert run_cli("setup", "--n", 4, "--cache", tmp_path / "plain") == 0
+    assert capsys.readouterr().out.count("cache written") == 2
+    for name in ("manifest.json", "arrays.npz"):
+        streamed, plain = (tmp_path / root / "n=4" / name for root in ("streamed", "plain"))
+        assert streamed.read_bytes() == plain.read_bytes()
 
 
 def test_cli_cache_root_env(workdir, capsys, monkeypatch):

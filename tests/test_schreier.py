@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -16,7 +17,9 @@ from permaframe.combinatorics import (
     reading_order_partition,
     reduced_row_words,
 )
+from permaframe.errors import ResourceLimitError
 from permaframe.schreier import (
+    MAX_KEY_TABLE,
     adjacent_swap_maps,
     build_characteristic,
     build_schreier,
@@ -88,6 +91,27 @@ def test_single_row_shape_is_one_vertex():
     g = build_schreier(shape(5))
     assert g.m == 1
     assert loop_counts(g)[0] == 4
+
+
+def test_oversized_key_table_is_refused_before_it_is_allocated():
+    # the first shape of the n = 11 list past the bound: a 6**11-entry table
+    # (2.9 GB as intp) for only 55,440 vertices
+    g = shape(6, 1, 1, 1, 1, 1)
+    assert multiplicity_constants(g).m == 55_440 and 6**11 > MAX_KEY_TABLE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"shape \(6, 1, 1, 1, 1, 1\) needs"):
+            build_schreier(g)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def test_every_shape_of_the_supported_lists_fits_the_key_table_bound():
+    shapes = [s for n in range(1, 11) for s in h_shapes(n)]
+    shapes += [s for n in (11, 12) for s in h_shapes(n, 8)]
+    assert max(len(s) ** s.n for s in shapes) <= MAX_KEY_TABLE
 
 
 def test_laplacian_rows_sum_to_zero_and_psd():

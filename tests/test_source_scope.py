@@ -2,6 +2,7 @@
 README or the benchmark's tracer; helpers that only tests use live in
 ``tests/``."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -9,6 +10,7 @@ import re
 from pathlib import Path
 
 from permaframe import build_cache, save_cache
+from permaframe.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -172,3 +174,42 @@ def test_every_submodule_name_the_readme_quotes_resolves():
     assert names, "the README quotes no submodule names"
     broken = [name for name in names if not resolves(name)]
     assert not broken, "unresolved README names: " + ", ".join(broken)
+
+
+# (subcommand, option dest) pairs accepted without being read, with the reason
+UNREAD_OPTIONS = {
+    # perfbench's n9_sparse workload runs `setup --mode streamed`
+    ("setup", "mode"): "old setup scripts pass it",
+}
+
+
+def args_read(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """The ``args.<attr>`` names that ``cli.py``'s function ``name`` reads,
+    itself or through the ``cli.py`` functions it calls."""
+    seen.add(name)
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in functions and node.func.id not in seen:
+                read |= args_read(functions, node.func.id, seen)
+    return read
+
+
+def test_every_cli_option_is_read_by_its_command():
+    tree = ast.parse((ROOT / "src" / "permaframe" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = {}
+    for command, parser in commands.choices.items():
+        read = args_read(functions, parser.get_default("func").__name__, set())
+        for action in parser._actions:
+            if action.option_strings and action.dest != "help" and action.dest not in read:
+                unread[command, action.dest] = action.help
+    assert set(unread) == set(UNREAD_OPTIONS), f"options no command reads: {sorted(unread)}"
+    for key, reason in UNREAD_OPTIONS.items():
+        assert unread[key] == f"accepted and ignored: {reason}"
