@@ -3,8 +3,11 @@
 Setup is data-independent and split into two phases: the Schreier graphs,
 and one eigensolve per shape on the span of its standard polytabloids
 (``spectral.specht_spectrum``), which needs no other shape.  The analysis and
-synthesis operators get each reduced lifting's column map, over a given set
-of ranks, from ``FrameCache.iter_lifting_maps``, liftings in canonical order.
+synthesis operators get the column maps of a given subset of a shape's
+reduced liftings, over a given set of ranks, from
+``FrameCache.iter_lifting_maps``, liftings in canonical order: the shape's d
+standard-tableau liftings (``SchreierBundle.liftings``), or the liftings of
+a finer shape that those read their bins from.
 A ranking's base-R vertex key (R rows in the shape) is the lifting's row word
 dotted with R**(n-1-p) at its candidates' positions p, so the keys of a batch
 of liftings are one product of their row words with the ranks'
@@ -45,9 +48,10 @@ import shutil
 import time
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,10 +63,11 @@ from .combinatorics import (
     multiplicity_constants,
     partitions_of,
     reduced_row_words,
+    standard_row_words,
     unrank_words,
 )
 from .errors import CacheFormatError, NumericalError, ValidationError
-from .schreier import SchreierGraph, build_schreier, position_powers, vertex_table
+from .schreier import SchreierGraph, build_schreier, key_powers, position_powers, vertex_table
 from .spectral import (
     ShapeSpectrum, check_key_separation, check_residuals, eigenvalue_key, specht_spectrum,
 )
@@ -74,13 +79,26 @@ MANIFEST_VERSION = 2
 FULL_H_MAX_N = 10  # larger n requires an explicit top-k shape count
 
 # Liftings whose keys iter_lifting_maps computes in one product.  Measured on a
-# 2-vCPU Xeon VM (medians of 5 and 11 runs), mapping the 151,200 block leaders
-# of a dense n = 10 tally through its top 8 shapes' 911 liftings took 2.47,
-# 1.71, 1.46, 1.43 and 1.34 s at 1, 4, 8, 16 and 64 liftings per product, and
-# n = 8's 1,680 leaders through the full list 0.029, 0.018, 0.017, 0.015 and
-# 0.013 s.  Past 16 the time hardly moves, while the (batch, ranks) float64
-# keys held during a batch keep growing.
+# 2-vCPU Xeon VM (medians of 5 and 11 runs) when every reduced lifting was
+# mapped: the 151,200 block leaders of a dense n = 10 tally through its top 8
+# shapes' 911 liftings took 2.47, 1.71, 1.46, 1.43 and 1.34 s at 1, 4, 8, 16
+# and 64 liftings per product, and n = 8's 1,680 leaders through the full list
+# 0.029, 0.018, 0.017, 0.015 and 0.013 s.  Past 16 the time hardly moves, while
+# the (batch, ranks) float64 keys held during a batch keep growing.  The
+# transform now maps each shape's d standard liftings (a subset as small as
+# one), so a batch is often the whole subset.
 LIFTING_BATCH = 16
+
+
+class StandardLiftings(NamedTuple):
+    """A shape's standard-tableau liftings S and the rows U of its stored
+    eigenvectors at the reduced liftings' vertices, where rank 0 lands
+    under each lifting.  Analysis and synthesis go through S alone (see
+    :mod:`permaframe.frame`)."""
+
+    standard: np.ndarray  # (d,) intp: S, as indices into reduced_row_words
+    vertices: np.ndarray  # (z,) intp: the vertex of each reduced row word; U = V[vertices]
+    inverse: np.ndarray  # (d, d): the inverse of U_S = V[vertices[standard]]
 
 
 @dataclass
@@ -110,6 +128,19 @@ class SchreierBundle:
     @property
     def c_bar(self) -> float:
         return multiplicity_constants(self.shape).c_bar
+
+    @cached_property
+    def liftings(self) -> StandardLiftings:
+        """Derived on first use, which loading a cache is not.  Row words in
+        canonical order have increasing keys, so a word's index is a
+        ``searchsorted`` of its key.  U_S is invertible: the standard
+        polytabloids are unitriangular on the standard tabloids."""
+        powers = key_powers(self.shape)
+        reduced = reduced_row_words(self.shape).astype(np.intp) @ powers
+        vertices = np.searchsorted(self.graph.row_words.astype(np.intp) @ powers, reduced)
+        standard = np.searchsorted(reduced, standard_row_words(self.shape).astype(np.intp) @ powers)
+        inverse = np.linalg.inv(self.spectrum.vectors[vertices[standard]])
+        return StandardLiftings(standard, vertices, inverse)
 
 
 class FrameCache:
@@ -141,17 +172,22 @@ class FrameCache:
     # -- lifting column maps -----------------------------------------------
 
     def iter_lifting_maps(
-        self, shape: IntegerPartition, ranks: np.ndarray, *, table: np.ndarray | None = None
+        self, shape: IntegerPartition, ranks: np.ndarray, liftings: Sequence[int] | None = None,
+        *, table: np.ndarray | None = None,
     ) -> Iterator[tuple[int, np.ndarray]]:
         """(t, vertex per rank of ``ranks`` under the t-th reduced lifting)
-        pairs for t = 0..z-1 in canonical order: each map is the column map
-        of row t of ``reduced_row_words(shape)`` at ``ranks``, as a fresh
-        intp array.  The keys of ``LIFTING_BATCH`` liftings are one product
-        of their row words with the ranks' ``position_powers``.  ``table`` is
-        the shape's ``vertex_table``, built here when not given: a caller
-        that maps one shape over several sets of ranks builds it once."""
+        pairs for each t of ``liftings``, ascending indices into
+        ``reduced_row_words(shape)`` (all z when not given): each map is the
+        column map of row t at ``ranks``, as a fresh intp array.  No other
+        lifting is mapped.  The keys of ``LIFTING_BATCH`` liftings are one
+        product of their row words with the ranks' ``position_powers``.
+        ``table`` is the shape's ``vertex_table``, built here when not given:
+        a caller that maps one shape over several sets of ranks builds it
+        once."""
         bundle = self.bundle(shape)
-        rows = reduced_row_words(bundle.shape).astype(np.float64)
+        reduced = reduced_row_words(bundle.shape)
+        index = np.arange(len(reduced)) if liftings is None else np.asarray(liftings, dtype=np.intp)
+        rows = reduced[index].astype(np.float64)
         powers = position_powers(bundle.shape, unrank_words(self.n, ranks))
         if table is None:
             table = vertex_table(bundle.shape)
@@ -160,7 +196,7 @@ class FrameCache:
         for start in range(0, len(rows), LIFTING_BATCH):
             batch = rows[start : start + LIFTING_BATCH]
             np.matmul(batch, powers, out=keys[: len(batch)])
-            for t, key in enumerate(keys[: len(batch)], start):
+            for t, key in zip(index[start : start + len(batch)].tolist(), keys):
                 yield t, table.take(key.astype(np.intp))
 
     def perm_vectors(self, shape: IntegerPartition) -> list[tuple[int, np.ndarray]]:

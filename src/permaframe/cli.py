@@ -91,14 +91,14 @@ def _load_inputs(args) -> tuple[cache_mod.FrameCache, frame.Signal, str]:
     return cache, tally(ballots), ballots.label
 
 
-def _shape_subset(cache, count: int | None):
+def _shape_subset(shapes, count: int | None):
+    """The first ``count`` of ``shapes``, None when not given; a count past
+    the list is refused."""
     if count is None:
         return None
-    if count < 1 or count > len(cache.shapes):
-        raise ValidationError(
-            f"--shapes {count} out of range 1..{len(cache.shapes)}"
-        )
-    return list(cache.shapes[:count])
+    if count < 1 or count > len(shapes):
+        raise ValidationError(f"--shapes {count} out of range 1..{len(shapes)}")
+    return list(shapes[:count])
 
 
 def _write_out(path: str | None, write: Callable[[TextIO], object]) -> None:
@@ -127,7 +127,9 @@ def cmd_setup(args) -> int:
             f"full transpose-reduced setup is refused above n={cache_mod.FULL_H_MAX_N}; "
             f"pass --shapes K to build the first K shapes"
         )
+    # a count below 1 is refused here, one past the list by _shape_subset
     shapes = cache_mod.resolve_shape_list(n, "h", args.shapes)
+    shapes = _shape_subset(shapes, args.shapes) or shapes
     # a root that cannot be made fails here, not after the eigensolves
     try:
         Path(args.cache).mkdir(parents=True, exist_ok=True)
@@ -160,7 +162,7 @@ def cmd_analyze(args) -> int:
         table = frame.analyze(
             cache,
             signal,
-            shapes=_shape_subset(cache, args.shapes),
+            shapes=_shape_subset(cache.shapes, args.shapes),
             max_eigs=args.max_eigs,
             dataset=label,
         )
@@ -184,7 +186,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_energy(args) -> int:
     cache, signal, _ = _load_inputs(args)
-    shapes = _shape_subset(cache, args.shapes)
+    shapes = _shape_subset(cache.shapes, args.shapes)
     if args.conjugates == "on" or (args.conjugates == "auto" and shapes is None):
         table, flipped = frame.analyze_with_conjugates(cache, signal, shapes=shapes)
         rows = table.energy_rows() + frame.conjugate_energy_rows(flipped)
@@ -206,7 +208,7 @@ def cmd_top(args) -> int:
     table = frame.analyze(
         cache,
         signal,
-        shapes=_shape_subset(cache, args.shapes),
+        shapes=_shape_subset(cache.shapes, args.shapes),
     )
     # a stable sort keeps report order among equal magnitudes
     alphas = np.concatenate([b.alphas.ravel() for b in table.blocks])

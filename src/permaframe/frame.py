@@ -2,37 +2,34 @@
 energy decompositions, isotypic projections, graph Fourier transform and the
 transpose-shape sign trick.
 
-Both directions map block leaders through every reduced lifting
-(:meth:`~permaframe.cache.FrameCache.iter_lifting_maps`, liftings in
-canonical order).  The rank b*k! leads the k! consecutive ranks from it on,
-whose rankings differ from its own only in their last k entries, so under
-every lifting their vertices follow from the leader's through the shape's
-suffix action table (:func:`~permaframe.schreier.suffix_action`).  Synthesis
-combines each lifting's eigenvectors once per shape and spreads the result
-back over all n! ranks, mapping every leader at k = ``SUFFIX_LENGTH`` and
-summing liftings in canonical order.  Analysis maps the leaders of the
-blocks that the signal's nonzeros touch, at a k chosen from the support
-(k = 1 maps the nonzeros themselves), accumulates the signal
-onto the graph through each lifting's column map, and takes inner products
-with the stored eigenvectors, scaled by the frame constant.  It sums each
-vertex's even and odd rankings apart, which also yields the sign-flipped
-signal's accumulation: that completes the shapes whose transpose is not
-cached (:func:`analyze_with_conjugates`).  Only source shapes are mapped
-over the signal (:func:`_sources`): a cached shape whose rows are unions of a
-source's rows reads each lifting's bins off a source lifting's through a
-vertex map (:func:`~permaframe.schreier.merge_maps`), so a subset of coarse
-shapes maps their source.  A tally's bins are integers, exact in any order,
-so its coefficients are those of mapping every shape; a float signal's move
-in the last bits.  Neither direction materializes
-length-n! atoms or index maps; atoms exist only for tests and small-n
-inspection.
+Both directions map block leaders through each shape's d standard-tableau
+liftings S only (:meth:`~permaframe.cache.FrameCache.iter_lifting_maps`,
+:class:`~permaframe.cache.StandardLiftings`).  Lifting t's coefficients are
+c_bar V^T x_t = c_bar F u_t, F the signal's Fourier coefficient at the shape
+in the stored eigenbasis V and u_t the row of V at the vertex rank 0 lands
+on, so the block is alpha = c_bar F U^T with U^T U = (z/m) I and U_S
+invertible.  The rank b*k! leads the k! consecutive ranks from it on, whose
+rankings differ from its own only in their last k entries, so their
+vertices follow from the leader's through the shape's suffix action table
+(:func:`~permaframe.schreier.suffix_action`).  Synthesis folds each block to
+the standard liftings and maps every leader at k = ``SUFFIX_LENGTH``.
+Analysis maps the leaders of the blocks that the signal's nonzeros touch, at
+a k chosen from the support (k = 1 maps the nonzeros themselves), and sums
+each vertex's even and odd rankings apart, which also yields the
+sign-flipped signal's accumulation: that completes the shapes whose
+transpose is not cached (:func:`analyze_with_conjugates`).  Only source
+shapes are mapped over the signal (:func:`_sources`): a cached shape whose
+rows are unions of a source's rows reads its bins off a source lifting's
+through a vertex map (:func:`~permaframe.schreier.merge_maps`).  Neither
+direction materializes length-n! atoms or index maps; atoms exist only for
+tests and small-n inspection.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 from typing import Iterator, Sequence, TextIO
 
@@ -159,30 +156,53 @@ class AtomId:
 class ShapeBlock:
     """All analysis coefficients for one shape: row r is the r-th stored
     eigenvector (eigenvalues ascending, then k), column t the t-th reduced
-    lifting in canonical order."""
+    lifting in canonical order.
+
+    Analysis makes a block from ``fourier``, c_bar F over all d stored
+    eigenvectors (see :func:`_analyze_blocks`), and its shape's ``bundle``:
+    its alphas, c_bar F U^T over every row cut to the block's rows, are
+    formed on first read, and its energies need only c_bar F, since
+    U^T U = (z/m) I."""
 
     shape: IntegerPartition
     c_bar: float
     keys: np.ndarray  # (R,) int64
     ks: np.ndarray  # (R,) int64
-    alphas: np.ndarray  # (R, z)
+    _alphas: np.ndarray | None = None  # (R, z)
+    fourier: np.ndarray | None = None  # (d, d)
+    bundle: SchreierBundle | None = field(default=None, repr=False)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        if self._alphas is None:
+            b = self.bundle
+            alphas = self.fourier @ b.spectrum.vectors[b.liftings.vertices].T
+            rows = self.num_rows
+            self._alphas = alphas if rows == len(alphas) else alphas[:rows].copy()
+        return self._alphas
 
     @property
     def num_rows(self) -> int:
-        return self.alphas.shape[0]
+        return len(self.keys)
 
     @property
     def z(self) -> int:
-        return self.alphas.shape[1]
+        return self.alphas.shape[1] if self.bundle is None else self.bundle.z
+
+    def row_energies(self) -> np.ndarray:
+        """The squared norm of each row of alphas, read off c_bar F when the
+        block holds it."""
+        if self.fourier is None:
+            return (self.alphas**2).sum(axis=1)
+        return (self.fourier[: self.num_rows] ** 2).sum(axis=1) * (self.bundle.z / self.bundle.m)
 
     def energy(self) -> float:
-        return float((self.alphas**2).sum())
+        return float(self.row_energies().sum())
 
     def energy_by_key(self) -> dict[int, float]:
         out: dict[int, float] = {}
-        row_energy = (self.alphas**2).sum(axis=1)
-        for key, e in zip(self.keys, row_energy):
-            out[int(key)] = out.get(int(key), 0.0) + float(e)
+        for key, e in zip(self.keys.tolist(), self.row_energies().tolist()):
+            out[key] = out.get(key, 0.0) + e
         return out
 
 
@@ -204,7 +224,7 @@ class CoefficientTable:
 
     @property
     def row_count(self) -> int:
-        return sum(b.alphas.size for b in self.blocks)
+        return sum(b.num_rows * b.z for b in self.blocks)
 
     def total_energy(self) -> float:
         return sum(b.energy() for b in self.blocks)
@@ -241,11 +261,11 @@ class CoefficientTable:
         if index < 0:
             raise IndexError("negative row index")
         for b in self.blocks:
-            if index < b.alphas.size:
+            if index < b.num_rows * b.z:
                 r, t = divmod(index, b.z)
                 rep = OrderedSetPartition(tuple(reduced_row_words(b.shape)[t].tolist()))
                 return AtomId(b.shape, int(b.keys[r]), int(b.ks[r]), rep), float(b.alphas[r, t])
-            index -= b.alphas.size
+            index -= b.num_rows * b.z
         raise IndexError("row index past the end of the table")
 
     def filter(
@@ -264,16 +284,9 @@ class CoefficientTable:
         for b in self.blocks:
             if keep is not None and b.shape not in keep:
                 continue
-            rows = b.num_rows if max_eigs is None else min(b.num_rows, max_eigs)
-            blocks.append(
-                ShapeBlock(
-                    b.shape,
-                    b.c_bar,
-                    b.keys[:rows],
-                    b.ks[:rows],
-                    b.alphas[:rows],
-                )
-            )
+            rows = slice(max_eigs)
+            alphas = None if b._alphas is None else b._alphas[rows]
+            blocks.append(replace(b, keys=b.keys[rows], ks=b.ks[rows], _alphas=alphas))
         provenance = dict(self.provenance)
         provenance["filtered"] = True
         return CoefficientTable(self.n, blocks, provenance)
@@ -407,35 +420,41 @@ def _sources(cache: FrameCache, nonzeros: int) -> dict[IntegerPartition, Integer
 
 
 class _Projector:
-    """One shape's coefficient blocks, filled one lifting at a time from its
-    vertex sums: E + O for the signal and, when flipped, E - O for its sign
-    flip, each dotted with the stored eigenvectors."""
+    """One shape's coefficient blocks from its vertex sums at its standard
+    liftings S: X_S holds one row per lifting of S, E + O for the signal
+    and, when flipped, E - O for its sign flip."""
 
-    def __init__(self, bundle: SchreierBundle, max_eigs: int | None, flipped: bool) -> None:
+    def __init__(self, bundle: SchreierBundle, flipped: bool) -> None:
         self.bundle = bundle
-        self.rows = bundle.spectrum.eigenvector_rows()[:max_eigs]
-        self.vectors_t = bundle.spectrum.vectors[:, : len(self.rows)].T
         combines = [np.add, np.subtract] if flipped else [np.add]
-        self.jobs = [(combine, np.empty((len(self.rows), bundle.z))) for combine in combines]
-        self.projection = np.empty(bundle.m)
+        self.jobs = [(combine, np.empty((bundle.d, bundle.m))) for combine in combines]
 
-    def add(self, t: int, sums: np.ndarray, bin_map: np.ndarray | None = None) -> None:
-        """Lifting t's coefficients from its bins, or from a source
-        lifting's bins ``sums`` carried to its bins by ``bin_map``."""
+    def add(self, j: int, sums: np.ndarray, bin_map: np.ndarray | None = None) -> None:
+        """Row j of X_S from its lifting's bins, or from a source lifting's
+        bins ``sums`` carried to its bins by ``bin_map``."""
         if bin_map is not None:
             sums = np.bincount(bin_map, weights=sums, minlength=2 * self.bundle.m)
-        for combine, alphas in self.jobs:
-            combine(sums[0::2], sums[1::2], out=self.projection)
-            alphas[:, t] = self.vectors_t @ self.projection
+        for combine, x in self.jobs:
+            combine(sums[0::2], sums[1::2], out=x[j])
 
-    def blocks(self) -> list[ShapeBlock]:
+    def blocks(self, max_eigs: int | None) -> list[ShapeBlock]:
+        """c_bar F = c_bar V^T X_S^T U_S^-T per job, over every row, and
+        X_S freed.  The stored eigenvectors of every shape but (n) are
+        orthogonal to the constant, so each row of X_S first loses its
+        rounded mean: exact on integer bins, it keeps a large constant part
+        of a tally out of the products."""
         b = self.bundle
-        keys = np.array([row[1] for row in self.rows], dtype=np.int64)
-        ks = np.array([row[2] for row in self.rows], dtype=np.int64)
+        rows = b.spectrum.eigenvector_rows()[:max_eigs]
+        keys = np.array([row[1] for row in rows], dtype=np.int64)
+        ks = np.array([row[2] for row in rows], dtype=np.int64)
         out = []
-        for _combine, alphas in self.jobs:
-            alphas *= b.c_bar
-            out.append(ShapeBlock(b.shape, b.c_bar, keys, ks, alphas))
+        for _combine, x in self.jobs:
+            if len(b.shape) > 1:
+                x -= np.rint(x.mean(axis=1, keepdims=True))
+            fourier = (b.spectrum.vectors.T @ x.T) @ b.liftings.inverse.T
+            fourier *= b.c_bar
+            out.append(ShapeBlock(b.shape, b.c_bar, keys, ks, None, fourier, b))
+        self.jobs = []
         return out
 
 
@@ -448,7 +467,7 @@ def _analyze_blocks(
 ) -> tuple[list[ShapeBlock], list[ShapeBlock]]:
     """Blocks of ``signal`` on ``shape_list`` and of ``sign_flip(signal)`` on
     ``flipped_shapes`` (a subset), from one pass over each source shape's
-    liftings.
+    liftings that the shapes' standard liftings read.
 
     Each lifting maps one ranking, the leader, per k!-block of ranks that the
     signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 maps the
@@ -462,11 +481,12 @@ def _analyze_blocks(
     bit for bit the same for every k.  Analyzing ``sign_flip(signal)`` swaps
     O for -O exactly, so the flipped blocks equal its direct ones.
 
+    Only each shape's standard liftings are read (see :class:`_Projector`).
     A shape with a source (:func:`_sources`) is not mapped: each lifting's
     bins are one ``bincount`` of a source lifting's bins through a vertex
-    map, which keeps parity.  The sources depend only on the cache and the
-    nonzero count, so the identities above, subsets and ``max_eigs`` keep
-    every bit."""
+    map, which keeps parity, and a source maps only the liftings read off
+    it.  The sources depend only on the cache and the nonzero count, so the
+    identities above, subsets and ``max_eigs`` keep every bit."""
     support = np.flatnonzero(signal.values)
     k, blocks = _walked_blocks(signal.n, support)
     walked = blocks * factorial(k)
@@ -480,46 +500,47 @@ def _analyze_blocks(
     walks: dict[IntegerPartition, list[IntegerPartition]] = {}
     for shape in shape_list:
         walks.setdefault(plan[shape], []).append(shape)
-    projectors: dict[IntegerPartition, _Projector] = {}
-    # in cache order, each shape's blocks made as its source is mapped: the
-    # largest key table meets no more blocks than when every shape was mapped
+    made: dict[IntegerPartition, list[ShapeBlock]] = {}
+    # in cache order, each source group's X_S filled, turned into blocks and
+    # freed before the next source is mapped
     for source in [s for s in cache.shapes if s in walks]:
         bundle = cache.bundle(source)
-        # per source lifting: (projector, its lifting, source bin -> its bin)
-        readers: list[list] = [[] for _ in range(bundle.z)]
-        for shape in walks[source]:
-            projector = _Projector(cache.bundle(shape), max_eigs, shape in flipped_shapes)
-            projectors[shape] = projector
-            if shape == source:
-                for t in range(bundle.z):
-                    readers[t].append((projector, t, None))
-                continue
-            merge = merge_maps(source, shape)
-            # source bin 2v + p -> bin 2 vertex_map[v] + p, per row map
-            pairs = 2 * merge.vertex_maps[:, :, None] + [0, 1]
-            bin_maps = list(pairs.reshape(len(merge.rows), -1))
-            for t, (s, q) in enumerate(zip(merge.source.tolist(), merge.map_index.tolist())):
-                readers[s].append((projector, t, bin_maps[q]))
+        projectors = {
+            shape: _Projector(cache.bundle(shape), shape in flipped_shapes)
+            for shape in walks[source]
+        }
+        # per source lifting read: (projector, its row of X_S, source bin -> its bin)
+        readers: dict[int, list] = {}
+        for shape, projector in projectors.items():
+            reads = [(t, None) for t in projector.bundle.liftings.standard.tolist()]
+            if shape != source:
+                merge = merge_maps(source, shape)
+                # source bin 2v + p -> bin 2 vertex_map[v] + p, per row map
+                pairs = 2 * merge.vertex_maps[:, :, None] + [0, 1]
+                bin_maps = pairs.reshape(len(merge.rows), -1)
+                reads = [(int(merge.source[t]), bin_maps[merge.map_index[t]]) for t, _ in reads]
+            for j, (t, bin_map) in enumerate(reads):
+                readers.setdefault(t, []).append((projector, j, bin_map))
         table = vertex_table(source)
         # row 2v + p: the bins of a block whose leader is at v with parity p
         action = suffix_action(source, k, table)
         expand = (2 * action[:, None, :] + parity).reshape(2 * bundle.m, -1)
-        for t, col in cache.iter_lifting_maps(source, walked, table=table):
-            if not readers[t]:
-                continue
+        for t, col in cache.iter_lifting_maps(source, walked, sorted(readers), table=table):
             bins = np.multiply(col, 2, out=col)
             bins += odd
             # the indices are in range; "clip" lets take write into spread
             # directly, where "raise" would buffer
             bins = expand.take(bins, axis=0, out=spread, mode="clip").reshape(-1)
             sums = np.bincount(bins, weights=values, minlength=2 * bundle.m)
-            for projector, target, bin_map in readers[t]:
-                projector.add(target, sums, bin_map)
+            for projector, j, bin_map in readers[t]:
+                projector.add(j, sums, bin_map)
         del table  # one shape's key table at a time
+        for shape, projector in projectors.items():
+            made[shape] = projector.blocks(max_eigs)
     direct: list[ShapeBlock] = []
     flipped: list[ShapeBlock] = []
     for shape in shape_list:
-        for out, block in zip((direct, flipped), projectors[shape].blocks()):
+        for out, block in zip((direct, flipped), made[shape]):
             out.append(block)
     return direct, flipped
 
@@ -544,10 +565,11 @@ def analyze(
 ) -> CoefficientTable:
     """Analysis coefficients of a signal against the cached frame.
 
-    Per shape and reduced lifting, the signal is projected onto the Schreier
-    graph once through the lifting's column map and dotted with every
-    requested eigenvector.  ``max_eigs`` keeps only the first
-    min(max_eigs, d) eigenvectors per shape (eigenvalues ascending).
+    Per shape, the signal is projected onto the Schreier graph through the
+    column map of each standard lifting, and every reduced lifting's
+    coefficients follow (see :func:`_analyze_blocks`).  ``max_eigs`` keeps
+    only the first min(max_eigs, d) eigenvectors per shape (eigenvalues
+    ascending), the rows the full table holds.
     """
     _check_max_eigs(max_eigs)
     _check_signal(cache, signal)
@@ -626,12 +648,14 @@ def synthesize(
     (tight Parseval frame); a filtered table yields the orthogonal projection
     onto the selected shape-eigenvalue spaces.
 
-    Shape by shape, each lifting's weights (all its eigenvectors combined, one
-    column per table holding the shape) are computed once.  With k =
-    min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k! (its
+    Shape by shape, each block alpha (R x z), from analysis or not, folds
+    to beta = alpha U U_S^-1 (R x d), which synthesizes the same signal
+    through the standard liftings S alone, and each lifting of S gets its
+    weights c_bar V beta (one column per table holding the shape).  With
+    k = min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k! (its
     block's leader) with its last k entries permuted by the j-th permutation
     of k items, so its vertex is ``suffix_action(shape, k)[leader's vertex,
-    j]``.  Each lifting maps the n!/k! leaders only, in blocks of
+    j]``.  Each lifting of S maps the n!/k! leaders only, in blocks of
     SYNTHESIS_BLOCK // k!.  Per lifting and block, the lifting's weights are
     laid out as an (m, k!, tables) table through the action, its rows at the
     leaders' vertices are gathered through the lifting's map, and they are
@@ -656,10 +680,13 @@ def synthesize(
     acc = np.zeros((leaders, factorial(k), len(tables)))
     for shape, shape_jobs in jobs.items():
         bundle = cache.bundle(shape)
-        weights = np.empty((bundle.z, bundle.m, len(shape_jobs)))
+        lifts = bundle.liftings
+        u = bundle.spectrum.vectors[lifts.vertices]
+        weights = np.empty((bundle.d, bundle.m, len(shape_jobs)))
         for i, (_j, vectors, block) in enumerate(shape_jobs):
-            for t in range(bundle.z):
-                weights[t, :, i] = block.c_bar * (vectors @ block.alphas[:, t])
+            beta = (block.alphas @ u) @ lifts.inverse
+            weights[:, :, i] = (block.c_bar * (vectors @ beta)).T
+        del u
         table = vertex_table(shape)
         action = suffix_action(shape, k, table)
         # the tables holding the shape are both or one: a slice of acc's last axis
@@ -672,10 +699,11 @@ def synthesize(
             rows = acc[start : start + per_block, :, columns]
             ranks = np.arange(start, start + len(rows)) * factorial(k)
             block = gathered[: len(rows)]
-            for t, col in cache.iter_lifting_maps(shape, ranks, table=table):
+            maps = cache.iter_lifting_maps(shape, ranks, lifts.standard, table=table)
+            for w, (_t, col) in zip(weights, maps):
                 # the indices are in range; "clip" lets take write into out=
                 # directly, where "raise" would buffer
-                weights[t].take(action, axis=0, out=suffix, mode="clip")
+                w.take(action, axis=0, out=suffix, mode="clip")
                 suffix.take(col, axis=0, out=block, mode="clip")
                 np.add(rows, block, out=rows)
         del table  # one shape's key table at a time

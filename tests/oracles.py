@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as iperm
-from math import factorial
+from math import factorial, sqrt
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -30,6 +30,7 @@ from permaframe.combinatorics import (
     reading_order_partition,
     reduced_representatives,
     row_word_matrix,
+    standard_row_words,
     unrank_words,
     weakly_dominates,
     word_table,
@@ -918,3 +919,32 @@ def reference_specht_spectrum(shape: IntegerPartition) -> ShapeSpectrum:
     block = q.T @ (lap @ q)
     values, coeffs = scipy.linalg.eigh(0.5 * (block + block.T))
     return _finalize_spectrum(shape, values, q @ coeffs, lambda x: lap @ x)
+
+
+def yor_laplacian(shape: IntegerPartition) -> np.ndarray:
+    """The Schreier Laplacian on the shape's Specht module, sum over i of
+    I - rho(s_i), in Young's orthogonal form on the standard tableaux T (the
+    rows of ``standard_row_words``): no graph, polytabloid or eigenvector.
+
+    With r the content (column minus row) of element i+1 less that of i,
+    rho(s_i) e_T = (1/r) e_T + sqrt(1 - 1/r**2) e_{s_i T}: +1 when i and
+    i+1 share a row (r = 1), -1 when they share a column (r = -1), and
+    otherwise s_i T, the tableau with i and i+1 swapped, is standard too.
+    A loop of the graph is a swap inside a row, whose term is zero, so the
+    matrix is symmetric and its eigenvalues, with multiplicities, are the
+    shape's Laplacian eigenvalues."""
+    words = standard_row_words(shape).astype(np.intp)
+    d, n = words.shape
+    # an element's column counts the smaller elements in its row
+    columns = np.stack([(words[:, :j] == words[:, [j]]).sum(axis=1) for j in range(n)], axis=1)
+    content = columns - words
+    index = {w: t for t, w in enumerate(map(tuple, words.tolist()))}
+    lap = np.zeros((d, d))
+    for i in range(n - 1):
+        for t, r in enumerate((content[:, i + 1] - content[:, i]).tolist()):
+            lap[t, t] += 1 - 1 / r
+            if abs(r) > 1:
+                swapped = list(words[t])
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                lap[t, index[tuple(swapped)]] -= sqrt(1 - 1 / r**2)
+    return lap

@@ -1021,6 +1021,18 @@ def test_cli_setup_rejects_a_shape_count_below_one(workdir, capsys, k):
     assert not (workdir / "c").exists()
 
 
+@pytest.mark.parametrize("k", [4, 99])
+def test_cli_setup_rejects_a_shape_count_past_the_list(workdir, capsys, k):
+    # n = 4's transpose-reduced list holds 3 shapes: a larger count is
+    # refused as the analysis commands refuse it, before the cache root is
+    # created, not built as the whole list
+    assert run_cli("setup", "--n", 4, f"--shapes={k}", "--cache", workdir / "c") == 2
+    assert capsys.readouterr().err == f"error: --shapes {k} out of range 1..3\n"
+    assert not (workdir / "c").exists()
+    assert run_cli("setup", "--n", 4, "--shapes=3", "--cache", workdir / "c") == 0
+    assert (workdir / "c" / "n=4" / "manifest.json").exists()
+
+
 ANALYSIS_COMMANDS = {
     "analyze": ["analyze"],
     "energy": ["energy"],

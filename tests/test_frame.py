@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from functools import lru_cache
 from math import cos, factorial, pi, sqrt
@@ -26,6 +25,7 @@ from permaframe.errors import ValidationError
 from permaframe.frame import (
     AtomId,
     CoefficientTable,
+    ShapeBlock,
     Signal,
     analyze,
     analyze_with_conjugates,
@@ -43,6 +43,7 @@ from permaframe.schreier import (
     build_characteristic,
     build_schreier,
     characteristic_column_map,
+    merge_maps,
 )
 from permaframe.spectral import eigenvalue_key, key_to_value
 
@@ -378,13 +379,18 @@ def test_synthesis_cases_have_ragged_leader_blocks():
         assert any(ragged_leader_blocks(n, b, k) for n, b in SYNTHESIS_CASES if n >= k)
 
 
+def signals_match(got, want) -> bool:
+    """Equal to 1e-12 of the reference's largest |value|."""
+    return np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("n, block", SYNTHESIS_CASES)
 def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
     # neither the leader blocks (several, the last ragged) nor the suffix
     # length (1 walks every rank; it is clipped to n) changes a bit: every
     # ranking sums the same terms in the same order as one walk over all n!
-    # ranks
-    monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", block)
+    # ranks.  Synthesis through the standard liftings meets the reference,
+    # which maps every lifting, to rounding
     cache = build_cache(n, "h")
     f = Signal.random(n, rng)
     direct, flipped = analyze_with_conjugates(cache, f)
@@ -397,38 +403,54 @@ def test_blocked_synthesis_matches_the_reference(n, block, monkeypatch, rng):
         (direct.filter(shapes=top[1:]), flipped),  # some shapes in one table only
         (direct.filter(max_eigs=2), flipped.filter(max_eigs=1)),
     ]
-    expected = [reference_synthesize(cache, *tables).values for tables in cases]
     g = cache.shapes[-1]
-    projection = reference_synthesize(cache, analyze(cache, f, shapes=[g])).values
+    projection = analyze(cache, f, shapes=[g])
+    expected = [reference_synthesize(cache, *tables).values for tables in cases]
+    expected.append(reference_synthesize(cache, projection).values)
+    first = [synthesize(cache, *tables).values for tables in cases]
+    first.append(isotypic_project(cache, f, g).values)
+    assert all(signals_match(got, want) for got, want in zip(first, expected))
+    monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", block)
     for k in range(1, 5):
         monkeypatch.setattr(frame, "SUFFIX_LENGTH", k)
-        for tables, want in zip(cases, expected):
+        for tables, want in zip(cases, first):
             assert np.array_equal(synthesize(cache, *tables).values, want)
-        assert np.array_equal(isotypic_project(cache, f, g).values, projection)
+        assert np.array_equal(isotypic_project(cache, f, g).values, first[-1])
 
 
-def count_walked_ranks(monkeypatch) -> dict[IntegerPartition, int]:
-    """From now on, the ranks each shape's liftings are mapped over, summed."""
+def count_walks(monkeypatch) -> tuple[dict[IntegerPartition, int], dict[IntegerPartition, int]]:
+    """From now on, per shape: the ranks its liftings are mapped over and the
+    liftings mapped, each summed over calls."""
     walked: dict[IntegerPartition, int] = {}
+    mapped: dict[IntegerPartition, int] = {}
     walk = FrameCache.iter_lifting_maps
 
-    def counting_walk(self, shape, ranks, **kwargs):
+    def counting_walk(self, shape, ranks, *args, **kwargs):
         walked[shape] = walked.get(shape, 0) + len(ranks)
-        return walk(self, shape, ranks, **kwargs)
+        for item in walk(self, shape, ranks, *args, **kwargs):
+            mapped[shape] = mapped.get(shape, 0) + 1
+            yield item
 
     monkeypatch.setattr(FrameCache, "iter_lifting_maps", counting_walk)
-    return walked
+    return walked, mapped
 
 
 def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
     # each shape's liftings are mapped over the n!/4! block leaders,
-    # never over every rank, however the leaders are split into blocks
+    # never over every rank, however the leaders are split into blocks, and
+    # only its d standard liftings are mapped, once per block of leaders
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
     cache = build_cache(6, "h")
     direct, flipped = analyze_with_conjugates(cache, Signal.random(6, rng))
-    walked = count_walked_ranks(monkeypatch)
+    walked, mapped = count_walks(monkeypatch)
     synthesize(cache, direct, flipped)
-    assert walked == {g: factorial(6) // factorial(4) for g in cache.shapes}
+    leaders = factorial(6) // factorial(4)
+    assert walked == {g: leaders for g in cache.shapes}
+    blocks = -(-leaders // (100 // factorial(4)))
+    assert mapped == {g: blocks * hook_dimension(g) for g in cache.shapes}
+    assert sum(map(hook_dimension, cache.shapes)) < sum(
+        multiplicity_constants(g).z for g in cache.shapes
+    )
 
 
 def analysis_signals(n, rng):
@@ -487,6 +509,22 @@ def test_analysis_suffix_lengths_match_the_reference(n, monkeypatch, rng):
                 assert same_blocks(got, table)
 
 
+def standard_indices(g: IntegerPartition) -> list[int]:
+    """The reduced liftings of ``g`` that are standard Young tableaux: rows
+    increasing down every column once each block is sorted."""
+    out = []
+    for t, rep in enumerate(reduced_representatives(g)):
+        blocks = rep.blocks
+        if all(
+            blocks[r + 1][c] > blocks[r][c]
+            for r in range(len(blocks) - 1)
+            for c in range(len(blocks[r + 1]))
+        ):
+            out.append(t)
+    assert len(out) == hook_dimension(g)
+    return out
+
+
 def test_analysis_walks_leaders_of_dense_tallies_and_nonzeros_of_sparse_ones(
     monkeypatch, rng
 ):
@@ -494,27 +532,43 @@ def test_analysis_walks_leaders_of_dense_tallies_and_nonzeros_of_sparse_ones(
     # even with a few zero counts; a sparse one walks its nonzeros.  Only
     # source shapes are walked, the shapes with fewer bins (2m) than
     # nonzeros that no other such shape refines, and the shapes that no
-    # source refines; a coarse-only subset walks its source
+    # source refines; a coarse-only subset walks its source.  A source maps
+    # only its own standard liftings and those that its readers' standard
+    # liftings read off it, never all z
     cache = build_cache(6, "h")
     dense = rng.integers(1, 9, size=factorial(6)).astype(float)
     dense[rng.choice(factorial(6), size=20, replace=False)] = 0.0
     sparse = np.zeros(factorial(6))
     sparse[rng.choice(factorial(6), size=40, replace=False)] = 1.0
     # 700 nonzeros: every shape has fewer bins, (4,1,1) and (3,2,1) refine
-    # the rest; 40 nonzeros: only (6), (5,1) and (4,2) have fewer bins
+    # the rest; 40 nonzeros: only (6), (5,1) and (4,2) have fewer bins.  The
+    # sources map 11 of 15 and 16 of 60 liftings on the dense tally, and 45
+    # of the 106 reduced liftings of the five walked shapes on the sparse one
     dense_walks = [shape(4, 1, 1), shape(3, 2, 1)]
     sparse_walks = [shape(5, 1), shape(4, 2), shape(4, 1, 1), shape(3, 3), shape(3, 2, 1)]
     for values, ranks, walks, coarse in (
         (dense, factorial(6) // factorial(4), dense_walks, shape(4, 1, 1)),
         (sparse, 40, sparse_walks, shape(5, 1)),
     ):
-        walked = count_walked_ranks(monkeypatch)
+        plan = frame._sources(cache, np.count_nonzero(values))
+        needed = {source: set() for source in walks}
+        for g in cache.shapes:
+            source = plan[g]
+            read = standard_indices(g)
+            if source != g:
+                read = merge_maps(source, g).source[read].tolist()
+            needed[source].update(read)
+        walked, mapped = count_walks(monkeypatch)
         analyze_with_conjugates(cache, Signal(6, values))
         analyze(cache, Signal(6, values), max_eigs=1)
         assert walked == {g: 2 * ranks for g in walks}
+        assert mapped == {g: 2 * len(needed[g]) for g in walks}
+        assert all(len(needed[g]) < multiplicity_constants(g).z for g in dense_walks)
         walked.clear()
+        mapped.clear()
         analyze(cache, Signal(6, values), shapes=[shape(6)])
         assert walked == {coarse: ranks}
+        assert mapped == {coarse: 1}  # (6) has one standard lifting
 
 
 def near_exact_counts(n, rng):
@@ -527,43 +581,53 @@ def near_exact_counts(n, rng):
     ]
 
 
-def blocks_match(got, want, exact) -> bool:
-    """Equal bit for bit, or else to 1e-12 of each block's largest |alpha|."""
+def blocks_match(got, want) -> bool:
+    """Equal to 1e-12 of each block's largest |alpha|."""
     if [x.shape for x in got] != [y.shape for y in want]:
         return False
-    for x, y in zip(got, want):
-        if exact:
-            if not np.array_equal(x.alphas, y.alphas):
-                return False
-        elif not np.allclose(x.alphas, y.alphas, rtol=0, atol=1e-12 * np.abs(y.alphas).max()):
-            return False
-    return True
+    return all(
+        np.allclose(x.alphas, y.alphas, rtol=0, atol=1e-12 * np.abs(y.alphas).max())
+        for x, y in zip(got, want)
+    )
+
+
+def well_posed(f: Signal) -> Signal:
+    """The reference's input for ``f`` on every shape but (n).  A tally near
+    2**40 is ill-posed for the reference: its stored eigenvectors are
+    orthogonal to the constant only to rounding, so the 2**40 offset leaks
+    into every shape but (n).  Off (n), ``f`` has the coefficients of ``f``
+    less that exact constant."""
+    return Signal(f.n, f.values - 2.0**40) if f.values.max() > 2.0**39 else f
 
 
 @pytest.mark.parametrize("kind", ["h", "all"])
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_derived_analysis_matches_the_per_shape_walk(n, kind, rng):
-    # shapes read off a finer source's bins equal one walk per shape over
-    # the nonzeros: bit for bit on integer tallies, whose bins are exact
-    # integer sums, and to rounding on float signals
+    # shapes read off a finer source's bins, through their standard liftings,
+    # meet one walk of every lifting of every shape over the nonzeros to
+    # 1e-12 of each block's largest |alpha|, on float signals, integer
+    # tallies and tallies near 2**40; --shapes subsets and max_eigs rows are
+    # the full table's rows bit for bit
     cache = build_cache(n, kind)
     have = set(cache.shapes)
     conj = [s for s in cache.shapes if s.transpose() not in have]
     subsets = [[cache.shapes[0]], [cache.shapes[0], cache.shapes[-1]], cache.shapes[1:3]]
     derived = 0
     for f in analysis_signals(n, rng) + near_exact_counts(n, rng):
-        exact = np.array_equal(f.values, np.round(f.values))
         plan = frame._sources(cache, np.count_nonzero(f.values))
         derived += sum(source != g for g, source in plan.items())
         direct, flipped = analyze_with_conjugates(cache, f)
-        want_direct, want_flipped = reference_analysis(cache, f, cache.shapes, None, conj)
-        assert blocks_match(direct.blocks, want_direct, exact)
-        assert blocks_match(flipped.blocks, want_flipped, exact)
+        ref = well_posed(f)
+        want_direct, want_flipped = reference_analysis(cache, ref, cache.shapes, None, conj)
+        if ref is not f:
+            # (n), first in both tables, keeps the constant
+            top_direct, top_flipped = reference_analysis(cache, f, cache.shapes[:1], None, conj)
+            want_direct[:1], want_flipped[: len(top_flipped)] = top_direct, top_flipped
+        assert blocks_match(direct.blocks, want_direct)
+        assert blocks_match(flipped.blocks, want_flipped)
         for shapes in subsets:
-            got = analyze(cache, f, shapes=shapes).blocks
-            assert blocks_match(got, reference_analysis(cache, f, shapes)[0], exact)
-        got = analyze(cache, f, max_eigs=2).blocks
-        assert blocks_match(got, reference_analysis(cache, f, cache.shapes, 2)[0], exact)
+            assert same_blocks(analyze(cache, f, shapes=shapes), direct.filter(shapes=shapes))
+        assert same_blocks(analyze(cache, f, max_eigs=2), direct.filter(max_eigs=2))
     assert derived
 
 
@@ -572,9 +636,9 @@ def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
     b = table.blocks[2]
     assert b.z > 1
 
-    def with_block(**changes):
+    def with_block(alphas=b.alphas, c_bar=b.c_bar):
         blocks = list(table.blocks)
-        blocks[2] = dataclasses.replace(b, **changes)
+        blocks[2] = ShapeBlock(b.shape, c_bar, b.keys, b.ks, alphas)
         return CoefficientTable(4, blocks)
 
     extra = np.hstack([b.alphas, b.alphas[:, :1]])
@@ -589,6 +653,91 @@ def test_synthesis_rejects_malformed_blocks(cache4_all, rng):
     for tables in ([twice], [table, twice], [twice, table]):
         with pytest.raises(ValidationError, match="twice"):
             synthesize(cache4_all, *tables)
+
+
+@pytest.mark.parametrize("kind", ["h", "all"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_standard_liftings_carry_every_lifting(n, kind, rng):
+    # per shape, U (the stored eigenvectors' rows at the reduced liftings'
+    # vertices) has U^T U = (z/m) I, and U_S at the standard liftings is
+    # invertible, with cond(U_S) below 20 (the largest at n <= 7 is 13.6, at
+    # (3,2,1,1)).  So alpha = c_bar F U^T meets the per-lifting reference to
+    # 1e-12 of each block's largest |alpha|, Parseval holds, energies read
+    # off c_bar F meet those of alpha, and a table with half its entries
+    # zeroed synthesizes as the reference does
+    cache = frame_cache(n, kind)
+    for g in cache.shapes:
+        b = cache.bundle(g)
+        lifts = b.liftings
+        u = b.spectrum.vectors[lifts.vertices]
+        assert lifts.standard.tolist() == standard_indices(g)
+        assert np.abs(u.T @ u - b.z / b.m * np.eye(b.d)).max() < 1e-13
+        assert np.linalg.cond(u[lifts.standard]) < 20
+        assert np.abs(lifts.inverse @ u[lifts.standard] - np.eye(b.d)).max() < 1e-12
+    conj = [s for s in cache.shapes if s.transpose() not in set(cache.shapes)]
+    size = factorial(n)
+
+    def half(alphas):
+        return rng.random(alphas.shape) < 0.5
+
+    for f in (Signal.random(n, rng), Signal(n, rng.integers(0, 9, size=size).astype(float))):
+        direct, flipped = analyze_with_conjugates(cache, f)
+        want_direct, want_flipped = reference_analysis(cache, f, cache.shapes, None, conj)
+        assert blocks_match(direct.blocks, want_direct)
+        assert blocks_match(flipped.blocks, want_flipped)
+        total = direct.total_energy() + flipped.total_energy()
+        assert total == pytest.approx(f.norm2(), rel=1e-12)
+        for block in direct.blocks + flipped.blocks:
+            assert np.allclose(
+                block.row_energies(), (block.alphas**2).sum(axis=1), rtol=1e-12, atol=1e-300
+            )
+        halved = [
+            CoefficientTable(n, [
+                ShapeBlock(b.shape, b.c_bar, b.keys, b.ks, np.where(half(b.alphas), 0.0, b.alphas))
+                for b in table.blocks
+            ])
+            for table in (direct, flipped)
+        ]
+        want = reference_synthesize(cache, *halved).values
+        assert signals_match(synthesize(cache, *halved).values, want)
+
+
+def test_identities_hold_at_hundreds_of_standard_liftings(monkeypatch, rng):
+    # (4,3,1,1) at n = 9 has d = 216 of z = 1,260 liftings: row subsets,
+    # the sign trick, suffix lengths, synthesis blocks and the two tables of
+    # one synthesis keep every bit there too, as the products change size
+    g = shape(4, 3, 1, 1)
+    cache = build_cache(9, [g])
+    assert cache.bundle(g).d == 216
+    size = factorial(9)
+    values = np.zeros(size)
+    touched = rng.choice(size // 24, size=60, replace=False)
+    values[(touched[:, None] * 24 + np.arange(24)).ravel()] = rng.integers(1, 9, size=60 * 24)
+    values[rng.choice(size, size=2000, replace=False)] = rng.standard_normal(2000)
+    f = Signal(9, values)
+
+    def analyses():
+        direct, flipped = analyze_with_conjugates(cache, f)
+        assert same_blocks(direct, analyze(cache, f))
+        assert same_blocks(flipped, analyze(cache, sign_flip(f)))
+        for max_eigs in (1, 5, 100):
+            cut = analyze(cache, f, max_eigs=max_eigs)
+            assert same_blocks(cut, direct.filter(max_eigs=max_eigs))
+        return direct, flipped
+
+    monkeypatch.setattr(frame, "ANALYSIS_FILL", float("inf"))
+    direct, flipped = analyses()
+    for k in (1, 2, 3):
+        monkeypatch.setattr(frame, "SUFFIX_LENGTH", k)
+        assert all(same_blocks(x, y) for x, y in zip(analyses(), (direct, flipped)))
+    monkeypatch.setattr(frame, "SUFFIX_LENGTH", 4)
+    tables = (direct, flipped.filter(max_eigs=7))
+    want = synthesize(cache, *tables).values
+    expected = synthesize(cache, direct).values + sign_flip(synthesize(cache, tables[1])).values
+    assert np.array_equal(want, expected)
+    monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 5000)
+    monkeypatch.setattr(frame, "SUFFIX_LENGTH", 3)
+    assert np.array_equal(synthesize(cache, *tables).values, want)
 
 
 def test_synthesis_allocates_no_rank_table():

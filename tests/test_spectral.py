@@ -40,6 +40,7 @@ from oracles import (
     loop_counts,
     reference_specht_spectrum,
     tableau_to_set_partition,
+    yor_laplacian,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -167,6 +168,43 @@ def test_full_n9_list_keeps_its_keys():
         assert [round(lam / 1e-6) for lam in spectrum.eigenvalues] == want[g.label()]["keys"]
         assert list(spectrum.keys) == [eigenvalue_key(lam) for lam in spectrum.eigenvalues]
         assert list(spectrum.kappas) == want[g.label()]["kappas"]
+
+
+def yor_matches(g: IntegerPartition, keys, kappas, grid: float) -> bool:
+    """True when the spectrum of g's Young-orthogonal-form Laplacian rounds
+    to ``keys`` on ``grid`` with the multiplicities ``kappas``."""
+    want = np.repeat(np.asarray(keys) * grid, kappas)
+    values = np.linalg.eigvalsh(yor_laplacian(g))
+    return len(values) == len(want) and np.abs(values - want).max() <= 0.5 * grid + 1e-12
+
+
+def test_young_orthogonal_form_spectra_match_the_cache():
+    # the eigenvalues and multiplicities that setup stores for the
+    # transpose-reduced lists at n <= 8 are those of Young's orthogonal form,
+    # which needs no graph, and so, reflected through lambda -> 2(n-1) -
+    # lambda, are those of every transposed shape there; so are those of the
+    # small shapes of the n = 9 list as the deflation solver found them, and
+    # of a few n = 10 shapes
+    from permaframe import build_cache
+
+    for n in range(1, 9):
+        for g, bundle in build_cache(n, "h").bundles.items():
+            spectrum = bundle.spectrum
+            assert yor_matches(g, spectrum.keys, spectrum.kappas, spectral.EIG_KEY_GRID)
+            lams = np.repeat(spectrum.eigenvalues, spectrum.kappas)
+            assert np.abs(np.linalg.eigvalsh(yor_laplacian(g)) - lams).max() < 1e-12
+            mirrored = [reflected_key(n, key) for key in reversed(spectrum.keys)]
+            grid = spectral.EIG_KEY_GRID
+            assert yor_matches(g.transpose(), mirrored, spectrum.kappas[::-1], grid)
+    want = json.loads((DATA / "n9_h_keys.json").read_text())
+    small = [IntegerPartition.parse(label) for label in want]
+    small = [g for g in small if hook_dimension(g) <= 50]
+    assert len(small) >= 5
+    for g in small:
+        assert yor_matches(g, want[g.label()]["keys"], want[g.label()]["kappas"], 1e-6)
+    cache = build_cache(10, [(9, 1), (8, 2), (8, 1, 1), (7, 3)])
+    for g, bundle in cache.bundles.items():
+        assert yor_matches(g, bundle.spectrum.keys, bundle.spectrum.kappas, spectral.EIG_KEY_GRID)
 
 
 def test_two_two_eigenvalues(cache4_all):
