@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Permutation, rank_words
+from .combinatorics import Permutation, check_dense_n, rank_words
 from .errors import ValidationError
 from .frame import Signal
 
@@ -252,21 +252,26 @@ def read_ballot_file(path: str | Path) -> BallotFile:
 
 
 def tally(ballots: BallotFile) -> Signal:
-    """Vote counts per ranking, indexed by lexicographic rank;
-    ``ValidationError`` when a count, a ranking's total or the tally's energy
-    is past the float64 range."""
-    signal = Signal.zeros(ballots.n)
+    """Vote counts per ranking, indexed by lexicographic rank, as a signal
+    held by its support (:meth:`~permaframe.frame.Signal.from_support`): the
+    ascending distinct ranks whose count is nonzero, and their counts.  No
+    n!-length array is formed.  ``ValidationError`` when a count, a
+    ranking's total or the tally's energy is past the float64 range."""
+    check_dense_n(ballots.n)
     try:
         counts = ballots.counts.astype(np.float64)
     except OverflowError as exc:
         raise ValidationError(f"{ballots.label}: a count is too large for float64") from exc
+    ranks, slot = np.unique(rank_words(ballots.words), return_inverse=True)
+    weights = np.zeros(len(ranks))
     with np.errstate(over="ignore"):  # refused below
         # unbuffered, in record order: duplicates add up as a per-record loop would
-        np.add.at(signal.values, rank_words(ballots.words), counts)
-        energy = signal.norm2()  # infinite when any entry is
+        np.add.at(weights, slot, counts)
+        energy = np.einsum("i,i->", weights, weights)  # infinite when any entry is
+    del slot, counts
     if not np.isfinite(energy):
         raise ValidationError(f"{ballots.label}: the tally's energy is too large for float64")
-    return signal
+    return Signal.from_support(ballots.n, ranks, weights)
 
 
 def load_candidate_names(path: str | Path) -> dict[int, str]:

@@ -102,17 +102,40 @@ def _shape_subset(shapes, count: int | None):
 
 
 def _write_out(path: str | None, write: Callable[[TextIO], object]) -> None:
-    """Call ``write`` on standard output, or on the file at ``path``, opened
-    only now that the result is complete; a path that cannot be written is a
-    ``ValidationError``."""
+    """Call ``write`` on standard output, flushed, or on the file at
+    ``path``, opened only now that the result is complete; a path or a
+    standard output that cannot be written is a ``ValidationError``."""
     if path in (None, "-"):
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full device
+            _detach_stdout()
+            raise ValidationError(f"cannot write standard output: {exc}") from exc
         return
     try:
         with open(path, "w") as fh:
             write(fh)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _say(line: str) -> None:
+    """Print one line to standard output, as ``_write_out`` writes it."""
+    _write_out(None, lambda fh: print(line, file=fh))
+
+
+def _detach_stdout() -> None:
+    """Point the process's standard output at the null device once a write to
+    it failed, so that the interpreter's last flush of what that write left
+    buffered neither fails nor reports."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor behind it: nothing is flushed at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +162,17 @@ def cmd_setup(args) -> int:
     if base.exists() and not args.force:
         problems = cache_mod.verify_cache(args.cache, n, shapes)
         if not problems:
-            print(f"cache at {base} verified; nothing to do")
+            _say(f"cache at {base} verified; nothing to do")
             return EXIT_OK
         print(f"cache at {base} failed verification; rebuilding:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
-    built = cache_mod.build_cache(n, shapes, log=print)
+    built = cache_mod.build_cache(n, shapes, log=_say)
     try:
         cache_mod.save_cache(built, args.cache)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.cache}: {exc}") from exc
-    print(f"cache written to {base} ({built.atom_count()} atoms)")
+    _say(f"cache written to {base} ({built.atom_count()} atoms)")
     return EXIT_OK
 
 
@@ -180,7 +203,7 @@ def cmd_analyze(args) -> int:
     if flipped is not None:
         completed = fraction(table.total_energy() + flipped.total_energy())
         summary += f"; with transpose completion {completed:.9f}"
-    print(summary)
+    _say(summary)
     return EXIT_OK
 
 
@@ -240,10 +263,11 @@ def cmd_top(args) -> int:
 def cmd_reconstruct(args) -> int:
     cache, signal, _ = _load_inputs(args)
     rec = frame.reconstruct(cache, signal)
-    rec.values -= signal.values  # the residual
+    ranks, weights = signal.support()
+    rec.values[ranks] -= weights  # the residual
     norm = sqrt(signal.norm2())
     err = sqrt(rec.norm2()) / norm if norm else 0.0
-    print(f"relative reconstruction error {err:.3e}")
+    _say(f"relative reconstruction error {err:.3e}")
     return EXIT_OK
 
 

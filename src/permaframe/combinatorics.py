@@ -388,17 +388,22 @@ def standard_row_words(gamma: IntegerPartition) -> np.ndarray:
     """The d row words whose sorted blocks also increase down every column,
     in canonical order, as a (d, n) int8 matrix.  These are the standard Young
     tableaux: a word is one exactly when each of its prefixes holds at least
-    as many elements of every row as of the row below it."""
-    words = row_word_matrix(gamma)
-    keep = np.ones(len(words), dtype=bool)
-    above = np.cumsum(words == 0, axis=1, dtype=np.int8)
-    for r in range(1, len(gamma)):
-        below = np.cumsum(words == r, axis=1, dtype=np.int8)
-        keep &= (below <= above).all(axis=1)
-        above = below
-    standard = words[keep]
-    assert len(standard) == hook_dimension(gamma)
-    return standard
+    as many elements of every row as of the row below it.  Built as
+    :func:`row_word_matrix` builds every word, except that a row takes the
+    next element only while it holds fewer than the row above it, so the
+    cost follows d, not m."""
+    check_exact_n(gamma.n)
+    words = np.zeros((1, 0), dtype=np.int8)
+    held = np.zeros((1, len(gamma)), dtype=np.int8)
+    for _ in range(gamma.n):
+        room = held < np.array(gamma.parts, dtype=np.int8)
+        room[:, 1:] &= held[:, 1:] < held[:, :-1]
+        prefix, row = np.nonzero(room)
+        words = np.concatenate([words[prefix], row[:, None].astype(np.int8)], axis=1)
+        held = held[prefix]
+        held[np.arange(len(row)), row] += 1
+    assert len(words) == hook_dimension(gamma)
+    return words
 
 
 # ---------------------------------------------------------------------------

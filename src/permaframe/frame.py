@@ -79,33 +79,86 @@ ANALYSIS_FILL = 1.25
 # signals
 
 
-@dataclass
 class Signal:
-    """A dense real vector over all n! rankings, indexed by lexicographic rank."""
+    """A real vector over all n! rankings, indexed by lexicographic rank.
 
-    n: int
-    values: np.ndarray
+    ``Signal(n, values)`` holds the dense vector.  ``Signal.from_support``
+    holds only the support, the ascending ranks of the nonzero entries and
+    their values, as a tally does; it forms ``values`` on its first read
+    (synthesis, ``reconstruct``, library callers), after which it is a dense
+    signal.  Analysis, energies and projections read :meth:`support` only,
+    which for a dense signal is its ``flatnonzero``."""
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (factorial(self.n),):
+    def __init__(self, n: int, values: np.ndarray) -> None:
+        self.n = n
+        self.values = values
+
+    @classmethod
+    def from_support(cls, n: int, ranks: np.ndarray, weights: np.ndarray) -> "Signal":
+        """The signal with ``weights[i]`` at rank ``ranks[i]`` and zeros
+        elsewhere; the ranks ascend strictly, and zero weights are dropped."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if ranks.shape != weights.shape or ranks.ndim != 1:
+            raise ValidationError("support ranks and weights must be two equal-length vectors")
+        ascending = len(ranks) == 0 or (
+            ranks[0] >= 0 and ranks[-1] < factorial(n) and np.all(ranks[1:] > ranks[:-1])
+        )
+        if not ascending:
+            raise ValidationError(f"support ranks must ascend strictly in 0..{factorial(n) - 1}")
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("signal has non-finite entries")
+        nonzero = weights != 0
+        if not nonzero.all():
+            ranks, weights = ranks[nonzero], weights[nonzero]
+        signal = cls.__new__(cls)
+        signal.n, signal._values, signal._support = n, None, (ranks, weights)
+        return signal
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense vector of all n! entries, formed from the support on
+        first read."""
+        if self._values is None:
+            check_dense_n(self.n)
+            ranks, weights = self._support
+            values = np.zeros(factorial(self.n))
+            values[ranks] = weights
+            self._values, self._support = values, None
+        return self._values
+
+    @values.setter
+    def values(self, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (factorial(self.n),):
             raise ValidationError(
                 f"signal for n={self.n} must have length {factorial(self.n)}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValidationError("signal has non-finite entries")
+        self._values, self._support = values, None
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ranks, weights): the ascending ranks of the nonzero entries and
+        their values."""
+        if self._support is not None:
+            return self._support
+        ranks = np.flatnonzero(self._values)
+        return ranks, self._values[ranks]
+
+    def _held(self) -> np.ndarray:
+        """The dense vector or the support's weights, whichever is held."""
+        return self._values if self._support is None else self._support[1]
 
     def norm2(self) -> float:
         """Squared Euclidean norm (the signal's energy).  An einsum, not the
         BLAS dot, which under threaded OpenBLAS took up to 8 ms over a 9!
         tally on a 2-vCPU Xeon VM, against 0.2 ms."""
-        return float(np.einsum("i,i->", self.values, self.values))
+        held = self._held()
+        return float(np.einsum("i,i->", held, held))
 
     def total(self) -> float:
-        return float(self.values.sum())
-
-    def copy(self) -> "Signal":
-        return Signal(self.n, self.values.copy())
+        return float(self._held().sum())
 
     @classmethod
     def zeros(cls, n: int) -> "Signal":
@@ -469,10 +522,13 @@ def _analyze_blocks(
     ``flipped_shapes`` (a subset), from one pass over each source shape's
     liftings that the shapes' standard liftings read.
 
-    Each lifting maps one ranking, the leader, per k!-block of ranks that the
-    signal's nonzeros touch (k from :func:`_walked_blocks`; k = 1 maps the
-    nonzeros themselves) and expands it to its block through
-    ``suffix_action(shape, k)``, as synthesis does.  Each rank goes to bin
+    The signal is read through its support alone
+    (:meth:`~permaframe.frame.Signal.support`).  Each lifting maps one
+    ranking, the leader, per k!-block of ranks that the support touches (k
+    from :func:`_walked_blocks`; k = 1 maps the support ranks themselves),
+    whose entries are the support's weights scattered into those blocks, and
+    expands it to its block through ``suffix_action(shape, k)``, as
+    synthesis does.  Each rank goes to bin
     2v + p, v its vertex and p the parity of its ranking, which is the
     leader's parity xor that of its suffix permutation.  So one ``bincount``
     sums each vertex's even and odd ranks apart, each in rank order, and the
@@ -487,16 +543,22 @@ def _analyze_blocks(
     map, which keeps parity, and a source maps only the liftings read off
     it.  The sources depend only on the cache and the nonzero count, so the
     identities above, subsets and ``max_eigs`` keep every bit."""
-    support = np.flatnonzero(signal.values)
-    k, blocks = _walked_blocks(signal.n, support)
+    ranks, weights = signal.support()
+    k, blocks = _walked_blocks(signal.n, ranks)
     walked = blocks * factorial(k)
     odd = (rank_signs(signal.n, walked) < 0).astype(np.intp)
-    values = signal.values.reshape(-1, factorial(k))[blocks].reshape(-1)
+    # the touched blocks' entries, zeros included, rank after rank
+    slot = np.searchsorted(blocks, ranks // factorial(k))
+    slot *= factorial(k)
+    slot += ranks % factorial(k)
+    values = np.zeros(len(blocks) * factorial(k))
+    values[slot] = weights
+    del slot  # support-sized, freed before the maps
     # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
     parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
     spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
-    plan = _sources(cache, len(support))
-    del support  # up to n! ranks, freed before the maps, which take the leaders
+    plan = _sources(cache, len(ranks))
+    del ranks, weights  # a dense signal's support is formed here: freed before the maps
     walks: dict[IntegerPartition, list[IntegerPartition]] = {}
     for shape in shape_list:
         walks.setdefault(plan[shape], []).append(shape)
@@ -809,12 +871,12 @@ def schreier_projection(
 ) -> np.ndarray:
     """The signal accumulated onto one Schreier graph through an arbitrary
     lifting (not restricted to the reduced representatives); entry per vertex
-    in canonical order.  Only the signal's nonzeros are mapped: ``bincount``
+    in canonical order.  Only the signal's support is mapped: ``bincount``
     sums each vertex's entries in rank order from +0.0, to which the skipped
     zeros would add nothing."""
     part = IntegerPartition.of(shape)
     _check_signal(cache, signal)
     m = cache.bundle(part).m
-    support = np.flatnonzero(signal.values)
-    cmap = characteristic_column_map(part, lifting, support)
-    return np.bincount(cmap, weights=signal.values[support], minlength=m)
+    ranks, weights = signal.support()
+    cmap = characteristic_column_map(part, lifting, ranks)
+    return np.bincount(cmap, weights=weights, minlength=m)

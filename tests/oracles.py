@@ -121,6 +121,20 @@ def ballot_file(
     return BallotFile(n, words, counts, label)
 
 
+def ranked_ballot_file(n: int, ranks: np.ndarray, counts: np.ndarray) -> BallotFile:
+    """A ``BallotFile`` whose i-th record is the ranking of lexicographic rank
+    ``ranks[i]`` with count ``counts[i]``."""
+    words = unrank_words(n, np.asarray(ranks, dtype=np.int64)).T + 1
+    return BallotFile(n, words.astype(word_dtype(n)), np.asarray(counts, dtype=np.int64))
+
+
+def relabeled_ballots(ballots: BallotFile, sigma: np.ndarray) -> BallotFile:
+    """The same records with candidate c renamed sigma[c - 1] + 1: the
+    ballots of ``relabeled`` in the frame tests, 0-based sigma."""
+    words = np.asarray(sigma)[ballots.words.astype(np.intp) - 1] + 1
+    return BallotFile(ballots.n, words.astype(ballots.words.dtype), ballots.counts, ballots.label)
+
+
 # ---------------------------------------------------------------------------
 # permutations acting on set partitions, one object at a time
 
@@ -215,6 +229,20 @@ def standard_ordered_set_partitions(
             out.append(osp)
     assert len(out) == hook_dimension(gamma)
     return tuple(out)
+
+
+def filtered_standard_row_words(gamma: IntegerPartition) -> np.ndarray:
+    """The reference for ``standard_row_words``: every one of the m row words
+    filtered by the lattice-word test, that each prefix holds at least as
+    many elements of every row as of the row below it."""
+    words = row_word_matrix(gamma)
+    keep = np.ones(len(words), dtype=bool)
+    above = np.cumsum(words == 0, axis=1, dtype=np.int8)
+    for r in range(1, len(gamma)):
+        below = np.cumsum(words == r, axis=1, dtype=np.int8)
+        keep &= (below <= above).all(axis=1)
+        above = below
+    return words[keep]
 
 
 def reference_label(osp: OrderedSetPartition) -> str:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import factorial, floor, log10, sqrt
 from pathlib import Path
 
@@ -636,6 +637,70 @@ def test_cli_unwritable_out_exits_2(verified_cache, tmp_path, capsys, command, w
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.out == ""
     assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize(
+    "command, sink",
+    [
+        (["analyze"], "closed-pipe"),
+        (["energy"], "full-device"),
+        (["reconstruct"], "closed-pipe"),
+        (["setup", "--n", "4"], "full-device"),
+    ],
+    ids=["analyze-closed-pipe", "energy-full-device", "reconstruct-closed-pipe", "setup-full-device"],
+)
+def test_cli_unwritable_standard_output_exits_2(verified_cache, tmp_path, command, sink):
+    # a write to standard output that fails, on a pipe whose reader is gone
+    # (`permaframe analyze ... | head -1`) or on a full device, is one error
+    # line and exit 2: no traceback, and no report from the final flush
+    if sink == "full-device" and not Path("/dev/full").exists():
+        pytest.skip("no full device")
+    argv = [*command, "--cache", str(verified_cache / "cache")]
+    if command[0] != "setup":
+        argv += ["--ballots", str(verified_cache / "votes.txt")]
+    script = f"import sys\nfrom permaframe.cli import main\nsys.exit(main({argv!r}))\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+
+
+def test_cli_analysis_at_n11_holds_no_n_factorial_array(tmp_path, capsys):
+    # the tally of 300 rankings is held by its support, so analyze, energy,
+    # top and project each peak below a tenth of one float64 value per 11!
+    # ranking (319 MB)
+    root = tmp_path / "cache"
+    assert run_cli("setup", "--n", 11, "--shapes", 3, "--cache", root) == 0
+    data = ["--cache", root, "--ballots", write_random_votes(tmp_path / "votes.txt", 11, 300, 11)]
+    commands = {
+        "analyze": ["analyze"],
+        "energy": ["energy"],
+        "top": ["top"],
+        "project": ["project", "--shape", "9,2", "--blocks", "1,2,3,4,5,6,7,8,9|10,11"],
+    }
+    for name, command in commands.items():
+        tracemalloc.start()
+        try:
+            assert run_cli(*command, *data, "--out", tmp_path / f"{name}.csv") == 0
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < factorial(11) * 8 / 10, name
+        assert (tmp_path / f"{name}.csv").stat().st_size > 0
+    assert "captured fraction" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("where", ["below-a-file", "a-file"])

@@ -38,6 +38,7 @@ from oracles import (
     act,
     compose,
     equal_block_orbit,
+    filtered_standard_row_words,
     inversion_count,
     identity_permutation,
     is_reduced_representative,
@@ -242,6 +243,16 @@ def test_enumeration_matches_the_object_reference(n):
         assert standard.tolist() == [list(o.row_word) for o in standard_ordered_set_partitions(g)]
         assert block_labels(words) == [reference_label(o) for o in osps]
         assert block_labels(reduced) == [reference_label(o) for o in reps]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_standard_row_words_match_the_filter(n):
+    # the prefix extension that lets a row grow only while it is shorter than
+    # the row above gives the filter's words, in its order, for every shape
+    for g in partitions_of(n):
+        standard = standard_row_words(g)
+        assert standard.dtype == np.int8
+        assert np.array_equal(standard, filtered_standard_row_words(g))
 
 
 def test_orbit_reconstruction_covers_everything():

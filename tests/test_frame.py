@@ -4,10 +4,11 @@ from math import cos, factorial, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permaframe import build_cache, frame
+from permaframe.ballots import tally
 from permaframe.cache import FrameCache
 from permaframe.combinatorics import (
     IntegerPartition,
@@ -56,10 +57,12 @@ from oracles import (
     identity_permutation,
     lift,
     mallows_baseline,
+    ranked_ballot_file,
     reference_analysis,
     reference_csv_text,
     reference_json_text,
     reference_synthesize,
+    relabeled_ballots,
     standard_basis_check,
 )
 
@@ -145,6 +148,26 @@ def test_unknown_atom_rejected(cache4_all):
     bad = AtomId(shape(3, 1), 123456789, 1, ids[0].lifting)
     with pytest.raises(ValidationError):
         atom(cache4_all, bad)
+
+
+def test_a_support_held_signal_forms_its_values_on_first_read():
+    # the support drops zero weights; the dense vector appears when read, and
+    # then the signal is a dense one with the same support
+    f = Signal.from_support(3, [1, 4, 5], [2.0, 0.0, -1.5])
+    assert [a.tolist() for a in f.support()] == [[1, 5], [2.0, -1.5]]
+    assert f.norm2() == 6.25 and f.total() == 0.5
+    assert f.values.tolist() == [0.0, 2.0, 0.0, 0.0, 0.0, -1.5]
+    assert [a.tolist() for a in f.support()] == [[1, 5], [2.0, -1.5]]
+    for ranks, weights, match in [
+        ([1, 1], [1.0, 2.0], "ascend"),
+        ([2, 1], [1.0, 2.0], "ascend"),
+        ([-1], [1.0], "ascend"),
+        ([6], [1.0], "ascend"),
+        ([1], [1.0, 2.0], "equal-length"),
+        ([1], [np.inf], "non-finite"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            Signal.from_support(3, ranks, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -839,23 +862,39 @@ relabeling_cases = st.integers(3, 7).flatmap(
         st.permutations(range(n)),
         st.sampled_from(["h", "all"]),
         st.sampled_from([1.0, 0.3, 0.05]),  # share of nonzero rankings
+        st.sampled_from(["dense", "tally"]),
         st.integers(0, 2**32 - 1),
     )
 )
+
+
+def random_tally_pair(n, density, sigma, rng):
+    """The tallies of one random ballot file, with duplicate and zero-count
+    records, and of the same file with its candidates renamed by ``sigma``:
+    both held by their support."""
+    size = factorial(n)
+    ranks = np.flatnonzero(rng.random(size) < density)
+    ranks = np.concatenate([ranks, ranks[: len(ranks) // 2]])  # duplicates
+    ballots = ranked_ballot_file(n, ranks, rng.integers(0, 9, size=len(ranks)))
+    return tally(ballots), tally(relabeled_ballots(ballots, sigma))
 
 
 @given(relabeling_cases)
 def test_energies_are_invariant_under_any_candidate_relabeling(case):
     # renaming candidates permutes the rankings isometrically and keeps each
     # (shape, eigenvalue) space, so every energy row, every row that the sign
-    # trick completes for a missing transpose, and every gft row is unchanged
-    sigma, kind, density, seed = case
+    # trick completes for a missing transpose, and every gft row is unchanged,
+    # for a dense signal and for a ballot file's tally, held by its support
+    sigma, kind, density, source, seed = case
     n = len(sigma)
     cache = frame_cache(n, kind)
     rng = np.random.default_rng(seed)
     size = factorial(n)
-    f = Signal(n, np.where(rng.random(size) < density, rng.standard_normal(size), 0.0))
-    g = relabeled(f, np.array(sigma))
+    if source == "tally":
+        f, g = random_tally_pair(n, density, np.array(sigma), rng)
+    else:
+        f = Signal(n, np.where(rng.random(size) < density, rng.standard_normal(size), 0.0))
+        g = relabeled(f, np.array(sigma))
     tol = 1e-12 * f.norm2()
     (direct_f, flipped_f), (direct_g, flipped_g) = (
         analyze_with_conjugates(cache, h) for h in (f, g)
@@ -869,6 +908,64 @@ def test_energies_are_invariant_under_any_candidate_relabeling(case):
     gft_f, gft_g = graph_fourier(cache, f), graph_fourier(cache, g)
     assert [key for key, _ in gft_f] == [key for key, _ in gft_g]
     assert np.allclose([e**2 for _, e in gft_f], [e**2 for _, e in gft_g], rtol=0, atol=tol)
+
+
+support_cases = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from(["h", "all"]),
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),  # share of rankings with a record
+        st.lists(st.tuples(st.integers(0, factorial(n) - 1), st.integers(0, 3)), max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+def assert_tables_equal(got: CoefficientTable, want: CoefficientTable) -> None:
+    assert [b.shape for b in got.blocks] == [b.shape for b in want.blocks]
+    for b, c in zip(got.blocks, want.blocks):
+        assert np.array_equal(b.keys, c.keys) and np.array_equal(b.ks, c.ks)
+        assert np.array_equal(b.alphas, c.alphas)
+        assert np.array_equal(b.row_energies(), c.row_energies())
+
+
+@given(support_cases)
+@example((3, "all", 0.0, [], 0))  # an empty file
+@example((4, "h", 0.0, [(5, 0), (7, 0), (5, 0)], 0))  # an all-zero tally
+@example((5, "h", 1.0, [(0, 3), (0, 2)], 1))  # a full tally, walked by 4!-blocks
+def test_support_built_tallies_analyze_like_their_dense_signals(case):
+    # a ballot file's tally holds only its support; every table, gft row,
+    # projection and reconstruction of it is bit for bit that of the same
+    # tally as a dense signal, whose support is its flatnonzero, whatever the
+    # duplicates, zero-count records and walk length
+    n, kind, density, extra, seed = case
+    cache = frame_cache(n, kind)
+    rng = np.random.default_rng(seed)
+    ranks = np.flatnonzero(rng.random(factorial(n)) < density)
+    counts = rng.integers(0, 9, size=len(ranks))
+    extra_ranks, extra_counts = np.array(extra, dtype=np.int64).reshape(-1, 2).T
+    half = len(ranks) // 2  # a repeated half: duplicate rankings
+    ballots = ranked_ballot_file(
+        n,
+        np.concatenate([ranks, extra_ranks, ranks[:half]]),
+        np.concatenate([counts, extra_counts, counts[:half]]),
+    )
+    sparse = tally(ballots)
+    dense = Signal(n, tally(ballots).values)
+    for got, want in zip(sparse.support(), dense.support()):
+        assert np.array_equal(got, want)
+    assert_tables_equal(analyze(cache, sparse), analyze(cache, dense))
+    assert_tables_equal(analyze(cache, sparse, max_eigs=1), analyze(cache, dense, max_eigs=1))
+    for got, want in zip(analyze_with_conjugates(cache, sparse), analyze_with_conjugates(cache, dense)):
+        assert_tables_equal(got, want)
+    assert graph_fourier(cache, sparse) == graph_fourier(cache, dense)
+    g = cache.shapes[seed % len(cache.shapes)]
+    lifting = OrderedSetPartition(
+        tuple(rng.permutation(reduced_representatives(g)[0].row_word).tolist())
+    )
+    got = schreier_projection(cache, sparse, g, lifting)
+    assert np.array_equal(got, schreier_projection(cache, dense, g, lifting))
+    assert np.array_equal(reconstruct(cache, sparse).values, reconstruct(cache, dense).values)
 
 
 @pytest.mark.parametrize("nonzeros", [60, 61, 120, 121])
@@ -1333,7 +1430,7 @@ projection_cases = st.integers(3, 6).flatmap(
     lambda n: st.tuples(
         st.permutations(range(n)),
         st.sampled_from(partitions_of(n)),
-        st.sampled_from(["counts", "floats"]),
+        st.sampled_from(["counts", "floats", "tally"]),
         st.integers(0, 2**32 - 1),
     )
 )
@@ -1352,18 +1449,22 @@ def test_projection_is_equivariant_under_candidate_relabeling(case):
     rng = np.random.default_rng(seed)
     size = factorial(n)
     nonzero = rng.random(size) < 0.3
-    if kind == "counts":
-        values = np.where(nonzero, rng.integers(1, 9, size), 0).astype(float)
+    if kind == "tally":  # a ballot file's tally, held by its support
+        f, f_sigma = random_tally_pair(n, 0.3, np.array(sigma), rng)
     else:
-        values = np.where(nonzero, rng.standard_normal(size), 0.0)
-    f = Signal(n, values)
+        if kind == "counts":
+            values = np.where(nonzero, rng.integers(1, 9, size), 0).astype(float)
+        else:
+            values = np.where(nonzero, rng.standard_normal(size), 0.0)
+        f = Signal(n, values)
+        f_sigma = relabeled(f, np.array(sigma))
     lifting = OrderedSetPartition(
         tuple(rng.permutation(reduced_representatives(g)[0].row_word).tolist())
     )
     pullback = OrderedSetPartition(tuple(np.array(lifting.row_word)[list(sigma)].tolist()))
-    got = schreier_projection(cache, relabeled(f, np.array(sigma)), g, lifting)
+    got = schreier_projection(cache, f_sigma, g, lifting)
     want = schreier_projection(cache, f, g, pullback)
-    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(values).sum())
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(f.support()[1]).sum())
 
 
 def assert_serializes_like_reference(table):

@@ -9,6 +9,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from permaframe import build_cache, save_cache
 from permaframe.cli import build_parser
 
@@ -213,3 +215,18 @@ def test_every_cli_option_is_read_by_its_command():
     assert set(unread) == set(UNREAD_OPTIONS), f"options no command reads: {sorted(unread)}"
     for key, reason in UNREAD_OPTIONS.items():
         assert unread[key] == f"accepted and ignored: {reason}"
+
+
+def test_the_ci_workflow_runs_the_tier_1_and_benchmark_tests():
+    # on every push and pull request, on the oldest and a recent Python, the
+    # workflow installs the package with its test extras and runs ROADMAP.md's
+    # Tier-1 command and the benchmark's own tests
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    triggers = workflow[True] if True in workflow else workflow["on"]  # YAML 1.1 reads `on` as true
+    assert set(triggers) == {"push", "pull_request"}
+    (job,) = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.12"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    (tier1,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    assert runs == ['python -m pip install -e ".[test]"', tier1, "python -m pytest perfbench"]

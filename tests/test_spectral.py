@@ -184,7 +184,7 @@ def test_young_orthogonal_form_spectra_match_the_cache():
     # which needs no graph, and so, reflected through lambda -> 2(n-1) -
     # lambda, are those of every transposed shape there; so are those of the
     # small shapes of the n = 9 list as the deflation solver found them, and
-    # of a few n = 10 shapes
+    # of a few n = 10 shapes and, reflected, of their transposes
     from permaframe import build_cache
 
     for n in range(1, 9):
@@ -204,7 +204,10 @@ def test_young_orthogonal_form_spectra_match_the_cache():
         assert yor_matches(g, want[g.label()]["keys"], want[g.label()]["kappas"], 1e-6)
     cache = build_cache(10, [(9, 1), (8, 2), (8, 1, 1), (7, 3)])
     for g, bundle in cache.bundles.items():
-        assert yor_matches(g, bundle.spectrum.keys, bundle.spectrum.kappas, spectral.EIG_KEY_GRID)
+        spectrum = bundle.spectrum
+        assert yor_matches(g, spectrum.keys, spectrum.kappas, spectral.EIG_KEY_GRID)
+        mirrored = [reflected_key(10, key) for key in reversed(spectrum.keys)]
+        assert yor_matches(g.transpose(), mirrored, spectrum.kappas[::-1], spectral.EIG_KEY_GRID)
 
 
 def test_two_two_eigenvalues(cache4_all):
