@@ -7,7 +7,8 @@ synthesis operators get the column maps of a given subset of a shape's
 reduced liftings, over a given set of ranks, from
 ``FrameCache.iter_lifting_maps``, liftings in canonical order: the shape's d
 standard-tableau liftings (``SchreierBundle.liftings``), or the liftings of
-a finer shape that those read their bins from.
+a finer shape that those read their bins from (analysis) or add their
+weights to (synthesis).
 A ranking's base-R vertex key (R rows in the shape) is the lifting's row word
 dotted with R**(n-1-p) at its candidates' positions p, so the keys of a batch
 of liftings are one product of their row words with the ranks'
@@ -16,10 +17,11 @@ key -> vertex table, which a caller that maps one shape several times builds
 once.  Both operators map block leaders: one rank per block of k!
 consecutive ranks, whose other ranks follow from it through
 ``schreier.suffix_action``.  Synthesis maps every leader at k =
-``frame.SUFFIX_LENGTH``, a fixed number of them at a time; analysis maps the
-leaders of the blocks a signal's nonzeros touch, at a k chosen from its
-support (k = 1 maps the nonzeros themselves), once per shape it does not
-read off a finer shape's maps.
+``frame.SUFFIX_LENGTH``, a fixed number of them at a time, once per range of
+a source shape's liftings; analysis maps the leaders of the blocks a
+signal's nonzeros touch, at a k chosen from its support (k = 1 maps the
+nonzeros themselves).  Each maps a shape only when it does not read off, or
+add into, a finer shape's liftings.
 
 The on-disk layout is one directory per n holding a JSON manifest and one
 uncompressed numpy archive, ``arrays.npz``, with two members per shape: the

@@ -17,12 +17,14 @@ Analysis maps the leaders of the blocks that the signal's nonzeros touch, at
 a k chosen from the support (k = 1 maps the nonzeros themselves), and sums
 each vertex's even and odd rankings apart, which also yields the
 sign-flipped signal's accumulation: that completes the shapes whose
-transpose is not cached (:func:`analyze_with_conjugates`).  Only source
-shapes are mapped over the signal (:func:`_sources`): a cached shape whose
-rows are unions of a source's rows reads its bins off a source lifting's
-through a vertex map (:func:`~permaframe.schreier.merge_maps`).  Neither
-direction materializes length-n! atoms or index maps; atoms exist only for
-tests and small-n inspection.
+transpose is not cached (:func:`analyze_with_conjugates`).  Both directions
+map only source shapes (Young's rule): a cached shape whose rows are unions
+of a source's rows has each lifting's column map equal to a source
+lifting's read through a vertex map (:func:`~permaframe.schreier.merge_maps`).
+Analysis reads its bins off that source lifting's (:func:`_sources`), and
+synthesis adds its weights into that source lifting's
+(:func:`_synthesis_sources`).  Neither direction materializes length-n!
+atoms or index maps; atoms exist only for tests and small-n inspection.
 """
 
 from __future__ import annotations
@@ -59,11 +61,19 @@ from .spectral import key_to_value, reflected_key
 # lifting it builds one (m, SUFFIX_LENGTH!) weight table and gathers a block's
 # rows from it, so a larger block spreads that table over more rankings.
 # Measured on a 2-vCPU Xeon VM, suffix length 4 beat 3 and 5 (with per-rank
-# gathers).  With the suffix tables, in-process medians of 2**14, 2**15, 2**16
-# and 2**17 ranks per block were 0.31, 0.26, 0.20 and 0.21 s at n = 8 (full
-# list) and 0.19, 0.15, 0.16 and 0.20 s at n = 9 (top 5 shapes).
+# gathers).  Through the synthesis sources, on the reconstruction tables of
+# the benchmark's seed-1 tallies, in-process medians (two runs of 15) of
+# 2**14, 2**15, 2**16 and 2**17 ranks per block were 32-34, 28-30, 25-26 and
+# 24-26 ms at n = 8 (full list) and 47-55, 43-47, 51-61 and 70-72 ms at
+# n = 9 (top 5 shapes).
 SUFFIX_LENGTH = 4
 SYNTHESIS_BLOCK = 1 << 16
+# Synthesis forms a source's weights one range of max(d, SYNTHESIS_WEIGHTS // m)
+# consecutive reduced liftings at a time (see _synthesize_source), so they
+# never exceed one (d, m) table or SYNTHESIS_WEIGHTS entries per table.  Each
+# range walks the leaders again: on the n = 9 reconstruction tables above,
+# ranges of d took 75 ms in process against 69 ms for these.
+SYNTHESIS_WEIGHTS = 1 << 16
 # Analysis maps one ranking per k!-block of ranks that the signal's nonzeros
 # touch, for the largest k <= SUFFIX_LENGTH whose touched blocks hold at most
 # ANALYSIS_FILL times as many ranks as there are nonzeros (see _walked_blocks).
@@ -73,6 +83,12 @@ SYNTHESIS_BLOCK = 1 << 16
 # A touched 2-block never holds more than 2 ranks, so a bound near 2 would put
 # every sparse tally on k = 2; 1.25 keeps them on k = 1.
 ANALYSIS_FILL = 1.25
+# A synthesis source has at most n!/SOURCE_SHARE vertices: pushing a lifting
+# into it gathers m weights, where mapping the lifting reaches n! ranks.  With
+# no bound, (1^n) would serve every shape of an "all" cache; at n = 8 its
+# n!-entry vertex maps took synthesis to 14.3 s and 3.1 GB peak RSS, against
+# 0.11 s and 277 MB with the bound (in process, cache build in the peak).
+SOURCE_SHARE = 24
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +693,15 @@ def conjugate_energy_rows(
 
 def _check_synthesis_block(cache: FrameCache, block: ShapeBlock) -> np.ndarray:
     """The stored eigenvectors a table block combines, once its rows, its
-    liftings and its frame constant are those of the cached shape."""
+    liftings (or its c_bar F) and its frame constant are those of the cached
+    shape."""
     bundle = cache.bundle(block.shape)
-    expected = (len(block.keys), bundle.z)
-    if block.alphas.shape != expected:
+    name, held, expected = "alphas", block._alphas, (len(block.keys), bundle.z)
+    if block.fourier is not None:
+        name, held, expected = "c_bar F", block.fourier, (bundle.d, bundle.d)
+    if held.shape != expected:
         raise ValidationError(
-            f"table alphas for {block.shape.parts} have shape {block.alphas.shape}, "
-            f"not {expected}"
+            f"table {name} for {block.shape.parts} has shape {held.shape}, not {expected}"
         )
     if block.c_bar != bundle.c_bar:
         raise ValidationError(
@@ -698,6 +716,117 @@ def _check_synthesis_block(cache: FrameCache, block: ShapeBlock) -> np.ndarray:
     return bundle.spectrum.vectors[:, : block.num_rows]
 
 
+def _synthesis_sources(cache: FrameCache) -> dict[IntegerPartition, IntegerPartition]:
+    """The shape whose liftings synthesize each cached shape: of the cached
+    shapes with at most n!/``SOURCE_SHARE`` vertices whose rows refine it,
+    the one with the most vertices (ties in cache order), or the shape itself
+    when there is none.  Splitting a row adds vertices, so a source is its
+    own source."""
+    few = [f for f in cache.shapes if SOURCE_SHARE * cache.bundle(f).m <= factorial(cache.n)]
+    return {
+        shape: max(
+            (f for f in few if merged_rows(f, shape) is not None),
+            key=lambda f: cache.bundle(f).m,
+            default=shape,
+        )
+        for shape in cache.shapes
+    }
+
+
+def _folded(cache: FrameCache, block: ShapeBlock) -> np.ndarray:
+    """c_bar beta, beta = alpha U U_S^-1 (rows x d): c_bar V beta weights
+    the standard liftings so that they synthesize what alpha does.  A block
+    holding c_bar F gives (z/m) c_bar F U_S^-1 cut to its rows, since
+    alpha = c_bar F U^T and U^T U = (z/m) I, so alpha is never formed."""
+    bundle = cache.bundle(block.shape)
+    lifts = bundle.liftings
+    if block.fourier is not None:
+        beta = block.fourier[: block.num_rows] @ lifts.inverse
+        beta *= bundle.z / bundle.m
+    else:
+        beta = (block.alphas @ bundle.spectrum.vectors[lifts.vertices]) @ lifts.inverse
+    beta *= block.c_bar
+    return beta
+
+
+def _push_weights(
+    pushes: list, batch: list[int], low: int, high: int, weights: np.ndarray
+) -> None:
+    """Fills ``weights`` (len(batch), m, tables) with those of the source
+    liftings ``batch``, all in ``low..high - 1``: each member's standard
+    liftings that land there, their weights formed in one product per member
+    and table and read through their vertex maps, added in member order and
+    then lifting order.  The products depend on ``low`` and ``high`` only,
+    not on what else is walked."""
+    weights.fill(0.0)
+    for targets, vertex_maps, which, betas in pushes:
+        picked = np.flatnonzero((targets >= low) & (targets < high))
+        slots = np.searchsorted(batch, targets[picked]).tolist()
+        for column, vectors, beta in betas:
+            pushed = (vectors @ beta[:, picked]).T
+            for i, slot, w in zip(picked.tolist(), slots, pushed):
+                weights[slot, :, column] += w[vertex_maps[which[i]]]
+
+
+def _synthesize_source(
+    cache: FrameCache,
+    source: IntegerPartition,
+    members: list[tuple[IntegerPartition, list[tuple[int, np.ndarray, ShapeBlock]]]],
+    acc: np.ndarray,
+    first: int,
+    k: int,
+) -> None:
+    """Adds the synthesis of ``members``, shapes in cache order with their
+    (table, eigenvectors, block) jobs, to ``acc`` (leaders, k!, tables from
+    ``first`` on) through the liftings of their synthesis source (see
+    :func:`synthesize`)."""
+    bundle = cache.bundle(source)
+    leaders, width = len(acc), acc.shape[2]
+    per_block = max(1, SYNTHESIS_BLOCK // factorial(k))
+    # per member: the source lifting of each standard lifting, the vertex
+    # maps and the row carrying each there, and per table its column, V and
+    # c_bar beta
+    pushes = []
+    for shape, jobs in members:
+        lifts = cache.bundle(shape).liftings
+        betas = [(j - first, vectors, _folded(cache, block)) for j, vectors, block in jobs]
+        if shape == source:
+            identity = np.arange(bundle.m)[None, :]
+            pushes.append((lifts.standard, identity, np.zeros(bundle.d, np.intp), betas))
+        else:
+            merge = merge_maps(source, shape)
+            which = merge.map_index[lifts.standard]
+            pushes.append((merge.source[lifts.standard], merge.vertex_maps, which, betas))
+    # the walked liftings in ranges of consecutive reduced liftings, so the
+    # weights never outgrow the source's own (d, m) table, or SYNTHESIS_WEIGHTS
+    # entries, per table
+    span = max(bundle.d, SYNTHESIS_WEIGHTS // bundle.m)
+    batches: dict[int, list[int]] = {}
+    for t in sorted(set().union(*(push[0].tolist() for push in pushes))):
+        batches.setdefault(t - t % span, []).append(t)
+    table = vertex_table(source)
+    action = suffix_action(source, k, table)
+    # per lifting, its weights at each vertex's k! suffix vertices, and
+    # those of a block's leaders gathered through the lifting's map
+    suffix = np.empty((bundle.m, factorial(k), width))
+    gathered = np.empty((min(per_block, leaders), factorial(k), width))
+    buffer = np.empty((max(map(len, batches.values())), bundle.m, width))
+    for low, batch in batches.items():
+        weights = buffer[: len(batch)]
+        _push_weights(pushes, batch, low, low + span, weights)
+        for start in range(0, leaders, per_block):
+            rows = acc[start : start + per_block]
+            ranks = np.arange(start, start + len(rows)) * factorial(k)
+            block = gathered[: len(rows)]
+            maps = cache.iter_lifting_maps(source, ranks, batch, table=table)
+            for (_t, col), w in zip(maps, weights):
+                # the indices are in range; "clip" lets take write into out=
+                # directly, where "raise" would buffer
+                w.take(action, axis=0, out=suffix, mode="clip")
+                suffix.take(col, axis=0, out=block, mode="clip")
+                np.add(rows, block, out=rows)
+
+
 def synthesize(
     cache: FrameCache,
     table: CoefficientTable,
@@ -710,20 +839,36 @@ def synthesize(
     (tight Parseval frame); a filtered table yields the orthogonal projection
     onto the selected shape-eigenvalue spaces.
 
-    Shape by shape, each block alpha (R x z), from analysis or not, folds
-    to beta = alpha U U_S^-1 (R x d), which synthesizes the same signal
-    through the standard liftings S alone, and each lifting of S gets its
-    weights c_bar V beta (one column per table holding the shape).  With
-    k = min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k! (its
-    block's leader) with its last k entries permuted by the j-th permutation
-    of k items, so its vertex is ``suffix_action(shape, k)[leader's vertex,
-    j]``.  Each lifting of S maps the n!/k! leaders only, in blocks of
-    SYNTHESIS_BLOCK // k!.  Per lifting and block, the lifting's weights are
-    laid out as an (m, k!, tables) table through the action, its rows at the
-    leaders' vertices are gathered through the lifting's map, and they are
-    added to those leaders' rows of an (n!/k!, k!, tables) accumulator.
-    Every ranking sums shapes in table order and liftings in canonical
-    order, so the result depends on neither k nor the block size.
+    Each block, from analysis or not, folds to c_bar beta, beta = alpha U
+    U_S^-1 (R x d, :func:`_folded`), which synthesizes the same signal
+    through the standard liftings S alone: lifting j of S gets the weights
+    c_bar V beta[:, j], one column per table holding the shape.  Only
+    synthesis sources are mapped (:func:`_synthesis_sources`).  A served
+    shape's lifting has the column map of a source lifting read through a
+    vertex map (:func:`~permaframe.schreier.merge_maps`), so its weights,
+    read through that map, are added to the source lifting's.  A source maps
+    the sorted union of its own standard liftings and those its served
+    shapes' standard liftings land on, in ranges of max(d,
+    ``SYNTHESIS_WEIGHTS`` // m) consecutive reduced liftings (d and m the
+    source's).  Per range, the weights are formed from each member's beta,
+    members in cache order and then liftings ascending, by products that
+    depend on the range alone, so they never exceed one (d, m) table or
+    ``SYNTHESIS_WEIGHTS`` entries per table however many shapes the source
+    serves.
+
+    With k = min(``SUFFIX_LENGTH``, n), the rank b*k! + j is the rank b*k!
+    (its block's leader) with its last k entries permuted by the j-th
+    permutation of k items, so its vertex is ``suffix_action(shape,
+    k)[leader's vertex, j]``.  Each source lifting maps the n!/k! leaders
+    only, in blocks of SYNTHESIS_BLOCK // k!.  Per lifting and block, the
+    lifting's weights are laid out as an (m, k!, tables) table through the
+    action, its rows at the leaders' vertices are gathered through the
+    lifting's map, and they are added to those leaders' rows of an
+    (n!/k!, k!, tables) accumulator.  Every ranking sums sources in cache
+    order and their liftings ascending, and a table's weights do not depend
+    on the other table, so the result depends on neither k nor the block
+    size, and ``synthesize(cache, a, b)`` is ``synthesize(cache, a)`` plus
+    the sign flip of ``synthesize(cache, b)``, bit for bit.
     """
     tables = [table] if flipped is None else [table, flipped]
     if any(tab.n != cache.n for tab in tables):
@@ -736,39 +881,20 @@ def synthesize(
             if held and held[-1][0] == j:
                 raise ValidationError(f"table holds shape {block.shape.parts} twice")
             held.append((j, vectors, block))
+    plan = _synthesis_sources(cache)
+    groups: dict[IntegerPartition, list[IntegerPartition]] = {}
+    for shape in cache.shapes:
+        if shape in jobs:
+            groups.setdefault(plan[shape], []).append(shape)
     k = min(SUFFIX_LENGTH, cache.n)
     leaders = factorial(cache.n) // factorial(k)
-    per_block = max(1, SYNTHESIS_BLOCK // factorial(k))
     acc = np.zeros((leaders, factorial(k), len(tables)))
-    for shape, shape_jobs in jobs.items():
-        bundle = cache.bundle(shape)
-        lifts = bundle.liftings
-        u = bundle.spectrum.vectors[lifts.vertices]
-        weights = np.empty((bundle.d, bundle.m, len(shape_jobs)))
-        for i, (_j, vectors, block) in enumerate(shape_jobs):
-            beta = (block.alphas @ u) @ lifts.inverse
-            weights[:, :, i] = (block.c_bar * (vectors @ beta)).T
-        del u
-        table = vertex_table(shape)
-        action = suffix_action(shape, k, table)
-        # the tables holding the shape are both or one: a slice of acc's last axis
-        columns = slice(shape_jobs[0][0], shape_jobs[-1][0] + 1)
-        # per lifting, its weights at each vertex's k! suffix vertices, and
-        # those of a block's leaders gathered through the lifting's map
-        suffix = np.empty((bundle.m, factorial(k), len(shape_jobs)))
-        gathered = np.empty((min(per_block, leaders), factorial(k), len(shape_jobs)))
-        for start in range(0, leaders, per_block):
-            rows = acc[start : start + per_block, :, columns]
-            ranks = np.arange(start, start + len(rows)) * factorial(k)
-            block = gathered[: len(rows)]
-            maps = cache.iter_lifting_maps(shape, ranks, lifts.standard, table=table)
-            for w, (_t, col) in zip(weights, maps):
-                # the indices are in range; "clip" lets take write into out=
-                # directly, where "raise" would buffer
-                w.take(action, axis=0, out=suffix, mode="clip")
-                suffix.take(col, axis=0, out=block, mode="clip")
-                np.add(rows, block, out=rows)
-        del table  # one shape's key table at a time
+    for source in [s for s in cache.shapes if s in groups]:
+        members = [(shape, jobs[shape]) for shape in groups[source]]
+        used = [j for _shape, shape_jobs in members for j, _v, _b in shape_jobs]
+        # the tables holding the group are both or one: a slice of acc's last axis
+        columns = slice(min(used), max(used) + 1)
+        _synthesize_source(cache, source, members, acc[:, :, columns], columns.start, k)
     if flipped is not None:
         # rank b*k! + j's sign is its leader's times tau_j's, as analysis derives parity
         acc[:, :, 1] *= rank_signs(cache.n, np.arange(leaders) * factorial(k))[:, None]

@@ -45,6 +45,7 @@ from permaframe.schreier import (
     build_schreier,
     characteristic_column_map,
     merge_maps,
+    merged_rows,
 )
 from permaframe.spectral import eigenvalue_key, key_to_value
 
@@ -459,21 +460,95 @@ def count_walks(monkeypatch) -> tuple[dict[IntegerPartition, int], dict[IntegerP
 
 
 def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
-    # each shape's liftings are mapped over the n!/4! block leaders,
-    # never over every rank, however the leaders are split into blocks, and
-    # only its d standard liftings are mapped, once per block of leaders
+    # at n = 6 (h) a synthesis source has at most 6!/24 = 30 vertices:
+    # (4,1,1) serves (6), (5,1) and (4,2), while (3,3), which no such shape
+    # refines, and (3,2,1), with 60 vertices, serve themselves.  Only the
+    # sources are mapped, over the n!/4! block leaders and never over every
+    # rank, however the leaders are split into blocks, and per block of
+    # leaders each maps exactly, once and ascending, the union of its
+    # standard liftings and the source liftings its members' standard
+    # liftings read off it: 32 liftings, where mapping every shape's d
+    # standard liftings took 46
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
     cache = build_cache(6, "h")
     direct, flipped = analyze_with_conjugates(cache, Signal.random(6, rng))
-    walked, mapped = count_walks(monkeypatch)
+    plan = frame._synthesis_sources(cache)
+    served = {shape(6), shape(5, 1), shape(4, 2)}
+    assert plan == {g: shape(4, 1, 1) if g in served else g for g in cache.shapes}
+    calls = []
+    walk = FrameCache.iter_lifting_maps
+
+    def recording_walk(self, g, ranks, liftings, **kwargs):
+        calls.append((g, ranks.tolist(), list(liftings)))
+        yield from walk(self, g, ranks, liftings, **kwargs)
+
+    monkeypatch.setattr(FrameCache, "iter_lifting_maps", recording_walk)
     synthesize(cache, direct, flipped)
-    leaders = factorial(6) // factorial(4)
-    assert walked == {g: leaders for g in cache.shapes}
-    blocks = -(-leaders // (100 // factorial(4)))
-    assert mapped == {g: blocks * hook_dimension(g) for g in cache.shapes}
-    assert sum(map(hook_dimension, cache.shapes)) < sum(
-        multiplicity_constants(g).z for g in cache.shapes
-    )
+    sources = [shape(4, 1, 1), shape(3, 3), shape(3, 2, 1)]
+    assert {g for g, _ranks, _liftings in calls} == set(sources)
+    stride = (100 // factorial(4)) * factorial(4)
+    total = 0
+    for source in sources:
+        union = set()
+        for g in cache.shapes:
+            read = standard_indices(g)
+            if plan[g] == source:
+                union.update(read if g == source else merge_maps(source, g).source[read].tolist())
+        per_block: dict[int, list[int]] = {}
+        for g, ranks, liftings in calls:
+            if g == source:
+                assert ranks == list(range(ranks[0], min(ranks[0] + stride, 720), 24))
+                per_block.setdefault(ranks[0], []).extend(liftings)
+        assert sorted(per_block) == list(range(0, 720, stride))
+        assert all(mapped == sorted(union) for mapped in per_block.values())
+        total += len(union)
+    assert total == 32 < sum(map(hook_dimension, cache.shapes)) == 46
+
+
+@pytest.mark.parametrize("kind", ["h", "all"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_synthesis_plans_meet_the_reference_bit_for_bit(n, kind, monkeypatch, rng):
+    # tables that hold served shapes without their source, only sources, or
+    # cut rows meet the reference, which maps every lifting of every shape
+    # itself, to rounding; neither the leader blocks nor the suffix length
+    # changes a bit; and each table sums alone as it does next to another,
+    # so synthesize(a, b) is synthesize(a) plus the sign flip of
+    # synthesize(b), bit for bit.  In an "all" cache (1^n) refines every
+    # shape, but with its n! vertices it serves only itself.  On "h" caches
+    # every source forms its weights in ranges of d liftings
+    if kind == "h":
+        monkeypatch.setattr(frame, "SYNTHESIS_WEIGHTS", 0)
+    cache = frame_cache(n, kind)
+    plan = frame._synthesis_sources(cache)
+    sources = [g for g in cache.shapes if plan[g] == g]
+    served = [g for g in cache.shapes if plan[g] != g]
+    assert all(plan[plan[g]] == plan[g] for g in cache.shapes)
+    assert bool(served) == (n >= 5)
+    if kind == "all":
+        ones = shape(*[1] * n)
+        assert plan[ones] == ones
+        assert all(merged_rows(ones, g) is not None for g in cache.shapes if g != ones)
+    a = analyze(cache, Signal.random(n, rng))
+    b = analyze(cache, Signal.random(n, rng))
+    subsets = [shapes for shapes in (served, sources) if shapes]
+    cases = [(a,), (a.filter(max_eigs=2), b.filter(max_eigs=1))]
+    cases += [(a.filter(shapes=shapes),) for shapes in subsets]
+    cases += [(a.filter(shapes=x), b.filter(shapes=y, max_eigs=2)) for x, y in zip(subsets, subsets[::-1])]
+    first = [synthesize(cache, *tables).values for tables in cases]
+    for tables, got in zip(cases, first):
+        assert signals_match(got, reference_synthesize(cache, *tables).values)
+        if len(tables) == 2:
+            alone = synthesize(cache, tables[0]).values
+            assert np.array_equal(got, alone + sign_flip(synthesize(cache, tables[1])).values)
+    # the two tables' sources and served shapes with cut rows, in blocks of
+    # 1 to 50 leaders (test_blocked_synthesis covers ragged last blocks); at
+    # n = 7 small blocks cost a second per synthesis, so only blocks of 50
+    # ranks at the shortest and the longest suffix are checked there
+    sweep = [(block, k) for block in (7, 50) for k in range(1, 5)] if n < 7 else [(50, 1), (50, 4)]
+    for block, k in sweep:
+        monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", block)
+        monkeypatch.setattr(frame, "SUFFIX_LENGTH", k)
+        assert np.array_equal(synthesize(cache, *cases[-1]).values, first[-1])
 
 
 def analysis_signals(n, rng):
@@ -780,6 +855,31 @@ def test_synthesis_allocates_no_rank_table():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_synthesis_peak_stays_below_the_per_shape_walk():
+    # n = 8 full-list reconstruction tables as analysis returns them, once
+    # the merge maps and standard liftings are built.  Synthesis through
+    # every shape's own standard liftings peaked at 5.08 MB of tracemalloc
+    # here: it formed each block's alphas and held one shape's (d, m)
+    # weights per table at a time.  Folding c_bar F to beta forms no alphas,
+    # and a source's pushed weights are formed one range of its reduced
+    # liftings at a time, so the peak does not grow with the shapes a
+    # source serves: 4.03 MB when this test was written, held under 4.6 MB
+    cache = build_cache(8, "h")
+    rng = np.random.default_rng(5)
+    values = np.zeros(factorial(8))
+    values[rng.choice(factorial(8), size=2000, replace=False)] = rng.integers(1, 9, size=2000)
+    f = Signal(8, values)
+    reconstruct(cache, f)
+    direct, flipped = analyze_with_conjugates(cache, f)
+    tracemalloc.start()
+    try:
+        synthesize(cache, direct, flipped)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6e6
 
 
 # ---------------------------------------------------------------------------
