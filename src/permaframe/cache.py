@@ -20,8 +20,9 @@ consecutive ranks, whose other ranks follow from it through
 ``frame.SUFFIX_LENGTH``, a fixed number of them at a time, once per range of
 a source shape's liftings; analysis maps the leaders of the blocks a
 signal's nonzeros touch, at a k chosen from its support (k = 1 maps the
-nonzeros themselves).  Each maps a shape only when it does not read off, or
-add into, a finer shape's liftings.
+nonzeros themselves).  Both map only the source shapes of one plan
+(``frame._sources``): a shape a finer source serves reads its bins off
+(analysis) or adds its weights into (synthesis) that source's liftings.
 
 The on-disk layout is one directory per n holding a JSON manifest and one
 uncompressed numpy archive, ``arrays.npz``, with two members per shape: the

@@ -62,10 +62,13 @@ def _add_common_analysis_args(parser: argparse.ArgumentParser, *, out: bool = Tr
 
 
 def _detect_n(root: str) -> int:
+    """The n of the only directory under ``root`` named as ``cache_dir``
+    names the cache for an ASCII-decimal n (``n=07`` and ``n=²`` are not)."""
     candidates = sorted(
-        int(p.name[2:])
+        int(digits)
         for p in Path(root).glob("n=*")
-        if p.is_dir() and p.name[2:].isdigit()
+        if p.is_dir() and (digits := p.name[2:]).isascii() and digits.isdigit()
+        and p.name == cache_mod.cache_dir(root, int(digits)).name
     )
     if len(candidates) == 1:
         return candidates[0]

@@ -18,13 +18,13 @@ a k chosen from the support (k = 1 maps the nonzeros themselves), and sums
 each vertex's even and odd rankings apart, which also yields the
 sign-flipped signal's accumulation: that completes the shapes whose
 transpose is not cached (:func:`analyze_with_conjugates`).  Both directions
-map only source shapes (Young's rule): a cached shape whose rows are unions
-of a source's rows has each lifting's column map equal to a source
-lifting's read through a vertex map (:func:`~permaframe.schreier.merge_maps`).
-Analysis reads its bins off that source lifting's (:func:`_sources`), and
-synthesis adds its weights into that source lifting's
-(:func:`_synthesis_sources`).  Neither direction materializes length-n!
-atoms or index maps; atoms exist only for tests and small-n inspection.
+map only the sources of one plan, which differs between them only in its
+vertex bound (:func:`_sources`, Young's rule): a cached shape whose rows are
+unions of a source's rows has each lifting's column map equal to a source
+lifting's read through a vertex map (:func:`_reads`), so analysis reads its
+bins off that source lifting's and synthesis adds its weights into it.
+Neither direction materializes length-n! atoms or index maps; atoms exist
+only for tests and small-n inspection.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Iterator, Sequence, TextIO
+from typing import Collection, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -83,11 +83,12 @@ SYNTHESIS_WEIGHTS = 1 << 16
 # A touched 2-block never holds more than 2 ranks, so a bound near 2 would put
 # every sparse tally on k = 2; 1.25 keeps them on k = 1.
 ANALYSIS_FILL = 1.25
-# A synthesis source has at most n!/SOURCE_SHARE vertices: pushing a lifting
-# into it gathers m weights, where mapping the lifting reaches n! ranks.  With
-# no bound, (1^n) would serve every shape of an "all" cache; at n = 8 its
-# n!-entry vertex maps took synthesis to 14.3 s and 3.1 GB peak RSS, against
-# 0.11 s and 277 MB with the bound (in process, cache build in the peak).
+# A synthesis source (see _sources) has at most n!/SOURCE_SHARE vertices:
+# pushing a lifting into it gathers m weights, where mapping the lifting
+# reaches n! ranks.  With no bound, (1^n) would be an "all" cache's only
+# source; at n = 8 its n!-entry vertex maps took synthesis to 14.3 s and
+# 3.1 GB peak RSS, against 0.11 s and 277 MB with the bound (in process,
+# cache build in the peak).
 SOURCE_SHARE = 24
 
 
@@ -468,24 +469,44 @@ def _walked_blocks(n: int, support: np.ndarray) -> tuple[int, np.ndarray]:
     return k, blocks
 
 
-def _sources(cache: FrameCache, nonzeros: int) -> dict[IntegerPartition, IntegerPartition]:
-    """The shape whose lifting maps yield each cached shape's vertex sums.
+def _sources(
+    cache: FrameCache, shapes: Collection[IntegerPartition], most: int
+) -> dict[IntegerPartition, list[IntegerPartition]]:
+    """The shapes whose liftings are mapped, each with the ``shapes`` it
+    serves, both in cache order (Young's rule).
 
-    The candidates are the cached shapes with fewer than ``nonzeros`` bins
-    (2m, even and odd apart); a candidate that no other one refines is a
-    source.  Each cached shape whose rows are unions of a source's rows reads
-    its sums off the source with the fewest vertices (ties in cache order),
-    and every other shape, sources included, is mapped itself.  A coarser
-    shape has fewer vertices, so every candidate has a source."""
-    few = [s for s in cache.shapes if 2 * cache.bundle(s).m < nonzeros]
+    The candidates are the cached shapes with at most ``most`` vertices; a
+    candidate that no other one refines is a source.  Each shape whose rows
+    are unions of a source's rows is served by the source with the fewest
+    vertices (ties in cache order), and every other shape, sources included,
+    serves itself.  A coarser shape has fewer vertices, so every candidate
+    has a source.  Which source serves a shape depends only on the cache
+    and ``most``."""
+    few = [s for s in cache.shapes if cache.bundle(s).m <= most]
     sources = sorted(
         (s for s in few if not any(merged_rows(f, s) is not None for f in few)),
         key=lambda s: cache.bundle(s).m,
     )
-    return {
-        shape: next((s for s in sources if merged_rows(s, shape) is not None), shape)
-        for shape in cache.shapes
-    }
+    plan: dict[IntegerPartition, list[IntegerPartition]] = {}
+    for shape in [s for s in cache.shapes if s in shapes]:
+        source = next((s for s in sources if merged_rows(s, shape) is not None), shape)
+        plan.setdefault(source, []).append(shape)
+    return {source: plan[source] for source in cache.shapes if source in plan}
+
+
+def _reads(
+    cache: FrameCache, source: IntegerPartition, shape: IntegerPartition
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(liftings, which, vertex_maps): per standard lifting of ``shape``, the
+    ``source`` lifting whose column map it reads and the row of
+    ``vertex_maps`` (source vertex -> shape vertex) that carries it there
+    (:func:`~permaframe.schreier.merge_maps`).  A source reads its own
+    liftings with no map: ``which`` and ``vertex_maps`` are None."""
+    standard = cache.bundle(shape).liftings.standard
+    if shape == source:
+        return standard, None, None
+    merge = merge_maps(source, shape)
+    return merge.source[standard], merge.map_index[standard], merge.vertex_maps
 
 
 class _Projector:
@@ -554,11 +575,12 @@ def _analyze_blocks(
     O for -O exactly, so the flipped blocks equal its direct ones.
 
     Only each shape's standard liftings are read (see :class:`_Projector`).
-    A shape with a source (:func:`_sources`) is not mapped: each lifting's
-    bins are one ``bincount`` of a source lifting's bins through a vertex
-    map, which keeps parity, and a source maps only the liftings read off
-    it.  The sources depend only on the cache and the nonzero count, so the
-    identities above, subsets and ``max_eigs`` keep every bit."""
+    Only sources are mapped (:func:`_sources`, candidates with fewer bins,
+    2m, than nonzeros): a served lifting's bins are one ``bincount`` of its
+    source lifting's (:func:`_reads`) through its vertex map, which keeps
+    parity, and a source maps only the liftings read off it.  The sources
+    depend only on the cache and the nonzero count, so the identities
+    above, subsets and ``max_eigs`` keep every bit."""
     ranks, weights = signal.support()
     k, blocks = _walked_blocks(signal.n, ranks)
     walked = blocks * factorial(k)
@@ -573,31 +595,27 @@ def _analyze_blocks(
     # parity of rank b*k! + j given its leader's parity (row 0 even, row 1 odd)
     parity = np.array([[0], [1]]) ^ (rank_signs(k, np.arange(factorial(k))) < 0)
     spread = np.empty((len(blocks), factorial(k)), dtype=np.intp)
-    plan = _sources(cache, len(ranks))
+    # a source's 2m bins, even and odd apart, fewer than the nonzeros
+    plan = _sources(cache, shape_list, (len(ranks) - 1) // 2)
     del ranks, weights  # a dense signal's support is formed here: freed before the maps
-    walks: dict[IntegerPartition, list[IntegerPartition]] = {}
-    for shape in shape_list:
-        walks.setdefault(plan[shape], []).append(shape)
     made: dict[IntegerPartition, list[ShapeBlock]] = {}
     # in cache order, each source group's X_S filled, turned into blocks and
     # freed before the next source is mapped
-    for source in [s for s in cache.shapes if s in walks]:
+    for source, members in plan.items():
         bundle = cache.bundle(source)
         projectors = {
             shape: _Projector(cache.bundle(shape), shape in flipped_shapes)
-            for shape in walks[source]
+            for shape in members
         }
         # per source lifting read: (projector, its row of X_S, source bin -> its bin)
         readers: dict[int, list] = {}
         for shape, projector in projectors.items():
-            reads = [(t, None) for t in projector.bundle.liftings.standard.tolist()]
-            if shape != source:
-                merge = merge_maps(source, shape)
+            liftings, which, vertex_maps = _reads(cache, source, shape)
+            if vertex_maps is not None:
                 # source bin 2v + p -> bin 2 vertex_map[v] + p, per row map
-                pairs = 2 * merge.vertex_maps[:, :, None] + [0, 1]
-                bin_maps = pairs.reshape(len(merge.rows), -1)
-                reads = [(int(merge.source[t]), bin_maps[merge.map_index[t]]) for t, _ in reads]
-            for j, (t, bin_map) in enumerate(reads):
+                bin_maps = (2 * vertex_maps[:, :, None] + [0, 1]).reshape(len(vertex_maps), -1)
+            for j, t in enumerate(liftings.tolist()):
+                bin_map = None if which is None else bin_maps[which[j]]
                 readers.setdefault(t, []).append((projector, j, bin_map))
         table = vertex_table(source)
         # row 2v + p: the bins of a block whose leader is at v with parity p
@@ -716,23 +734,6 @@ def _check_synthesis_block(cache: FrameCache, block: ShapeBlock) -> np.ndarray:
     return bundle.spectrum.vectors[:, : block.num_rows]
 
 
-def _synthesis_sources(cache: FrameCache) -> dict[IntegerPartition, IntegerPartition]:
-    """The shape whose liftings synthesize each cached shape: of the cached
-    shapes with at most n!/``SOURCE_SHARE`` vertices whose rows refine it,
-    the one with the most vertices (ties in cache order), or the shape itself
-    when there is none.  Splitting a row adds vertices, so a source is its
-    own source."""
-    few = [f for f in cache.shapes if SOURCE_SHARE * cache.bundle(f).m <= factorial(cache.n)]
-    return {
-        shape: max(
-            (f for f in few if merged_rows(f, shape) is not None),
-            key=lambda f: cache.bundle(f).m,
-            default=shape,
-        )
-        for shape in cache.shapes
-    }
-
-
 def _folded(cache: FrameCache, block: ShapeBlock) -> np.ndarray:
     """c_bar beta, beta = alpha U U_S^-1 (rows x d): c_bar V beta weights
     the standard liftings so that they synthesize what alpha does.  A block
@@ -755,17 +756,17 @@ def _push_weights(
     """Fills ``weights`` (len(batch), m, tables) with those of the source
     liftings ``batch``, all in ``low..high - 1``: each member's standard
     liftings that land there, their weights formed in one product per member
-    and table and read through their vertex maps, added in member order and
-    then lifting order.  The products depend on ``low`` and ``high`` only,
-    not on what else is walked."""
+    and table and read through their vertex maps (see :func:`_reads`), added
+    in member order and then lifting order.  The products depend on ``low``
+    and ``high`` only, not on what else is walked."""
     weights.fill(0.0)
-    for targets, vertex_maps, which, betas in pushes:
+    for (targets, which, vertex_maps), betas in pushes:
         picked = np.flatnonzero((targets >= low) & (targets < high))
         slots = np.searchsorted(batch, targets[picked]).tolist()
         for column, vectors, beta in betas:
             pushed = (vectors @ beta[:, picked]).T
             for i, slot, w in zip(picked.tolist(), slots, pushed):
-                weights[slot, :, column] += w[vertex_maps[which[i]]]
+                weights[slot, :, column] += w if which is None else w[vertex_maps[which[i]]]
 
 
 def _synthesize_source(
@@ -783,26 +784,19 @@ def _synthesize_source(
     bundle = cache.bundle(source)
     leaders, width = len(acc), acc.shape[2]
     per_block = max(1, SYNTHESIS_BLOCK // factorial(k))
-    # per member: the source lifting of each standard lifting, the vertex
-    # maps and the row carrying each there, and per table its column, V and
+    # per member: its reads of the source, and per table its column, V and
     # c_bar beta
-    pushes = []
-    for shape, jobs in members:
-        lifts = cache.bundle(shape).liftings
-        betas = [(j - first, vectors, _folded(cache, block)) for j, vectors, block in jobs]
-        if shape == source:
-            identity = np.arange(bundle.m)[None, :]
-            pushes.append((lifts.standard, identity, np.zeros(bundle.d, np.intp), betas))
-        else:
-            merge = merge_maps(source, shape)
-            which = merge.map_index[lifts.standard]
-            pushes.append((merge.source[lifts.standard], merge.vertex_maps, which, betas))
+    pushes = [
+        (_reads(cache, source, shape),
+         [(j - first, vectors, _folded(cache, block)) for j, vectors, block in jobs])
+        for shape, jobs in members
+    ]
     # the walked liftings in ranges of consecutive reduced liftings, so the
     # weights never outgrow the source's own (d, m) table, or SYNTHESIS_WEIGHTS
     # entries, per table
     span = max(bundle.d, SYNTHESIS_WEIGHTS // bundle.m)
     batches: dict[int, list[int]] = {}
-    for t in sorted(set().union(*(push[0].tolist() for push in pushes))):
+    for t in sorted(set().union(*(reads[0].tolist() for reads, _betas in pushes))):
         batches.setdefault(t - t % span, []).append(t)
     table = vertex_table(source)
     action = suffix_action(source, k, table)
@@ -843,12 +837,11 @@ def synthesize(
     U_S^-1 (R x d, :func:`_folded`), which synthesizes the same signal
     through the standard liftings S alone: lifting j of S gets the weights
     c_bar V beta[:, j], one column per table holding the shape.  Only
-    synthesis sources are mapped (:func:`_synthesis_sources`).  A served
-    shape's lifting has the column map of a source lifting read through a
-    vertex map (:func:`~permaframe.schreier.merge_maps`), so its weights,
-    read through that map, are added to the source lifting's.  A source maps
-    the sorted union of its own standard liftings and those its served
-    shapes' standard liftings land on, in ranges of max(d,
+    sources are mapped (:func:`_sources`, candidates with at most
+    n!/``SOURCE_SHARE`` vertices): a served lifting's weights, read through
+    its vertex map, are added to its source lifting's (:func:`_reads`).  A
+    source maps the sorted union of its own standard liftings and those its
+    served shapes' standard liftings land on, in ranges of max(d,
     ``SYNTHESIS_WEIGHTS`` // m) consecutive reduced liftings (d and m the
     source's).  Per range, the weights are formed from each member's beta,
     members in cache order and then liftings ascending, by products that
@@ -881,16 +874,11 @@ def synthesize(
             if held and held[-1][0] == j:
                 raise ValidationError(f"table holds shape {block.shape.parts} twice")
             held.append((j, vectors, block))
-    plan = _synthesis_sources(cache)
-    groups: dict[IntegerPartition, list[IntegerPartition]] = {}
-    for shape in cache.shapes:
-        if shape in jobs:
-            groups.setdefault(plan[shape], []).append(shape)
     k = min(SUFFIX_LENGTH, cache.n)
     leaders = factorial(cache.n) // factorial(k)
     acc = np.zeros((leaders, factorial(k), len(tables)))
-    for source in [s for s in cache.shapes if s in groups]:
-        members = [(shape, jobs[shape]) for shape in groups[source]]
+    for source, shapes in _sources(cache, jobs, factorial(cache.n) // SOURCE_SHARE).items():
+        members = [(shape, jobs[shape]) for shape in shapes]
         used = [j for _shape, shape_jobs in members for j, _v, _b in shape_jobs]
         # the tables holding the group are both or one: a slice of acc's last axis
         columns = slice(min(used), max(used) + 1)

@@ -926,6 +926,24 @@ def test_cli_validation_exit_codes(workdir, capsys, tmp_path):
         assert capsys.readouterr().err == f"error: {blocks!r} is not a block label\n"
 
 
+@pytest.mark.parametrize("stray", ["n=²", "n=٣", "n=04"])
+def test_cli_detects_n_from_cache_directory_names_only(workdir, capsys, stray):
+    # a directory whose name is not cache_dir's for an ASCII-decimal n is no
+    # cache: a superscript digit is no n, an Arabic-Indic 3 is not n = 3, and
+    # n=04 beside n=4 is not a second cache for n = 4
+    root = workdir / "cache"
+    (root / stray).mkdir(parents=True)
+    votes = workdir / "votes.txt"
+    assert run_cli("energy", "--cache", root, "--ballots", votes) == 2
+    assert capsys.readouterr().err == f"error: no caches found under {root}\n"
+    run_cli("setup", "--n", 4, "--cache", root)
+    capsys.readouterr()
+    assert run_cli("energy", "--cache", root, "--ballots", votes, "--n", 4) == 0
+    want = capsys.readouterr().out
+    assert run_cli("energy", "--cache", root, "--ballots", votes) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize(
     "records",
     [

@@ -459,22 +459,31 @@ def count_walks(monkeypatch) -> tuple[dict[IntegerPartition, int], dict[IntegerP
     return walked, mapped
 
 
+def served_by(plan) -> dict[IntegerPartition, IntegerPartition]:
+    """The source of each shape a ``frame._sources`` plan serves."""
+    return {g: source for source, members in plan.items() for g in members}
+
+
 def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
     # at n = 6 (h) a synthesis source has at most 6!/24 = 30 vertices:
-    # (4,1,1) serves (6), (5,1) and (4,2), while (3,3), which no such shape
-    # refines, and (3,2,1), with 60 vertices, serve themselves.  Only the
-    # sources are mapped, over the n!/4! block leaders and never over every
-    # rank, however the leaders are split into blocks, and per block of
-    # leaders each maps exactly, once and ascending, the union of its
-    # standard liftings and the source liftings its members' standard
-    # liftings read off it: 32 liftings, where mapping every shape's d
-    # standard liftings took 46
+    # (4,1,1) and (3,3), which no other such shape refines, are the sources;
+    # (3,3), with 20 vertices, serves (6), (4,1,1) serves (5,1) and (4,2),
+    # and (3,2,1), with 60 vertices, serves itself.  Only the sources are
+    # mapped, over the n!/4! block leaders and never over every rank,
+    # however the leaders are split into blocks, and per block of leaders
+    # each maps exactly, once and ascending, the union of its standard
+    # liftings and the source liftings its members' standard liftings read
+    # off it: 32 liftings, where mapping every shape's d standard liftings
+    # took 46
     monkeypatch.setattr(frame, "SYNTHESIS_BLOCK", 100)
     cache = build_cache(6, "h")
     direct, flipped = analyze_with_conjugates(cache, Signal.random(6, rng))
-    plan = frame._synthesis_sources(cache)
-    served = {shape(6), shape(5, 1), shape(4, 2)}
-    assert plan == {g: shape(4, 1, 1) if g in served else g for g in cache.shapes}
+    plan = frame._sources(cache, cache.shapes, factorial(6) // frame.SOURCE_SHARE)
+    assert plan == {
+        shape(4, 1, 1): [shape(5, 1), shape(4, 2), shape(4, 1, 1)],
+        shape(3, 3): [shape(6), shape(3, 3)],
+        shape(3, 2, 1): [shape(3, 2, 1)],
+    }
     calls = []
     walk = FrameCache.iter_lifting_maps
 
@@ -490,10 +499,9 @@ def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
     total = 0
     for source in sources:
         union = set()
-        for g in cache.shapes:
+        for g in plan[source]:
             read = standard_indices(g)
-            if plan[g] == source:
-                union.update(read if g == source else merge_maps(source, g).source[read].tolist())
+            union.update(read if g == source else merge_maps(source, g).source[read].tolist())
         per_block: dict[int, list[int]] = {}
         for g, ranks, liftings in calls:
             if g == source:
@@ -503,6 +511,41 @@ def test_synthesis_walks_one_rank_per_suffix_block(monkeypatch, rng):
         assert all(mapped == sorted(union) for mapped in per_block.values())
         total += len(union)
     assert total == 32 < sum(map(hook_dimension, cache.shapes)) == 46
+
+
+def planned_liftings(cache, most: int) -> int:
+    """The liftings that the plan for the vertex bound ``most`` maps per
+    walk: each source's union of its members' reads."""
+    return sum(
+        len(set().union(*(frame._reads(cache, source, g)[0].tolist() for g in members)))
+        for source, members in frame._sources(cache, cache.shapes, most).items()
+    )
+
+
+@pytest.mark.parametrize("n, top_k, mapped, standard", [
+    (8, None, 201, 448), (9, 5, 77, 112), (10, 8, 182, 490),
+])
+def test_benchmark_caches_map_the_pinned_liftings(n, top_k, mapped, standard):
+    # on the full n = 8 list and the first shapes at n = 9 and 10, synthesis
+    # (at most n!/24 vertices) and a dense tally's analysis (fewer than n!
+    # bins) plan the same sources, which map these standard liftings
+    cache = build_cache(n, "h", top_k=top_k)
+    dense = (factorial(n) - 1) // 2
+    synthesis = factorial(n) // frame.SOURCE_SHARE
+    assert frame._sources(cache, cache.shapes, dense) == frame._sources(cache, cache.shapes, synthesis)
+    assert planned_liftings(cache, dense) == planned_liftings(cache, synthesis) == mapped
+    assert sum(map(hook_dimension, cache.shapes)) == standard
+
+
+def test_dense_reconstruction_maps_the_planned_liftings(monkeypatch, rng):
+    # the full n = 8 list on a dense tally: analysis maps each source's
+    # planned liftings once, and synthesis once per block of leaders, of
+    # which 8!/4! = 1,680 make one
+    cache = build_cache(8, "h")
+    values = rng.integers(1, 9, size=factorial(8)).astype(float)
+    _walked, mapped = count_walks(monkeypatch)
+    reconstruct(cache, Signal(8, values))
+    assert sum(mapped.values()) == 2 * 201
 
 
 @pytest.mark.parametrize("kind", ["h", "all"])
@@ -519,14 +562,14 @@ def test_synthesis_plans_meet_the_reference_bit_for_bit(n, kind, monkeypatch, rn
     if kind == "h":
         monkeypatch.setattr(frame, "SYNTHESIS_WEIGHTS", 0)
     cache = frame_cache(n, kind)
-    plan = frame._synthesis_sources(cache)
-    sources = [g for g in cache.shapes if plan[g] == g]
-    served = [g for g in cache.shapes if plan[g] != g]
-    assert all(plan[plan[g]] == plan[g] for g in cache.shapes)
+    plan = frame._sources(cache, cache.shapes, factorial(n) // frame.SOURCE_SHARE)
+    sources = list(plan)
+    served = [g for g in cache.shapes if g not in plan]
+    assert all(source in members for source, members in plan.items())
     assert bool(served) == (n >= 5)
     if kind == "all":
         ones = shape(*[1] * n)
-        assert plan[ones] == ones
+        assert plan[ones] == [ones]
         assert all(merged_rows(ones, g) is not None for g in cache.shapes if g != ones)
     a = analyze(cache, Signal.random(n, rng))
     b = analyze(cache, Signal.random(n, rng))
@@ -648,10 +691,9 @@ def test_analysis_walks_leaders_of_dense_tallies_and_nonzeros_of_sparse_ones(
         (dense, factorial(6) // factorial(4), dense_walks, shape(4, 1, 1)),
         (sparse, 40, sparse_walks, shape(5, 1)),
     ):
-        plan = frame._sources(cache, np.count_nonzero(values))
+        plan = served_by(frame._sources(cache, cache.shapes, (np.count_nonzero(values) - 1) // 2))
         needed = {source: set() for source in walks}
-        for g in cache.shapes:
-            source = plan[g]
+        for g, source in plan.items():
             read = standard_indices(g)
             if source != g:
                 read = merge_maps(source, g).source[read].tolist()
@@ -712,7 +754,7 @@ def test_derived_analysis_matches_the_per_shape_walk(n, kind, rng):
     subsets = [[cache.shapes[0]], [cache.shapes[0], cache.shapes[-1]], cache.shapes[1:3]]
     derived = 0
     for f in analysis_signals(n, rng) + near_exact_counts(n, rng):
-        plan = frame._sources(cache, np.count_nonzero(f.values))
+        plan = served_by(frame._sources(cache, cache.shapes, (np.count_nonzero(f.values) - 1) // 2))
         derived += sum(source != g for g, source in plan.items())
         direct, flipped = analyze_with_conjugates(cache, f)
         ref = well_posed(f)
@@ -1078,7 +1120,7 @@ def test_derived_and_walked_shapes_agree_under_relabeling(nonzeros, sigma, seed)
     # one side and walked on the other
     cache = frame_cache(6, "h")
     coarse = {shape(4, 2): shape(4, 1, 1), shape(3, 3): shape(3, 2, 1)}
-    plan = frame._sources(cache, nonzeros)
+    plan = served_by(frame._sources(cache, cache.shapes, (nonzeros - 1) // 2))
     for target, source in coarse.items():
         assert plan[target] == (source if nonzeros > 2 * cache.bundle(source).m else target)
     rng = np.random.default_rng(seed)
